@@ -12,7 +12,7 @@ from .constructions import (IntervalSystem, PiInfinityTruncation, gmi,
 from .verification import (Certificate, brute_force_subadditive,
                            check_minimal, check_nonnegative, check_slope_census,
                            check_subadditive, check_symmetry, check_zero_set,
-                           subadditivity_vertex_pairs, worker_count)
+                           subadditivity_vertex_pairs)
 from .extremality import (AffinityConstraint, EqualityStructure,
                           PerturbationTestResult, equality_structure,
                           interval_lemma_apply, replay_pi_k_facet_proof,
@@ -33,7 +33,6 @@ __all__ = [
     "Certificate", "brute_force_subadditive", "check_minimal",
     "check_nonnegative", "check_slope_census", "check_subadditive",
     "check_symmetry", "check_zero_set", "subadditivity_vertex_pairs",
-    "worker_count",
     "AffinityConstraint", "EqualityStructure", "PerturbationTestResult",
     "equality_structure", "interval_lemma_apply", "replay_pi_k_facet_proof",
     "restricted_facet_test", "two_slope_shortcut",

@@ -247,6 +247,16 @@ def cmd_plot(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
+    return n
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -287,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--b", required=True)
     ce.add_argument("--mode", required=True,
                     choices=["pwl-perturbation", "replay", "two-slope"])
-    ce.add_argument("--refine", type=int, default=16,
+    ce.add_argument("--refine", type=_positive_int, default=16,
                     help="refinement denominator for pwl-perturbation")
     ce.add_argument("--k", type=int, help="level for replay mode")
     ce.set_defaults(func=cmd_certify)
@@ -303,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("plot", help="export a CSV or SVG plot")
     pl.add_argument("path")
     pl.add_argument("--out", required=True, help="output file, .csv or .svg")
-    pl.add_argument("--samples", type=int, default=256)
+    pl.add_argument("--samples", type=_positive_int, default=256)
     pl.set_defaults(func=cmd_plot)
 
     return p

@@ -19,8 +19,8 @@ from typing import Optional
 from .constructions import interval_system, pi_k, new_slope
 from .errors import DomainError
 from .pwl import Interval, PeriodicPWL, breakpoints_in, rat, rat_str
-from .verification import (Certificate, check_minimal, check_subadditive,
-                           subadditivity_vertex_pairs)
+from .verification import (Certificate, _Lattice, check_minimal,
+                           check_subadditive)
 
 PWL_CAVEAT = ("certified within the continuous piecewise-linear perturbation "
               "class on the chosen refinement; this checks the facet "
@@ -121,9 +121,11 @@ def equality_structure(f: PeriodicPWL) -> EqualityStructure:
     """
     if not check_subadditive(f).passed:
         raise DomainError("equality structure requires a subadditive function")
-    vertices = tuple((x, y) for x, y in subadditivity_vertex_pairs(f)
-                     if f.delta(x, y) == 0)
-    P = list(f.breakpoints) + [Fraction(1)]
+    lat = _Lattice(f)
+    q, slack = lat.q, lat.slack
+    vertices = tuple((Fraction(x, q), Fraction(y, q))
+                     for x, y in lat.vertex_pairs() if slack(x, y) == 0)
+    P = lat.points + [q]
     faces = []
     seen = set()
     for i in range(len(P) - 1):
@@ -131,11 +133,12 @@ def equality_structure(f: PeriodicPWL) -> EqualityStructure:
         for j in range(len(P) - 1):
             b1, b2 = P[j], P[j + 1]
             ws = sorted({a1 + b1, a2 + b2,
-                         *breakpoints_in(f, a1 + b1, a2 + b2)})
+                         *lat.breakpoints_in(a1 + b1, a2 + b2)})
             for wl, wu in zip(ws, ws[1:]):
-                if all(f.delta(x, y) == 0
+                if all(slack(x, y) == 0
                        for x, y in _cell_vertices(a1, a2, b1, b2, wl, wu)):
-                    box = _inscribed_box(a1, a2, b1, b2, wl, wu)
+                    box = _inscribed_box(*(Fraction(t, q)
+                                           for t in (a1, a2, b1, b2, wl, wu)))
                     if box is not None and box not in seen:
                         seen.add(box)
                         faces.append(box)

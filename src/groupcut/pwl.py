@@ -23,12 +23,14 @@ ONE = Fraction(1)
 def rat(x) -> Fraction:
     """Parse an exact rational from an int, Fraction, or "p/q" string.
 
+    Booleans are rejected: JSON ``true`` is not the number 1.
+
     Decimal strings (anything containing '.') are rejected: a decimal on a
     boundary would silently contaminate exact computations.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         if "." in x or "e" in x.lower():
@@ -212,6 +214,8 @@ class PeriodicPWL:
     def from_dict(cls, d: dict) -> "PeriodicPWL":
         if not isinstance(d, dict) or set(d) != {"breakpoints", "values"}:
             raise FormatError("expected object with 'breakpoints' and 'values'")
+        if not (isinstance(d["breakpoints"], list) and isinstance(d["values"], list)):
+            raise FormatError("'breakpoints' and 'values' must be JSON lists")
         bps = [rat(t) for t in d["breakpoints"]]
         vals = [rat(v) for v in d["values"]]
         for t in bps:

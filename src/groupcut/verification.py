@@ -4,9 +4,8 @@ carries an exact witness that reproduces the violation."""
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -41,15 +40,66 @@ def _point_witness(x, **extra) -> dict:
     return w
 
 
-def worker_count() -> int:
-    """Worker cap from GROUPCUT_THREADS; defaults to available parallelism."""
-    env = os.environ.get("GROUPCUT_THREADS")
-    if env is not None:
-        n = int(env)
-        if n < 1:
-            raise DomainError("GROUPCUT_THREADS must be a positive integer")
-        return n
-    return os.cpu_count() or 1
+class _Lattice:
+    """f restricted to the lattice (1/q)Z and scaled to integers.
+
+    q is the lcm of the breakpoint denominators, so every breakpoint is
+    p/q for an integer p, and so is every sum and difference of
+    breakpoints: every vertex of the slack's arrangement lies on (1/q)Z.
+    On piece j, scale*f(i/q) = a_j*i + c_j with integers a_j, c_j, so the
+    slack at (i/q, k/q) is the integer value(i) + value(k) - value(i + k),
+    which is scale times the exact slack.  This is the finite-group
+    restriction of Basu, Hildebrand and Koeppe (Equivariant perturbation in
+    Gomory and Johnson's infinite group problem I, Math. Oper. Res. 2015).
+    """
+
+    __slots__ = ("q", "scale", "points", "_a", "_c", "_memo")
+
+    def __init__(self, f: PeriodicPWL):
+        bps, vals = f.breakpoints, f.values
+        q = math.lcm(*(t.denominator for t in bps))
+        # Fraction(): an all-int function has a float slope, 0/1 == 0.0
+        steps = [Fraction(f.piece_slope(j)) / q for j in range(len(bps))]
+        scale = math.lcm(*(v.denominator for v in vals),
+                         *(s.denominator for s in steps))
+        self.q, self.scale = q, scale
+        self.points = [t.numerator * (q // t.denominator) for t in bps]
+        self._a = [s.numerator * (scale // s.denominator) for s in steps]
+        self._c = [v.numerator * (scale // v.denominator) - a * p
+                   for v, a, p in zip(vals, self._a, self.points)]
+        self._memo = {}
+
+    def value(self, i: int) -> int:
+        """scale*f(i/q) for any integer i."""
+        i %= self.q
+        v = self._memo.get(i)
+        if v is None:
+            j = bisect_right(self.points, i) - 1
+            v = self._memo[i] = self._a[j] * i + self._c[j]
+        return v
+
+    def slack(self, i: int, k: int) -> int:
+        """scale times f(x) + f(y) - f(x+y) at x = i/q, y = k/q."""
+        value = self.value
+        return value(i) + value(k) - value(i + k)
+
+    def vertex_pairs(self) -> list:
+        """The vertex pairs of `subadditivity_vertex_pairs`, as numerators
+        over q, in the same (lexicographic) order."""
+        P, q = self.points, self.q
+        pairs = {(u, v) for u in P for v in P}
+        for u in P:
+            for w in P:
+                d = (w - u) % q
+                pairs.add((u, d))
+                pairs.add((d, u))
+        return sorted(pairs)
+
+    def breakpoints_in(self, lo: int, hi: int) -> list:
+        """Numerators of the periodic extension's breakpoints in [lo, hi]."""
+        q = self.q
+        return [s for m in range(lo // q, hi // q + 1)
+                for s in (p + m * q for p in self.points) if lo <= s <= hi]
 
 
 def subadditivity_vertex_pairs(f: PeriodicPWL) -> list:
@@ -60,48 +110,27 @@ def subadditivity_vertex_pairs(f: PeriodicPWL) -> list:
     arrangement cut by the lines x in B+Z, y in B+Z, x+y in B+Z (B the
     breakpoint set), so its minimum over the period square is attained at an
     intersection of two such lines.  Those intersections project exactly to
-    the pairs enumerated here.
+    the pairs enumerated here: (u, v), (u, w-u) and (w-u, u) for u, v, w in
+    B, reduced modulo 1 and sorted.
     """
-    B = f.breakpoints
-    pairs = set()
-    for u in B:
-        for v in B:
-            pairs.add((u, v))
-        for w in B:
-            pairs.add((u, (w - u) % 1))
-            pairs.add(((w - u) % 1, u))
-    return sorted(pairs)
-
-
-def _scan_chunk(f, pairs, lo, hi):
-    for idx in range(lo, hi):
-        x, y = pairs[idx]
-        d = f.delta(x, y)
-        if d < 0:
-            return idx, d
-    return None
+    lat = _Lattice(f)
+    q = lat.q
+    return [(Fraction(i, q), Fraction(k, q)) for i, k in lat.vertex_pairs()]
 
 
 def check_subadditive(f: PeriodicPWL) -> Certificate:
-    """Exact subadditivity decision via the vertex scan; witness is the
-    lexicographically smallest violating pair."""
-    pairs = subadditivity_vertex_pairs(f)
-    n = len(pairs)
-    workers = min(worker_count(), 8)
-    if workers <= 1 or n < 256:
-        hit = _scan_chunk(f, pairs, 0, n)
-    else:
-        step = -(-n // workers)
-        chunks = [(i, min(i + step, n)) for i in range(0, n, step)]
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(lambda c: _scan_chunk(f, pairs, *c), chunks))
-        hits = [r for r in results if r is not None]
-        hit = min(hits) if hits else None   # smallest index wins: deterministic
-    if hit is None:
-        return Certificate("pass", checked_count=n)
-    idx, d = hit
-    x, y = pairs[idx]
-    return Certificate("fail", witness=_pair_witness(x, y, d), checked_count=idx + 1)
+    """Exact subadditivity decision via the vertex scan, in integer
+    arithmetic on the lattice; witness is the lexicographically smallest
+    violating pair."""
+    lat = _Lattice(f)
+    q, slack = lat.q, lat.slack
+    pairs = lat.vertex_pairs()
+    for idx, (i, k) in enumerate(pairs):
+        d = slack(i, k)
+        if d < 0:
+            return Certificate("fail", checked_count=idx + 1, witness=_pair_witness(
+                Fraction(i, q), Fraction(k, q), Fraction(d, lat.scale)))
+    return Certificate("pass", checked_count=len(pairs))
 
 
 def check_symmetry(f: PeriodicPWL, b) -> Certificate:

@@ -160,3 +160,58 @@ def test_plot_svg(tmp_path, capsys):
 def test_unknown_verb_and_flags(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "construct", "gmi")[0] == 2   # missing --b
+
+
+def _one_error_line(err):
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_plot_rejects_nonpositive_samples(tmp_path, capsys, samples):
+    f = tmp_path / "f.json"
+    run(capsys, "construct", "pi-k", "--k", "3", "--b", "1/2", "--out", str(f))
+    for out in (tmp_path / "f.csv", tmp_path / "f.svg"):
+        code, _, err = run(capsys, "plot", str(f), "--out", str(out),
+                           "--samples", samples)
+        assert code == 2 and _one_error_line(err) and "--samples" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("refine", ["0", "-4", "two"])
+def test_certify_rejects_nonpositive_refine(tmp_path, capsys, refine):
+    f = tmp_path / "f.json"
+    run(capsys, "construct", "pi-k", "--k", "4", "--b", "1/2", "--out", str(f))
+    code, stdout, err = run(capsys, "certify", str(f), "--b", "1/2",
+                            "--mode", "pwl-perturbation", "--refine", refine)
+    assert code == 2 and stdout == "" and _one_error_line(err)
+    assert "--refine" in err
+
+
+@pytest.mark.parametrize("obj", [
+    {"breakpoints": 5, "values": [0]},
+    {"breakpoints": "0", "values": ["0"]},
+    {"breakpoints": ["0", "1/2"], "values": "01"},
+    {"breakpoints": {"0": 0}, "values": [0]},
+    {"breakpoints": ["0", "1/2"], "values": [False, True]},
+    {"breakpoints": [False, "1/2"], "values": ["0", "1"]},
+])
+def test_hostile_json_is_a_usage_error(tmp_path, capsys, obj):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(obj))
+    for argv in (["verify", "minimal", str(path), "--b", "1/2"],
+                 ["eval", str(path), "--x", "1/4"]):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == "" and _one_error_line(err), (argv, err)
+
+
+def test_hostile_json_inside_merged_tree(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"kind": "leaf", "b": True,
+                                "fn": gmi(F(1, 2)).to_dict()}))
+    code, _, err = run(capsys, "eval", str(path), "--x", "1/4")
+    assert code == 2 and _one_error_line(err)
+    path.write_text(json.dumps({"kind": "leaf", "b": "1/2",
+                                "fn": {"breakpoints": 5, "values": [0]}}))
+    code, _, err = run(capsys, "eval", str(path), "--x", "1/4")
+    assert code == 2 and _one_error_line(err)

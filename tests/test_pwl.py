@@ -24,6 +24,12 @@ def test_rat_rejects_non_rationals(bad):
         rat(bad)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_rat_rejects_booleans(flag):
+    with pytest.raises(FormatError):
+        rat(flag)
+
+
 def test_rat_str_round_trips():
     for v in (F(0), F(3, 4), F(-7, 3), F(5)):
         assert rat(rat_str(v)) == v

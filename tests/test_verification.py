@@ -1,4 +1,3 @@
-import os
 import random
 from fractions import Fraction as F
 from math import lcm
@@ -7,8 +6,9 @@ import pytest
 
 from groupcut import (DomainError, PeriodicPWL, brute_force_subadditive,
                       check_minimal, check_nonnegative, check_slope_census,
-                      check_subadditive, check_symmetry, check_zero_set, gmi,
-                      pi_k, subadditivity_vertex_pairs)
+                      check_subadditive, check_symmetry, check_zero_set,
+                      equality_structure, gmi, pi_k,
+                      subadditivity_vertex_pairs)
 from conftest import bump_value
 
 
@@ -62,14 +62,60 @@ def test_vertex_scan_agrees_with_dense_grid():
             assert not grid.passed, (f.to_json(), exact.witness)
 
 
-def test_parallel_scan_is_deterministic(monkeypatch):
-    f = bump_value(pi_k(4, F(1, 2)), 3, F(-1, 64))
-    monkeypatch.setenv("GROUPCUT_THREADS", "1")
-    seq = check_subadditive(f)
-    monkeypatch.setenv("GROUPCUT_THREADS", "4")
-    par = check_subadditive(f)
-    assert seq.verdict == par.verdict
-    assert seq.witness == par.witness
+def _reference_scan(f):
+    """The vertex scan spelled out over Fractions: (verdict, witness, checked)."""
+    B = f.breakpoints
+    pairs = {(u, v) for u in B for v in B}
+    pairs |= {(u, (w - u) % 1) for u in B for w in B}
+    pairs |= {((w - u) % 1, u) for u in B for w in B}
+    pairs = sorted(pairs)
+    assert subadditivity_vertex_pairs(f) == pairs
+    for idx, (x, y) in enumerate(pairs):
+        d = f.delta(x, y)
+        if d < 0:
+            return "fail", {"kind": "pair", "x": str(x), "y": str(y),
+                            "delta": str(d)}, idx + 1
+    return "pass", None, len(pairs)
+
+
+def test_lattice_scan_agrees_with_fraction_scan():
+    rng = random.Random(20261017)
+    fns = []
+    for _ in range(40):
+        # mixed denominators, so q is a genuine lcm; negative values allowed
+        dens = rng.sample([2, 3, 5, 7, 8, 9, 11, 12], 3)
+        cands = sorted({F(rng.randint(1, d - 1), d) for d in dens for _ in range(2)})
+        bps = [F(0)] + rng.sample(cands, rng.randint(1, len(cands)))
+        bps.sort()
+        vals = [F(0)] + [F(rng.randint(-4, 12), rng.choice([1, 3, 4, 7]))
+                         for _ in bps[1:]]
+        fns.append(PeriodicPWL(bps, vals))
+    for k, b, mutants in ((3, F(1, 2), 3), (5, F(1, 3), 3), (8, F(2, 5), 3),
+                          (20, F(1, 3), 1)):
+        f = pi_k(k, b)
+        fns.append(f)
+        for i in rng.sample(range(1, len(f.breakpoints)), mutants):
+            step = F(rng.choice([-1, 1]), 10 ** rng.randint(2, 6))
+            fns.append(bump_value(f, i, step))
+    assert lcm(*(t.denominator for t in pi_k(20, F(1, 3)).breakpoints)) > 10 ** 16
+    verdicts = set()
+    for f in fns:
+        c = check_subadditive(f)
+        got = (c.verdict, c.witness, c.checked_count)
+        assert got == _reference_scan(f), f.to_json()
+        verdicts.add(c.verdict)
+    assert verdicts == {"pass", "fail"}
+
+
+@pytest.mark.parametrize("f, vertices, faces", [
+    (pi_k(8, F(1, 2)), 159, 56),
+    (pi_k(5, F(1, 3)), 78, 29),
+    (gmi(F(2, 5)), 3, 2),
+])
+def test_equality_structure_counts(f, vertices, faces):
+    es = equality_structure(f)
+    assert (len(es.additive_vertices), len(es.additive_faces)) == (vertices, faces)
+    assert all(f.delta(x, y) == 0 for x, y in es.additive_vertices)
 
 
 def test_check_minimal_order_of_failures():
