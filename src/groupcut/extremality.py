@@ -18,9 +18,9 @@ from typing import Optional
 
 from .constructions import interval_system, pi_k, new_slope
 from .errors import DomainError
-from .pwl import Interval, PeriodicPWL, breakpoints_in, rat, rat_str
-from .verification import (Certificate, _Lattice, check_minimal,
-                           check_subadditive)
+from .pwl import (Interval, PeriodicPWL, breakpoints_in, pieces_meeting,
+                  points_in, rat, rat_str)
+from .verification import Certificate, _Lattice, check_minimal
 
 PWL_CAVEAT = ("certified within the continuous piecewise-linear perturbation "
               "class on the chosen refinement; this checks the facet "
@@ -118,13 +118,19 @@ def equality_structure(f: PeriodicPWL) -> EqualityStructure:
     slack vanishes identically contributes its inscribed axis box.  Cells are
     listed per orientation without deduplication; duplicates are harmless for
     downstream constraint generation.
+
+    The vertices are those of `check_subadditive`'s scan, so the same pass
+    decides subadditivity: a negative slack raises DomainError.
     """
-    if not check_subadditive(f).passed:
-        raise DomainError("equality structure requires a subadditive function")
     lat = _Lattice(f)
     q, slack = lat.q, lat.slack
-    vertices = tuple((Fraction(x, q), Fraction(y, q))
-                     for x, y in lat.vertex_pairs() if slack(x, y) == 0)
+    vertices = []
+    for x, y in lat.vertex_pairs():
+        d = slack(x, y)
+        if d < 0:
+            raise DomainError("equality structure requires a subadditive function")
+        if d == 0:
+            vertices.append((Fraction(x, q), Fraction(y, q)))
     P = lat.points + [q]
     faces = []
     seen = set()
@@ -133,7 +139,7 @@ def equality_structure(f: PeriodicPWL) -> EqualityStructure:
         for j in range(len(P) - 1):
             b1, b2 = P[j], P[j + 1]
             ws = sorted({a1 + b1, a2 + b2,
-                         *lat.breakpoints_in(a1 + b1, a2 + b2)})
+                         *points_in(lat.points, q, a1 + b1, a2 + b2)})
             for wl, wu in zip(ws, ws[1:]):
                 if all(slack(x, y) == 0
                        for x, y in _cell_vertices(a1, a2, b1, b2, wl, wu)):
@@ -142,7 +148,7 @@ def equality_structure(f: PeriodicPWL) -> EqualityStructure:
                     if box is not None and box not in seen:
                         seen.add(box)
                         faces.append(box)
-    return EqualityStructure(additive_vertices=vertices,
+    return EqualityStructure(additive_vertices=tuple(vertices),
                              additive_faces=tuple(faces))
 
 
@@ -283,17 +289,6 @@ def _piece_slope_coeffs(grid, index, i):
     return {index[t0]: -inv, c1: inv}
 
 
-def _pieces_meeting(grid, I: Interval):
-    """Indices of grid pieces whose interior meets the interior of I."""
-    out = []
-    for i in range(len(grid)):
-        plo = grid[i]
-        phi = grid[i + 1] if i + 1 < len(grid) else Fraction(1)
-        if max(plo, I.lo) < min(phi, I.hi):
-            out.append(i)
-    return out
-
-
 def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int,
                           structure: Optional[EqualityStructure] = None
                           ) -> PerturbationTestResult:
@@ -338,11 +333,8 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int,
         add_row(row, Fraction(0))
     for fu, fv in es.additive_faces:
         con = interval_lemma_apply(es, fu, fv)
-        groups = [con.u, con.v, *[s for s in con.sum_parts if not s.degenerate]]
-        piece_ids = []
-        for g in groups:
-            piece_ids.extend(_pieces_meeting(grid, g))
-        piece_ids = sorted(set(piece_ids))
+        piece_ids = sorted({i for g in (con.u, con.v, *con.sum_parts)
+                            for i in pieces_meeting(grid, g.lo, g.hi)})
         ref = piece_ids[0]
         ref_coeffs = _piece_slope_coeffs(grid, index, ref)
         for pid in piece_ids[1:]:
@@ -500,7 +492,7 @@ def two_slope_shortcut(f: PeriodicPWL, b) -> Certificate:
     if not cm.passed:
         return Certificate("fail", witness=cm.witness, checked_count=cm.checked_count,
                            detail="not minimal")
-    ns = len(f.canonical().slopes())
+    ns = len(f.slopes())
     if ns != 2:
         return Certificate("fail", witness={"kind": "slope-count", "count": ns},
                            checked_count=cm.checked_count + 1,

@@ -7,17 +7,12 @@ present, so continuity is structural.  All arithmetic is over
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError, FormatError
-
-Rat = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def rat(x) -> Fraction:
@@ -131,18 +126,11 @@ class PeriodicPWL:
 
     def canonical(self) -> "PeriodicPWL":
         """Merge adjacent pieces of equal slope; breakpoint 0 is always kept."""
-        m = len(self.breakpoints)
-        if m <= 2:
-            keep = range(m)
-        else:
-            keep = [0] + [i for i in range(1, m)
-                          if self.piece_slope(i - 1) != self.piece_slope(i)]
-        bps = [self.breakpoints[i] for i in keep]
-        vals = [self.values[i] for i in keep]
-        if len(bps) == 2 and PeriodicPWL(bps, vals).piece_slope(0) == \
-                PeriodicPWL(bps, vals).piece_slope(1):
-            bps, vals = bps[:1], vals[:1]
-        return PeriodicPWL(bps, vals)
+        slopes = [self.piece_slope(i) for i in range(len(self.breakpoints))]
+        keep = [0] + [i for i in range(1, len(slopes))
+                      if slopes[i - 1] != slopes[i]]
+        return PeriodicPWL([self.breakpoints[i] for i in keep],
+                           [self.values[i] for i in keep])
 
     # -- evaluation -------------------------------------------------------
 
@@ -233,24 +221,6 @@ class PeriodicPWL:
         return cls.from_dict(d)
 
 
-# -- module-level operation names matching the library surface ------------
-
-def evaluate(f: PeriodicPWL, x) -> Fraction:
-    return f.eval(x)
-
-
-def delta(f: PeriodicPWL, x, y) -> Fraction:
-    return f.delta(x, y)
-
-
-def slopes(f: PeriodicPWL) -> frozenset:
-    return f.slopes()
-
-
-def reflect(f: PeriodicPWL) -> PeriodicPWL:
-    return f.reflect()
-
-
 def common_refinement(f: PeriodicPWL, g: PeriodicPWL):
     """Re-express both functions over the union of their breakpoint sets."""
     union = sorted(set(f.breakpoints) | set(g.breakpoints))
@@ -265,31 +235,29 @@ def linear_combine(c1, f: PeriodicPWL, c2, g: PeriodicPWL) -> PeriodicPWL:
     return PeriodicPWL(rf.breakpoints, vals).canonical()
 
 
-def equal_on(f: PeriodicPWL, g: PeriodicPWL, I: Interval) -> bool:
-    """True iff f and g agree identically on the interval I.
+def points_in(points, period, lo, hi) -> list:
+    """The points p + m*period inside [lo, hi], ascending, for p in the
+    sorted sequence `points` (all in [0, period)) and m an integer.
 
-    Both functions are affine between consecutive breakpoints of the common
-    refinement, so agreement at those points (plus the endpoints of I)
-    decides agreement on all of I.
+    Works alike over ints and Fractions: breakpoints with period 1, or the
+    lattice numerators of a function with period q.
     """
-    pts = {I.lo, I.hi}
-    import math
-    j0, j1 = math.floor(I.lo) - 1, math.floor(I.hi) + 1
-    for t in set(f.breakpoints) | set(g.breakpoints):
-        for j in range(j0, j1 + 1):
-            s = t + j
-            if I.lo < s < I.hi:
-                pts.add(s)
-    return all(f.eval(p) == g.eval(p) for p in pts)
+    out = []
+    for m in range(lo // period, hi // period + 1):
+        base = m * period
+        out.extend(p + base for p in points[bisect_left(points, lo - base):
+                                            bisect_right(points, hi - base)])
+    return out
+
+
+def pieces_meeting(breakpoints, lo, hi) -> range:
+    """Indices of the pieces [t_i, t_{i+1}] (the last one ending at 1) whose
+    interior meets (lo, hi), for 0 <= lo <= hi <= 1."""
+    if lo >= hi:
+        return range(0)
+    return range(bisect_right(breakpoints, lo) - 1, bisect_left(breakpoints, hi))
 
 
 def breakpoints_in(f: PeriodicPWL, lo: Fraction, hi: Fraction) -> list:
     """Breakpoint abscissae of the periodic extension of f inside [lo, hi]."""
-    import math
-    out = []
-    for j in range(math.floor(lo), math.floor(hi) + 1):
-        for t in f.breakpoints:
-            s = t + j
-            if lo <= s <= hi:
-                out.append(s)
-    return sorted(set(out))
+    return points_in(f.breakpoints, 1, lo, hi)

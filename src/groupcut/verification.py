@@ -11,7 +11,7 @@ from typing import Optional
 
 from .constructions import interval_system, new_slope
 from .errors import DomainError
-from .pwl import PeriodicPWL, rat, rat_str
+from .pwl import PeriodicPWL, pieces_meeting, rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class Certificate:
 
     def to_dict(self) -> dict:
         return {"verdict": self.verdict, "witness": self.witness,
-                "checked": self.checked_count}
+                "checked": self.checked_count, "detail": self.detail}
 
 
 def _pair_witness(x, y, d) -> dict:
@@ -94,12 +94,6 @@ class _Lattice:
                 pairs.add((u, d))
                 pairs.add((d, u))
         return sorted(pairs)
-
-    def breakpoints_in(self, lo: int, hi: int) -> list:
-        """Numerators of the periodic extension's breakpoints in [lo, hi]."""
-        q = self.q
-        return [s for m in range(lo // q, hi // q + 1)
-                for s in (p + m * q for p in self.points) if lo <= s <= hi]
 
 
 def subadditivity_vertex_pairs(f: PeriodicPWL) -> list:
@@ -208,7 +202,7 @@ def check_slope_census(f: PeriodicPWL, k: int, b) -> Certificate:
         raise DomainError(f"k must be >= 2, got {k}")
     neg = Fraction(-1) / (1 - b)
     expected = frozenset({neg} | {new_slope(i, b) for i in range(2, k + 1)})
-    actual = f.canonical().slopes()
+    actual = f.slopes()
     if actual != expected:
         return Certificate("fail", witness={
             "kind": "slope-set",
@@ -217,7 +211,9 @@ def check_slope_census(f: PeriodicPWL, k: int, b) -> Certificate:
     checked = len(expected)
     if k >= 3:
         sysk = interval_system(k, b)
-        on_i3 = _slopes_on(f, sysk.i3.lo, sysk.i3.hi)
+        on_i3, on_i6 = (frozenset(f.piece_slope(i)
+                                  for i in pieces_meeting(f.breakpoints, I.lo, I.hi))
+                        for I in (sysk.i3, sysk.i6))
         want_i3 = frozenset(new_slope(i, b) for i in range(2, k))
         # the central band carries every intermediate new slope; the inherited
         # down-slope may appear there too, but the level-k new slope must not
@@ -226,26 +222,12 @@ def check_slope_census(f: PeriodicPWL, k: int, b) -> Certificate:
                 "kind": "slope-set", "where": "I3",
                 "required": sorted(map(rat_str, want_i3)),
                 "actual": sorted(map(rat_str, on_i3))}, checked_count=checked)
-        on_i6 = _slopes_on(f, sysk.i6.lo, sysk.i6.hi)
         if on_i6 != frozenset({neg}):
             return Certificate("fail", witness={
                 "kind": "slope-set", "where": "I6",
                 "actual": sorted(map(rat_str, on_i6))}, checked_count=checked)
         checked += len(on_i3) + 1
     return Certificate("pass", checked_count=checked)
-
-
-def _slopes_on(f: PeriodicPWL, lo: Fraction, hi: Fraction) -> frozenset:
-    """Distinct slopes of f attained on the interior of [lo, hi] (subset of [0,1])."""
-    g = f.canonical()
-    out = set()
-    n = len(g.breakpoints)
-    for i in range(n):
-        plo = g.breakpoints[i]
-        phi = g.breakpoints[i + 1] if i + 1 < n else Fraction(1)
-        if max(plo, lo) < min(phi, hi):
-            out.add(g.piece_slope(i))
-    return frozenset(out)
 
 
 def brute_force_subadditive(f: PeriodicPWL, denominator_cap: int) -> Certificate:

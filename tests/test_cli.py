@@ -6,6 +6,7 @@ import pytest
 
 from groupcut import PeriodicPWL, gmi, pi_k, rat
 from groupcut.cli import main
+from conftest import bump_value
 
 
 def run(capsys, *argv):
@@ -71,6 +72,19 @@ def test_verify_exit_codes(tmp_path, capsys):
     code, stdout, _ = run(capsys, "verify", "symmetry", str(g), "--b", "1/2")
     assert code == 1
     assert json.loads(stdout)["witness"] is not None
+
+
+@pytest.mark.parametrize("make, detail", [
+    (lambda: gmi(F(1, 3)), "symmetry"),
+    (lambda: bump_value(pi_k(3, F(1, 2)), 1, F(-1, 1000)), "subadditivity"),
+])
+def test_verify_minimal_names_the_failed_check(tmp_path, capsys, make, detail):
+    f = tmp_path / "f.json"
+    f.write_text(make().to_json())
+    code, stdout, _ = run(capsys, "verify", "minimal", str(f), "--b", "1/2")
+    cert = json.loads(stdout)
+    assert code == 1 and cert["verdict"] == "fail" and cert["witness"] is not None
+    assert cert["detail"] == detail
 
 
 def test_verify_parse_failure_is_usage_error(tmp_path, capsys):

@@ -2,10 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from groupcut import (DomainError, Interval, PeriodicPWL, equality_structure,
-                      gmi, interval_lemma_apply, linear_combine, pi_k,
-                      replay_pi_k_facet_proof, restricted_facet_test,
-                      two_slope_shortcut)
+from groupcut import (DomainError, Interval, PeriodicPWL, check_subadditive,
+                      equality_structure, gmi, interval_lemma_apply,
+                      linear_combine, pi_k, replay_pi_k_facet_proof,
+                      restricted_facet_test, two_slope_shortcut)
 from groupcut.extremality import delta_zero_on_box
 from conftest import bump_value
 
@@ -15,6 +15,19 @@ def test_equality_structure_requires_subadditivity():
     assert bad.delta(F(1, 4), F(1, 4)) < 0
     with pytest.raises(DomainError):
         equality_structure(bad)
+    # the gate is the vertex scan itself: it agrees with check_subadditive
+    f = pi_k(4, F(1, 2))
+    verdicts = []
+    for i in range(1, len(f.breakpoints)):
+        for step in (F(-1, 1000), F(1, 1000)):
+            mut = bump_value(f, i, step)
+            verdicts.append(check_subadditive(mut).passed)
+            if verdicts[-1]:
+                equality_structure(mut)
+            else:
+                with pytest.raises(DomainError):
+                    equality_structure(mut)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_equality_structure_of_base_function():

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from groupcut import (DomainError, FormatError, Interval, PeriodicPWL,
                       breakpoints_in, common_refinement, linear_combine, rat,
-                      rat_str, reflect)
+                      rat_str)
+from groupcut.pwl import pieces_meeting, points_in
 
 ZIGZAG = PeriodicPWL([F(0), F(1, 4), F(1, 2)], [F(0), F(1), F(1, 2)])
 
@@ -111,10 +112,10 @@ def test_delta_slack():
 
 
 def test_reflect_is_involutive_and_correct():
-    r = reflect(ZIGZAG)
+    r = ZIGZAG.reflect()
     for x in (F(0), F(1, 8), F(1, 4), F(2, 3)):
         assert r.eval((-x) % 1) == ZIGZAG.eval(x)
-    assert reflect(r) == ZIGZAG
+    assert r.reflect() == ZIGZAG
 
 
 def test_common_refinement_preserves_values():
@@ -133,10 +134,60 @@ def test_linear_combine():
     assert z.slopes() == frozenset({F(0)})
 
 
-def test_breakpoints_in_periodic_window():
-    pts = breakpoints_in(ZIGZAG, F(3, 8), F(5, 4))
-    assert F(1, 2) in pts and F(1) in pts and F(5, 4) in pts
-    assert all(F(3, 8) <= t <= F(5, 4) for t in pts)
+def _sorted_points(elements, zero):
+    """Sorted distinct points that hold `zero`, like breakpoints in [0, 1)
+    or lattice numerators in [0, q)."""
+    return st.sets(elements, max_size=6).map(lambda s: sorted(s | {zero}))
+
+
+FRACTION_POINTS = _sorted_points(
+    st.fractions(0, 1, max_denominator=12).map(lambda t: t % 1), F(0))
+
+
+@st.composite
+def periodic_windows(draw):
+    """(points, period, lo, hi) with lo, hi in [-3, 4] periods: windows that
+    start below 0, end past one period, are degenerate or even reversed."""
+    if draw(st.booleans()):
+        period = draw(st.integers(min_value=1, max_value=40))
+        points = draw(_sorted_points(st.integers(0, period - 1), 0))
+        coord = st.integers(-3 * period, 4 * period)
+    else:
+        period = 1
+        points = draw(FRACTION_POINTS)
+        coord = st.fractions(-3, 4, max_denominator=24)
+    lo = draw(coord)
+    hi = draw(st.one_of(coord, st.just(lo)))
+    if draw(st.booleans()):     # a degenerate window on a shifted point
+        lo = hi = draw(st.sampled_from(points)) + draw(st.integers(-3, 3)) * period
+    return points, period, lo, hi
+
+
+@settings(max_examples=100, deadline=None)
+@given(periodic_windows())
+def test_breakpoints_in_periodic_window(window):
+    assert breakpoints_in(ZIGZAG, F(3, 8), F(5, 4)) == [F(1, 2), F(1), F(5, 4)]
+    points, period, lo, hi = window
+    want = sorted({p + m * period for p in points for m in range(-4, 6)
+                   if lo <= p + m * period <= hi})
+    got = points_in(points, period, lo, hi)
+    assert got == want
+    assert all(type(s) is type(points[0]) for s in got)
+    if period == 1:
+        f = PeriodicPWL(points, [F(0)] * len(points))
+        assert breakpoints_in(f, lo, hi) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(FRACTION_POINTS, st.fractions(0, 1, max_denominator=24),
+       st.fractions(0, 1, max_denominator=24), st.booleans())
+def test_pieces_meeting_matches_a_walk_over_pieces(bps, a, c, degenerate):
+    lo, hi = min(a, c), max(a, c)
+    if degenerate:
+        hi = lo
+    ends = bps[1:] + [F(1)]
+    want = [i for i in range(len(bps)) if max(bps[i], lo) < min(ends[i], hi)]
+    assert list(pieces_meeting(bps, lo, hi)) == want
 
 
 def test_json_round_trip_and_schema_errors():

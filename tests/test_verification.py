@@ -5,9 +5,9 @@ from math import lcm
 import pytest
 
 from groupcut import (DomainError, PeriodicPWL, brute_force_subadditive,
-                      check_minimal, check_nonnegative, check_slope_census,
-                      check_subadditive, check_symmetry, check_zero_set,
-                      equality_structure, gmi, pi_k,
+                      check_genuinely_nd, check_minimal, check_nonnegative,
+                      check_slope_census, check_subadditive, check_symmetry,
+                      check_zero_set, equality_structure, gmi, phi_m, pi_k,
                       subadditivity_vertex_pairs)
 from conftest import bump_value
 
@@ -17,6 +17,8 @@ def test_certificate_shape():
     assert c.passed and c.witness is None
     d = c.to_dict()
     assert d["verdict"] == "pass" and d["checked"] == c.checked_count
+    sampled = check_genuinely_nd(phi_m(2, F(1, 2)), trials=5, seed=0)
+    assert "sampled; not a proof" in sampled.to_dict()["detail"]
 
 
 def test_gmi_is_subadditive_and_symmetric():
