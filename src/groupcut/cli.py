@@ -26,7 +26,9 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON, bad UTF-8 or an integer literal past
+        # the int-to-str digit limit; RecursionError: nesting too deep
         raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 
@@ -188,7 +190,7 @@ def cmd_merge(args) -> int:
     return 0
 
 
-def _svg(f: PeriodicPWL, samples: int) -> str:
+def _svg(f: PeriodicPWL) -> str:
     # floats appear only here, at the final coordinate mapping
     W, H, PAD = 640, 360, 40
     pts = list(zip(f.breakpoints, f.values))
@@ -219,8 +221,12 @@ def cmd_plot(args) -> int:
     f = _load_pwl(args.path)
     out = args.out
     suffix = Path(out).suffix.lower()
-    if suffix == ".csv":
-        try:
+    if suffix not in (".csv", ".svg"):
+        raise _UsageError("plot output must end in .csv or .svg")
+    try:
+        if suffix == ".svg":
+            Path(out).write_text(_svg(f))
+        else:
             with open(out, "w", newline="") as fh:
                 w = csv.writer(fh)
                 w.writerow(["x", "value", "kind"])
@@ -230,15 +236,8 @@ def cmd_plot(args) -> int:
                 for i in range(n + 1):
                     x = Fraction(i, n)
                     w.writerow([float(x), float(f.eval(x)), "sample"])
-        except OSError as exc:
-            raise _UsageError(f"cannot write {out}: {exc}") from exc
-    elif suffix == ".svg":
-        try:
-            Path(out).write_text(_svg(f, args.samples))
-        except OSError as exc:
-            raise _UsageError(f"cannot write {out}: {exc}") from exc
-    else:
-        raise _UsageError("plot output must end in .csv or .svg")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {out}: {exc}") from exc
     print(f"wrote {out}")
     return 0
 
@@ -313,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("plot", help="export a CSV or SVG plot")
     pl.add_argument("path")
     pl.add_argument("--out", required=True, help="output file, .csv or .svg")
-    pl.add_argument("--samples", type=_positive_int, default=256)
+    pl.add_argument("--samples", type=_positive_int, default=256,
+                    help="uniform float samples added to a .csv (an .svg "
+                         "draws the exact breakpoints only)")
     pl.set_defaults(func=cmd_plot)
 
     return p
@@ -324,10 +325,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, FormatError) as exc:
+    except (_UsageError, DomainError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -83,9 +83,9 @@ def _extend(prev: PeriodicPWL, j: int, b: Fraction) -> PeriodicPWL:
         b: Fraction(1),
     }
     # level j-1 structure survives unchanged on I3 and I6
-    for t in prev.breakpoints:
+    for t, v in zip(prev.breakpoints, prev.values):
         if 2 * eps < t < b - 2 * eps or t > b:
-            pts[t] = prev.eval(t)
+            pts[t] = v
     return PeriodicPWL.from_points(pts.items())
 
 

@@ -49,49 +49,49 @@ class EqualityStructure:
         }
 
 
-def box_vertex_points(f: PeriodicPWL, U: Interval, V: Interval) -> list:
-    """All arrangement vertices of the slack's complex inside U x V, plus the
-    box corners and edge crossings.  The slack is affine between them."""
-    xs = sorted({U.lo, U.hi, *breakpoints_in(f, U.lo, U.hi)})
-    ys = sorted({V.lo, V.hi, *breakpoints_in(f, V.lo, V.hi)})
-    ws = sorted({U.lo + V.lo, U.hi + V.hi,
-                 *breakpoints_in(f, U.lo + V.lo, U.hi + V.hi)})
-    pts = {(x, y) for x in xs for y in ys}
-    for x in xs:
-        for w in ws:
-            y = w - x
-            if V.lo <= y <= V.hi:
-                pts.add((x, y))
-    for y in ys:
-        for w in ws:
-            x = w - y
-            if U.lo <= x <= U.hi:
-                pts.add((x, y))
-    return sorted(pts)
-
-
 def delta_zero_on_box(f: PeriodicPWL, U: Interval, V: Interval) -> bool:
     """True iff the subadditivity slack vanishes identically on U x V."""
-    return all(f.delta(x, y) == 0 for x, y in box_vertex_points(f, U, V))
+    return _zero_on_box(_Lattice(f), U, V)
+
+
+def _zero_on_box(lat: _Lattice, U: Interval, V: Interval) -> bool:
+    """The box test on a lattice built once.  Box ends off (1/q)Z are exact
+    rational numerators; a degenerate side [lo, lo] walks one segment."""
+    q = lat.q
+
+    def cuts(I):
+        lo, hi = I.lo * q, I.hi * q
+        return [lo, *(p for p in points_in(lat.points, q, lo, hi)
+                      if lo < p < hi), hi]
+
+    return all(zero for _, zero in _cells(lat, cuts(U), cuts(V)))
 
 
 def _cell_vertices(a1, a2, b1, b2, wl, wu):
-    """Vertices of the convex cell {box} intersect {wl <= x+y <= wu}."""
-    pts = set()
-    for x in (a1, a2):
-        for y in (b1, b2):
-            if wl <= x + y <= wu:
-                pts.add((x, y))
+    """Vertices of the convex cell {box} intersect {wl <= x+y <= wu}: the box
+    corners inside the strip and the diagonals' crossings of the box edges."""
+    pts = {(x, y) for x in (a1, a2) for y in (b1, b2) if wl <= x + y <= wu}
     for w in (wl, wu):
-        for x in (a1, a2):
-            y = w - x
-            if b1 <= y <= b2:
-                pts.add((x, y))
-        for y in (b1, b2):
-            x = w - y
-            if a1 <= x <= a2:
-                pts.add((x, y))
+        pts.update((x, w - x) for x in (a1, a2) if b1 <= w - x <= b2)
+        pts.update((w - y, y) for y in (b1, b2) if a1 <= w - y <= a2)
     return pts
+
+
+def _cells(lat: _Lattice, xs: list, ys: list):
+    """Walk the cells of the slack's complex on [xs[0], xs[-1]] x
+    [ys[0], ys[-1]] in lattice numerators, xs and ys sorted and holding every
+    breakpoint between their ends.  Yields each cell (a1, a2, b1, b2, wl, wu)
+    with whether the slack, affine on it, vanishes at all its vertices.  A
+    point box is one cell with wl == wu."""
+    q, slack = lat.q, lat.slack
+    for a1, a2 in zip(xs, xs[1:]):
+        for b1, b2 in zip(ys, ys[1:]):
+            ws = sorted({a1 + b1, a2 + b2,
+                         *points_in(lat.points, q, a1 + b1, a2 + b2)})
+            for wl, wu in zip(ws, ws[1:] or ws):
+                cell = (a1, a2, b1, b2, wl, wu)
+                yield cell, all(slack(x, y) == 0
+                                for x, y in _cell_vertices(*cell))
 
 
 def _inscribed_box(a1, a2, b1, b2, wl, wu):
@@ -134,20 +134,12 @@ def equality_structure(f: PeriodicPWL) -> EqualityStructure:
     P = lat.points + [q]
     faces = []
     seen = set()
-    for i in range(len(P) - 1):
-        a1, a2 = P[i], P[i + 1]
-        for j in range(len(P) - 1):
-            b1, b2 = P[j], P[j + 1]
-            ws = sorted({a1 + b1, a2 + b2,
-                         *points_in(lat.points, q, a1 + b1, a2 + b2)})
-            for wl, wu in zip(ws, ws[1:]):
-                if all(slack(x, y) == 0
-                       for x, y in _cell_vertices(a1, a2, b1, b2, wl, wu)):
-                    box = _inscribed_box(*(Fraction(t, q)
-                                           for t in (a1, a2, b1, b2, wl, wu)))
-                    if box is not None and box not in seen:
-                        seen.add(box)
-                        faces.append(box)
+    for cell, zero in _cells(lat, P, P):
+        if zero:
+            box = _inscribed_box(*(Fraction(t, q) for t in cell))
+            if box is not None and box not in seen:
+                seen.add(box)
+                faces.append(box)
     return EqualityStructure(additive_vertices=tuple(vertices),
                              additive_faces=tuple(faces))
 
@@ -289,8 +281,7 @@ def _piece_slope_coeffs(grid, index, i):
     return {index[t0]: -inv, c1: inv}
 
 
-def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int,
-                          structure: Optional[EqualityStructure] = None
+def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
                           ) -> PerturbationTestResult:
     """Solve, exactly, for all continuous PWL perturbations on the refinement
     that satisfy every constraint forced by the equality structure of f.
@@ -302,7 +293,7 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int,
     b = rat(b)
     if not check_minimal(f, b).passed:
         raise DomainError("restricted facet test requires a minimal function")
-    es = structure if structure is not None else equality_structure(f)
+    es = equality_structure(f)
 
     pts = set(f.breakpoints) | {b % 1}
     d = refinement_denominator
@@ -332,8 +323,8 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int,
         _add_into(row, _interp(grid, index, (x + y) % 1), sign=-1)
         add_row(row, Fraction(0))
     for fu, fv in es.additive_faces:
-        con = interval_lemma_apply(es, fu, fv)
-        piece_ids = sorted({i for g in (con.u, con.v, *con.sum_parts)
+        # the interval lemma on the face itself: one slope on fu, fv, fu+fv
+        piece_ids = sorted({i for g in (fu, fv, *_sum_mod_segments(fu, fv))
                             for i in pieces_meeting(grid, g.lo, g.hi)})
         ref = piece_ids[0]
         ref_coeffs = _piece_slope_coeffs(grid, index, ref)
@@ -398,6 +389,7 @@ def replay_pi_k_facet_proof(k: int, b, f: Optional[PeriodicPWL] = None
         raise DomainError(f"b must lie in (0, 1/2], got {b}")
     if f is None:
         f = pi_k(k, b)
+    lat = _Lattice(f)
     eighth = Fraction(1, 8)
     checked = 0
 
@@ -412,13 +404,13 @@ def replay_pi_k_facet_proof(k: int, b, f: Optional[PeriodicPWL] = None
     checked += 1
     if (lo - 1, hi - 1) != (b, Fraction(1)):
         return fail("a", "sum interval does not reduce to [b, 1] mod 1")
-    if not delta_zero_on_box(f, half, half):
+    if not _zero_on_box(lat, half, half):
         return fail("a", "slack does not vanish on the I6 square")
     checked += 1
 
     # (b) the central face and the quarter-point values
     U = Interval(b / 4, 3 * b / 8)
-    if not delta_zero_on_box(f, U, U):
+    if not _zero_on_box(lat, U, U):
         return fail("b", "slack does not vanish on the central square")
     checked += 1
     for x, v in ((b / 4, Fraction(1, 4)), (b / 2, Fraction(1, 2)),
@@ -436,7 +428,7 @@ def replay_pi_k_facet_proof(k: int, b, f: Optional[PeriodicPWL] = None
         checked += 1
         if (U.lo + V.lo - 1, U.hi + V.hi - 1) != (i2.lo, i2.hi):
             return fail("c", f"j={j}: U+V does not reduce to I2 mod 1")
-        if not delta_zero_on_box(f, U, V):
+        if not _zero_on_box(lat, U, V):
             return fail("c", f"j={j}: slack does not vanish on U x V")
         checked += 1
         s1, s2, s3 = (affine_slope_on(f, U), affine_slope_on(f, V),
@@ -466,7 +458,7 @@ def replay_pi_k_facet_proof(k: int, b, f: Optional[PeriodicPWL] = None
             return fail("d", f"j={j}: doubling additivities fail")
         if 4 * f.eval(2 * dl) != f.eval(eps):
             return fail("d", f"j={j}: the 4x doubling chain breaks")
-        if not delta_zero_on_box(f, U, U):
+        if not _zero_on_box(lat, U, U):
             return fail("d", f"j={j}: slack does not vanish on U x U")
         checked += 1
 
@@ -476,7 +468,7 @@ def replay_pi_k_facet_proof(k: int, b, f: Optional[PeriodicPWL] = None
     checked += 1
     if (U.lo, U.hi + U.hi) != (Fraction(0), eps):
         return fail("e", "U+U is not I1")
-    if not delta_zero_on_box(f, U, U):
+    if not _zero_on_box(lat, U, U):
         return fail("e", "slack does not vanish on the I1 square")
     checked += 1
 

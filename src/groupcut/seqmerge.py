@@ -92,8 +92,11 @@ class MergedFn:
         if obj["kind"] == "merge":
             if set(obj) != {"kind", "b1", "outer", "inner"}:
                 raise FormatError("merge node must have exactly kind, b1, outer, inner")
+            b1 = rat(obj["b1"])
+            if not 0 < b1 < 1:   # as in seq_merge; b1 + B2 = 0 would divide by 0
+                raise DomainError(f"b1 must lie in (0, 1), got {b1}")
             return cls(kind="merge", outer=PeriodicPWL.from_dict(obj["outer"]),
-                       b1=rat(obj["b1"]), inner=cls.from_dict(obj["inner"]))
+                       b1=b1, inner=cls.from_dict(obj["inner"]))
         raise FormatError(f"unknown node kind {obj['kind']!r}")
 
     def __call__(self, x) -> Fraction:

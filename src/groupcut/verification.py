@@ -70,7 +70,8 @@ class _Lattice:
         self._memo = {}
 
     def value(self, i: int) -> int:
-        """scale*f(i/q) for any integer i."""
+        """scale*f(i/q) for any integer or rational i: on each piece it is
+        the affine a_j*i + c_j, so it is exact between lattice points too."""
         i %= self.q
         v = self._memo.get(i)
         if v is None:
@@ -200,6 +201,8 @@ def check_slope_census(f: PeriodicPWL, k: int, b) -> Certificate:
     b = rat(b)
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
+    if not 0 < b < 1:
+        raise DomainError(f"b must lie in (0, 1), got {b}")
     neg = Fraction(-1) / (1 - b)
     expected = frozenset({neg} | {new_slope(i, b) for i in range(2, k + 1)})
     actual = f.slopes()

@@ -1,10 +1,17 @@
+import copy
 import csv
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groupcut import PeriodicPWL, gmi, pi_k, rat
+from groupcut import PeriodicPWL, gmi, phi_m, pi_k, rat
 from groupcut.cli import main
 from conftest import bump_value
 
@@ -85,6 +92,14 @@ def test_verify_minimal_names_the_failed_check(tmp_path, capsys, make, detail):
     cert = json.loads(stdout)
     assert code == 1 and cert["verdict"] == "fail" and cert["witness"] is not None
     assert cert["detail"] == detail
+
+
+@pytest.mark.parametrize("b", ["0", "1", "3/2"])
+def test_verify_slopes_rejects_b_outside_the_unit_interval(tmp_path, capsys, b):
+    f = tmp_path / "f.json"
+    f.write_text(pi_k(3, F(1, 2)).to_json())
+    code, stdout, err = run(capsys, "verify", "slopes", str(f), "--k", "2", "--b", b)
+    assert code == 2 and stdout == "" and _one_error_line(err) and "b must" in err
 
 
 def test_verify_parse_failure_is_usage_error(tmp_path, capsys):
@@ -229,3 +244,141 @@ def test_hostile_json_inside_merged_tree(tmp_path, capsys):
                                 "fn": {"breakpoints": 5, "values": [0]}}))
     code, _, err = run(capsys, "eval", str(path), "--x", "1/4")
     assert code == 2 and _one_error_line(err)
+    # a merge node's b1 is range-checked as in seq_merge (-1/2 + 1/2 = 0)
+    leaf = {"kind": "leaf", "b": "1/2", "fn": gmi(F(1, 2)).to_dict()}
+    for b1 in ("-1/2", "0", "1"):
+        path.write_text(json.dumps({"kind": "merge", "b1": b1,
+                                    "outer": gmi(F(1, 2)).to_dict(), "inner": leaf}))
+        code, _, err = run(capsys, "eval", str(path), "--x", "1/4,1/4")
+        assert code == 2 and _one_error_line(err) and "b1" in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"breakpoints": [' + "1" * 5000 + '], "values": [0]}',   # int past 4300 digits
+    "[" * 5000 + "]" * 5000,                                   # nesting too deep
+], ids=["long-int", "deep-nesting"])
+def test_unreadable_json_is_a_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    for argv in (["verify", "subadditive", str(path)],
+                 ["eval", str(path), "--x", "1/4"]):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == "" and _one_error_line(err), (argv, err)
+        assert "cannot read" in err
+
+
+# ---------------------------------------------------------------------------
+# fuzz: mutated JSON documents and bounded flags through cli.main
+# ---------------------------------------------------------------------------
+
+SEED_DOCS = [gmi(F(1, 2)).to_dict(), pi_k(3, F(1, 3)).to_dict(),
+             pi_k(4, F(1, 2)).to_dict(),
+             bump_value(pi_k(3, F(1, 2)), 1, F(-1, 1000)).to_dict(),
+             phi_m(2, F(1, 2)).to_dict()]
+RATIONALS = ["0", "1", "1/2", "1/3", "2/5", "1/4", "2/3", "3/2", "-1/2", "1/1000",
+             "1/0", "0.5", "x", ""]
+JSON_SCALARS = st.one_of(st.none(), st.booleans(),
+                         st.integers(-10 ** 6, 10 ** 6), st.sampled_from(RATIONALS),
+                         st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["kind", "b", "b1", "fn", "outer", "inner",
+                         "breakpoints", "values", "leaf", "merge"]),
+        inner, max_size=4),
+    max_leaves=8)
+
+
+def _containers(node, out):
+    if isinstance(node, (dict, list)):
+        out.append(node)
+        for child in (node.values() if isinstance(node, dict) else node):
+            _containers(child, out)
+    return out
+
+
+@st.composite
+def mutated_json(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(SEED_DOCS)))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3]))):
+        target = draw(st.sampled_from(_containers(doc, [])))
+        keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+        if not keys:
+            continue
+        key = draw(st.sampled_from(keys))
+        op = draw(st.sampled_from(["rational", "rational", "replace", "delete",
+                                   "copy"]))
+        if op == "rational":
+            target[key] = draw(st.sampled_from(RATIONALS))
+        elif op == "replace":
+            target[key] = draw(JSON_VALUES)
+        elif op == "delete":
+            del target[key]
+        elif isinstance(target, list):
+            target.append(copy.deepcopy(target[key]))
+        else:
+            target["extra"] = copy.deepcopy(target[key])
+    text = json.dumps(doc)
+    if draw(st.integers(0, 3)):
+        return text
+    # raw corruption of the text: cut up to two characters, insert one
+    cut = draw(st.integers(0, len(text)))
+    insert = draw(st.sampled_from(["", "]", "}", ",", '"', "x"]))
+    return text[:cut] + insert + text[cut + draw(st.integers(0, 2)):]
+
+
+FLAG_RATIONAL = st.sampled_from(RATIONALS)
+
+
+@st.composite
+def argvs(draw, path, other, out_dir):
+    def opt(flag, values):
+        return [flag, str(draw(values))] if draw(st.booleans()) else []
+
+    small_k = st.integers(-1, 6)
+    verb = draw(st.sampled_from(["eval", "verify", "certify", "merge", "plot",
+                                 "construct"]))
+    if verb == "eval":
+        xs = draw(st.lists(FLAG_RATIONAL, min_size=1, max_size=3))
+        return ["eval", path, "--x", ",".join(xs)]
+    if verb == "verify":
+        check = draw(st.sampled_from(["minimal", "subadditive", "symmetry",
+                                      "slopes", "zero-set"]))
+        return (["verify", check, path, "--b", draw(FLAG_RATIONAL)]
+                + opt("--k", small_k))
+    if verb == "certify":
+        mode = draw(st.sampled_from(["pwl-perturbation", "replay", "two-slope"]))
+        return (["certify", path, "--b", draw(FLAG_RATIONAL), "--mode", mode]
+                + opt("--refine", st.integers(-1, 8)) + opt("--k", small_k))
+    if verb == "merge":
+        return (["merge", path, draw(st.sampled_from([path, other])),
+                 "--b1", draw(FLAG_RATIONAL)] + opt("--b2", FLAG_RATIONAL)
+                + ["--out", str(out_dir / "m.json")])
+    if verb == "plot":
+        suffix = draw(st.sampled_from([".csv", ".svg", ".txt"]))
+        return (["plot", path, "--out", str(out_dir / f"p{suffix}")]
+                + opt("--samples", st.integers(-1, 8)))
+    kind = draw(st.sampled_from(["gmi", "pi-k", "pi-inf", "phi-m", "pi-n-k"]))
+    return (["construct", kind, "--b", draw(FLAG_RATIONAL)] + opt("--k", small_k)
+            + opt("--K", small_k) + opt("--n", st.integers(-1, 3))
+            + opt("--m", st.integers(-1, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cli_fuzz_keeps_the_exit_contract(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path, other = tmp / "f.json", tmp / "g.json"
+        path.write_text(data.draw(mutated_json()))
+        other.write_text(json.dumps(data.draw(st.sampled_from(SEED_DOCS))))
+        argv = data.draw(argvs(str(path), str(other), tmp))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        cert = json.loads(out.getvalue())
+        assert isinstance(cert, dict) and "verdict" in cert, argv
+    if code == 2:
+        assert _one_error_line(err.getvalue()), (argv, err.getvalue())

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -63,6 +65,64 @@ def test_equality_structure_faces_of_pi_3():
         assert delta_zero_on_box(f, U, V)
         assert any(fu.contains_interval(U) and fv.contains_interval(V)
                    for fu, fv in es.additive_faces), (U.to_pair(), V.to_pair())
+
+
+def _brute_zero_on_box(f, U, V):
+    """The slack is affine between the vertices of its arrangement in U x V:
+    the grid of x and y breakpoints with the box ends, and the points where
+    x + y crosses a breakpoint on a grid line."""
+    def cuts(lo, hi):
+        return sorted({lo, hi} | {t + m for m in range(math.floor(lo), math.ceil(hi) + 1)
+                                  for t in f.breakpoints if lo <= t + m <= hi})
+    xs, ys = cuts(U.lo, U.hi), cuts(V.lo, V.hi)
+    ws = cuts(U.lo + V.lo, U.hi + V.hi)
+    pts = {(x, y) for x in xs for y in ys}
+    pts |= {(x, w - x) for x in xs for w in ws if V.lo <= w - x <= V.hi}
+    pts |= {(w - y, y) for y in ys for w in ws if U.lo <= w - y <= U.hi}
+    return all(f.delta(x, y) == 0 for x, y in pts)
+
+
+def test_delta_zero_on_box_matches_a_brute_enumeration():
+    rng = random.Random(4)
+
+    def random_pwl():
+        bps = sorted({F(0)} | {F(rng.randrange(d), d) for d in
+                               rng.choices([2, 3, 4, 5, 6, 8, 12], k=rng.randint(1, 6))})
+        return PeriodicPWL(bps, [F(0)] + [F(rng.randint(-3, 9), rng.choice([1, 2, 4, 6]))
+                                         for _ in bps[1:]])
+
+    fns = [gmi(F(1, 2)), gmi(F(2, 5)), pi_k(4, F(1, 3)), pi_k(5, F(1, 2)),
+           bump_value(pi_k(4, F(1, 2)), 2, F(1, 1000))]
+    fns += [random_pwl() for _ in range(20)]
+
+    def end(f):
+        r = rng.random()
+        if r < 0.4:
+            return rng.choice(f.breakpoints + (F(1),))
+        return F(rng.randint(0, 48), 48) if r < 0.7 else F(rng.randint(0, 97), 97)
+
+    def side(f):
+        lo, hi = sorted((end(f), end(f)))
+        r = rng.random()
+        if r < 0.15:
+            return Interval(lo, lo)
+        if r < 0.45:      # a small box near a point: often inside a face
+            w = F(1, rng.choice([64, 200]))
+            return Interval(max(F(0), lo - w), min(F(1), lo + w))
+        return Interval(lo, hi)
+
+    seen = set()
+    for f in fns:
+        # squares anchored at the origin, up to the whole period, then random
+        boxes = [(Interval(F(0), t), Interval(F(0), t)) for t in f.breakpoints[1:] + (F(1),)]
+        boxes += [(side(f), side(f)) for _ in range(30)]
+        for U, V in boxes:
+            got = delta_zero_on_box(f, U, V)
+            assert got == _brute_zero_on_box(f, U, V), (f, U, V)
+            seen.add((got, U.degenerate or V.degenerate, U.hi + V.hi > 1))
+    # true and false answers, with and without a degenerate side or a sum past 1
+    assert seen == {(z, d, p) for z in (True, False) for d in (True, False)
+                    for p in (True, False)}
 
 
 def test_interval_lemma_apply():
