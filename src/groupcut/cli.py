@@ -66,31 +66,31 @@ def _print_cert(cert) -> int:
 def cmd_construct(args) -> int:
     kind = args.kind
     if kind == "gmi":
-        f = constructions.gmi(rat(args.b))
+        f = constructions.gmi(args.b)
         out_obj, summary = f.to_dict(), f
     elif kind == "pi-k":
         if args.k is None:
             raise _UsageError("construct pi-k requires --k")
-        f = constructions.pi_k(args.k, rat(args.b))
+        f = constructions.pi_k(args.k, args.b)
         out_obj, summary = f.to_dict(), f
     elif kind == "pi-inf":
         if args.K is None:
             raise _UsageError("construct pi-inf requires --K (truncation level)")
-        tr = constructions.pi_infinity_truncation(rat(args.b), args.K)
+        tr = constructions.pi_infinity_truncation(args.b, args.K)
         out_obj, summary = tr.fn.to_dict(), tr.fn
         print(f"truncation level {args.K}, uniform error bound "
               f"{rat_str(tr.sup_error_bound)}")
     elif kind == "phi-m":
         if args.m is None:
             raise _UsageError("construct phi-m requires --m")
-        F = seqmerge.phi_m(args.m, rat(args.b))
+        F = seqmerge.phi_m(args.m, args.b)
         out_obj, summary = F.to_dict(), None
         print(f"arity {F.arity}, b-vector "
               f"[{', '.join(rat_str(v) for v in F.b_vector)}]")
     elif kind == "pi-n-k":
         if args.n is None or args.k is None:
             raise _UsageError("construct pi-n-k requires --n and --k")
-        F = seqmerge.pi_n_k(args.n, args.k, rat(args.b))
+        F = seqmerge.pi_n_k(args.n, args.k, args.b)
         out_obj, summary = F.to_dict(), None
         print(f"arity {F.arity}, b-vector "
               f"[{', '.join(rat_str(v) for v in F.b_vector)}]")
@@ -128,15 +128,15 @@ def cmd_verify(args) -> int:
     if check in ("minimal", "symmetry") and args.b is None:
         raise _UsageError(f"verify {check} requires --b")
     if check == "minimal":
-        cert = verification.check_minimal(f, rat(args.b))
+        cert = verification.check_minimal(f, args.b)
     elif check == "subadditive":
         cert = verification.check_subadditive(f)
     elif check == "symmetry":
-        cert = verification.check_symmetry(f, rat(args.b))
+        cert = verification.check_symmetry(f, args.b)
     elif check == "slopes":
         if args.k is None or args.b is None:
             raise _UsageError("verify slopes requires --k and --b")
-        cert = verification.check_slope_census(f, args.k, rat(args.b))
+        cert = verification.check_slope_census(f, args.k, args.b)
     elif check == "zero-set":
         cert = verification.check_zero_set(f)
     else:  # pragma: no cover
@@ -146,7 +146,7 @@ def cmd_verify(args) -> int:
 
 def cmd_certify(args) -> int:
     f = _load_pwl(args.path)
-    b = rat(args.b)
+    b = args.b
     minimal = verification.check_minimal(f, b)
     if not minimal.passed:
         print(json.dumps({"verdict": "fail", "stage": "minimality",
@@ -171,14 +171,13 @@ def cmd_merge(args) -> int:
     if isinstance(inner, PeriodicPWL):
         if args.b2 is None:
             raise _UsageError("plain 1-D inner function requires --b2")
-        inner = seqmerge.leaf(inner, rat(args.b2))
-    b1 = rat(args.b1)
+        inner = seqmerge.leaf(inner, args.b2)
     try:
-        F = seqmerge.seq_merge(outer, b1, inner)
+        F = seqmerge.seq_merge(outer, args.b1, inner)
     except DomainError as exc:
         print(json.dumps({"verdict": "fail", "reason": str(exc)}, indent=2))
         return 1
-    lift_ok = seqmerge.check_lift_nondecreasing(outer, b1)
+    lift_ok = seqmerge.check_lift_nondecreasing(outer, args.b1)
     if not lift_ok.passed:
         print("warning: the outer lift is not nondecreasing; the merge is "
               "defined but the minimality theorem's hypothesis fails",
@@ -246,6 +245,19 @@ def cmd_plot(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _rhs(text: str) -> Fraction:
+    """A right-hand side b, b1 or b2: an exact rational in (0, 1).  Checked
+    here for every verb; `check_minimal` would read b = 3/2 as b = 1/2."""
+    try:
+        b = rat(text)
+    except FormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not 0 < b < 1:
+        raise argparse.ArgumentTypeError(
+            f"right-hand side b must lie in (0, 1), got {b}")
+    return b
+
+
 def _positive_int(text: str) -> int:
     try:
         n = int(text)
@@ -269,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("construct", help="build a function and write it as JSON")
     c.add_argument("kind", choices=["gmi", "pi-k", "pi-inf", "phi-m", "pi-n-k"])
-    c.add_argument("--b", required=True, help="right-hand-side parameter, p/q")
+    c.add_argument("--b", type=_rhs, required=True,
+                   help="right-hand-side parameter, p/q in (0, 1)")
     c.add_argument("--k", type=int)
     c.add_argument("--K", type=int, help="truncation level for pi-inf")
     c.add_argument("--n", type=int)
@@ -287,13 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("check", choices=["minimal", "subadditive", "symmetry",
                                      "slopes", "zero-set"])
     v.add_argument("path")
-    v.add_argument("--b")
+    v.add_argument("--b", type=_rhs)
     v.add_argument("--k", type=int)
     v.set_defaults(func=cmd_verify)
 
     ce = sub.add_parser("certify", help="run an extremality certification")
     ce.add_argument("path")
-    ce.add_argument("--b", required=True)
+    ce.add_argument("--b", type=_rhs, required=True)
     ce.add_argument("--mode", required=True,
                     choices=["pwl-perturbation", "replay", "two-slope"])
     ce.add_argument("--refine", type=_positive_int, default=16,
@@ -304,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("merge", help="sequential-merge an outer function over an inner one")
     m.add_argument("outer")
     m.add_argument("inner")
-    m.add_argument("--b1", required=True)
-    m.add_argument("--b2", help="parameter for a plain 1-D inner function")
+    m.add_argument("--b1", type=_rhs, required=True)
+    m.add_argument("--b2", type=_rhs, help="parameter for a plain 1-D inner function")
     m.add_argument("--out", required=True)
     m.set_defaults(func=cmd_merge)
 

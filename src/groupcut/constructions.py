@@ -8,9 +8,6 @@ from fractions import Fraction
 from .errors import DomainError
 from .pwl import Interval, PeriodicPWL, rat
 
-EIGHTH = Fraction(1, 8)
-
-
 def gmi(b) -> PeriodicPWL:
     """The classical two-slope mixed-integer function for right-hand side b.
 
@@ -53,7 +50,7 @@ def interval_system(k: int, b) -> IntervalSystem:
         raise DomainError(f"k must be >= 3, got {k}")
     if not (0 < b <= Fraction(1, 2)):
         raise DomainError(f"b must lie in (0, 1/2], got {b}")
-    eps = b * EIGHTH ** (k - 2)
+    eps = b / 8 ** (k - 2)
     return IntervalSystem(
         k=k, b=b,
         i1=Interval(Fraction(0), eps),
@@ -70,36 +67,27 @@ def new_slope(k: int, b: Fraction) -> Fraction:
     return (Fraction(2) ** (k - 2) - b) / (b - b * b)
 
 
-def _extend(prev: PeriodicPWL, j: int, b: Fraction) -> PeriodicPWL:
-    """One recursion step: perturb prev on the four outer intervals of level j."""
-    eps = b * EIGHTH ** (j - 2)
-    s = new_slope(j, b)
-    pts = {
-        Fraction(0): Fraction(0),
-        eps: s * eps,
-        2 * eps: Fraction(4) ** (2 - j) / (1 - b) - 2 * eps / (1 - b),
-        b - 2 * eps: (1 - Fraction(4) ** (2 - j)) / (1 - b) - (b - 2 * eps) / (1 - b),
-        b - eps: (1 - Fraction(2) ** (j - 2)) / (1 - b) + s * (b - eps),
-        b: Fraction(1),
-    }
-    # level j-1 structure survives unchanged on I3 and I6
-    for t, v in zip(prev.breakpoints, prev.values):
-        if 2 * eps < t < b - 2 * eps or t > b:
-            pts[t] = v
-    return PeriodicPWL.from_points(pts.items())
-
-
 def pi_k(k: int, b) -> PeriodicPWL:
-    """The k-slope minimal valid function, built bottom-up from the GMI."""
+    """The k-slope minimal valid function: the GMI's points plus the four
+    points eps_j, 2 eps_j, b - 2 eps_j, b - eps_j that each level j = 3..k
+    of the recursion adds.  They lie strictly inside every later level's
+    I3, which later levels leave alone, so one pass suffices."""
     b = rat(b)
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     if not (0 < b <= Fraction(1, 2)):
         raise DomainError(f"b must lie in (0, 1/2], got {b}")
-    f = gmi(b)
+    pts = [(Fraction(0), Fraction(0)), (b, Fraction(1))]
     for j in range(3, k + 1):
-        f = _extend(f, j, b)
-    return f
+        s = interval_system(j, b)
+        slope, four_pow = new_slope(j, b), Fraction(4) ** (2 - j)
+        pts += [
+            (s.i2.lo, slope * s.i2.lo),
+            (s.i2.hi, (four_pow - s.i2.hi) / (1 - b)),
+            (s.i4.lo, (1 - four_pow - s.i4.lo) / (1 - b)),
+            (s.i4.hi, (1 - Fraction(2) ** (j - 2)) / (1 - b) + slope * s.i4.hi),
+        ]
+    return PeriodicPWL.from_points(pts)
 
 
 def pi_k_reflected(k: int, b) -> PeriodicPWL:
@@ -121,11 +109,9 @@ def stabilization_index(x, b) -> int:
     if x > b:
         return 3
     n = 3
-    while True:
-        eps = b * EIGHTH ** (n - 2)
-        if 2 * eps <= x <= b - 2 * eps:
-            return n
+    while not interval_system(n, b).i3.contains(x):
         n += 1
+    return n
 
 
 def pi_infinity_value(x, b) -> Fraction:

@@ -192,7 +192,7 @@ def test_acceptance_9_plot_reproduction(tmp_path, capsys):
             assert cli_main(["plot", str(fpath), "--out", str(spath)]) == 0
             capsys.readouterr()
             f = pi_k(k, b)
-            rows = list(csv.DictReader(cpath.open()))
+            rows = list(csv.DictReader(cpath.read_text().splitlines()))
             bp_rows = [(rat(r["x"]), rat(r["value"])) for r in rows
                        if r["kind"] == "breakpoint"]
             assert bp_rows == list(zip(f.breakpoints, f.values))

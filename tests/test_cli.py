@@ -102,6 +102,28 @@ def test_verify_slopes_rejects_b_outside_the_unit_interval(tmp_path, capsys, b):
     assert code == 2 and stdout == "" and _one_error_line(err) and "b must" in err
 
 
+@pytest.mark.parametrize("b", ["0", "1", "3/2", "-1/2"])
+@pytest.mark.parametrize("verb", [
+    ["verify", "minimal", "{f}", "--b={b}"],
+    ["verify", "symmetry", "{f}", "--b={b}"],
+    ["certify", "{f}", "--b={b}", "--mode", "pwl-perturbation"],
+    ["certify", "{f}", "--b={b}", "--mode", "replay", "--k", "3"],
+    ["certify", "{f}", "--b={b}", "--mode", "two-slope"],
+    ["merge", "{f}", "{f}", "--b1={b}", "--b2", "1/2", "--out", "{out}"],
+], ids=["verify-minimal", "verify-symmetry", "certify-pwl-perturbation",
+        "certify-replay", "certify-two-slope", "merge-b1"])
+def test_every_verb_rejects_b_outside_the_unit_interval(tmp_path, capsys, verb, b):
+    # check_minimal reads b modulo 1: unchecked, b = 3/2 would certify
+    # pi_3(1/2), and merge --b1 3/2 would exit 1 with no witness
+    f = tmp_path / "f.json"
+    f.write_text(pi_k(3, F(1, 2)).to_json())
+    out = tmp_path / "m.json"
+    argv = [w.format(f=f, b=b, out=out) for w in verb]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == "" and _one_error_line(err), (argv, err)
+    assert not out.exists()
+
+
 def test_verify_parse_failure_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -169,7 +191,7 @@ def test_plot_csv_contains_exact_breakpoints(tmp_path, capsys):
     out = tmp_path / "f.csv"
     run(capsys, "construct", "pi-k", "--k", "3", "--b", "1/2", "--out", str(f))
     assert run(capsys, "plot", str(f), "--out", str(out), "--samples", "16")[0] == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     bp_rows = [(rat(r["x"]), rat(r["value"])) for r in rows
                if r["kind"] == "breakpoint"]
     expected = pi_k(3, F(1, 2))

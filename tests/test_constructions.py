@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
-from groupcut import (DomainError, gmi, interval_system, new_slope,
+from groupcut import (DomainError, PeriodicPWL, gmi, interval_system, new_slope,
                       pi_infinity_truncation, pi_infinity_value, pi_k,
                       pi_k_reflected, stabilization_index, truncation_bound)
 
@@ -78,6 +80,59 @@ def test_pi_k_agrees_with_predecessor_on_central_band():
             for box in (s.i3, s.i6):
                 for t in (box.lo, box.midpoint, box.hi):
                     assert cur.eval(t % 1) == prev.eval(t % 1)
+
+
+def _levels(b):
+    """pi_2, pi_3, ... by the paper's recursion, written out: level j puts
+    new points on the outer intervals I1, I2, I4, I5 and copies the previous
+    level's breakpoints on I3 and I6."""
+    f = PeriodicPWL.from_points([(0, 0), (b, 1)])
+    j = 2
+    while True:
+        yield f
+        j += 1
+        eps = b / 8 ** (j - 2)
+        s = (F(2) ** (j - 2) - b) / (b - b * b)
+        pts = {
+            F(0): F(0),
+            eps: s * eps,
+            2 * eps: F(4) ** (2 - j) / (1 - b) - 2 * eps / (1 - b),
+            b - 2 * eps: (1 - F(4) ** (2 - j)) / (1 - b) - (b - 2 * eps) / (1 - b),
+            b - eps: (1 - F(2) ** (j - 2)) / (1 - b) + s * (b - eps),
+            b: F(1),
+        }
+        for t, v in zip(f.breakpoints, f.values):
+            if 2 * eps < t < b - 2 * eps or t > b:
+                pts[t] = v
+        f = PeriodicPWL.from_points(pts.items())
+
+
+PI_K_B = [F(1, 2), F(1, 3), F(2, 5), F(1, 4), F(3, 7), F(1, 10), F(1, 7), F(5, 11)]
+
+
+def test_pi_k_matches_the_level_recursion():
+    for b in PI_K_B:
+        for k, ref in zip(range(2, 21), _levels(b)):
+            f = pi_k(k, b)
+            assert (f.breakpoints, f.values) == (ref.breakpoints, ref.values), (k, b)
+            if k <= 12:
+                g, r = pi_k_reflected(k, 1 - b), ref.reflect()
+                assert (g.breakpoints, g.values) == (r.breakpoints, r.values), (k, b)
+    rng = random.Random(6)
+    levels = set()
+    for b in PI_K_B:
+        ref = next(islice(_levels(b), 8, None))   # pi_10
+        for _ in range(25):
+            n = rng.randint(3, 8)
+            # 2 eps_n <= x < 2 eps_(n-1) stabilizes exactly at level n
+            x = 2 * b / 8 ** (n - 2) * (1 + F(7 * rng.randint(0, 63), 64))
+            if n == 3 or rng.random() < 0.2:
+                x = F(rng.randint(1, 999), 1000)
+            if x in (0, b):
+                continue
+            levels.add(stabilization_index(x, b))
+            assert pi_infinity_value(x, b) == ref.eval(x), (x, b)
+    assert levels >= set(range(3, 9))
 
 
 def test_pi_k_symmetry_about_b():
