@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -145,6 +146,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.mode == "replay" and args.k is None:
+        raise _UsageError("certify --mode replay requires --k")
     f = _load_pwl(args.path)
     b = args.b
     minimal = verification.check_minimal(f, b)
@@ -157,8 +160,6 @@ def cmd_certify(args) -> int:
         print(json.dumps(result.to_dict(), indent=2))
         return 0 if result.verdict == "certified_unique" else 1
     if args.mode == "replay":
-        if args.k is None:
-            raise _UsageError("certify --mode replay requires --k")
         return _print_cert(extremality.replay_pi_k_facet_proof(args.k, b, f))
     if args.mode == "two-slope":
         return _print_cert(extremality.two_slope_shortcut(f, b))
@@ -167,13 +168,15 @@ def cmd_certify(args) -> int:
 
 def cmd_merge(args) -> int:
     outer = _load_pwl(args.outer)
-    inner = _load_any(args.inner)
-    if isinstance(inner, PeriodicPWL):
-        if args.b2 is None:
-            raise _UsageError("plain 1-D inner function requires --b2")
-        inner = seqmerge.leaf(inner, args.b2)
-    try:
-        F = seqmerge.seq_merge(outer, args.b1, inner)
+    inner = _load_any(args.inner)    # a merged file is checked here: exit 2
+    if isinstance(inner, seqmerge.MergedFn):
+        nodes = inner.nodes
+    elif args.b2 is None:
+        raise _UsageError("plain 1-D inner function requires --b2")
+    else:
+        nodes = ((inner, args.b2),)
+    try:    # the outer at --b1 is f1, a plain inner at --b2 is f2
+        F = seqmerge.MergedFn(((outer, args.b1),) + nodes)
     except DomainError as exc:
         print(json.dumps({"verdict": "fail", "reason": str(exc)}, indent=2))
         return 1
@@ -258,13 +261,31 @@ def _rhs(text: str) -> Fraction:
     return b
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        n = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    n = _int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
+    return n
+
+
+# pi_k has about 4k breakpoints of about 3k bits each, so its size grows as
+# k^2 bits and k = 10^5 would need tens of GB; at 64 every verb ends in seconds
+MAX_LEVEL = 64
+
+
+def _level(text: str) -> int:
+    """A level --k, --K, --m or --n: an int at most MAX_LEVEL.  Its lower
+    bound is the library's, which differs per construction."""
+    n = _int(text)
+    if n > MAX_LEVEL:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_LEVEL}, got {n}")
     return n
 
 
@@ -273,6 +294,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache   # one parser per process: building it costs more than an eval
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="groupcut",
                 description="Exact construction and verification of periodic "
@@ -283,10 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("kind", choices=["gmi", "pi-k", "pi-inf", "phi-m", "pi-n-k"])
     c.add_argument("--b", type=_rhs, required=True,
                    help="right-hand-side parameter, p/q in (0, 1)")
-    c.add_argument("--k", type=int)
-    c.add_argument("--K", type=int, help="truncation level for pi-inf")
-    c.add_argument("--n", type=int)
-    c.add_argument("--m", type=int)
+    c.add_argument("--k", type=_level)
+    c.add_argument("--K", type=_level, help="truncation level for pi-inf")
+    c.add_argument("--n", type=_level)
+    c.add_argument("--m", type=_level)
     c.add_argument("--out")
     c.set_defaults(func=cmd_construct)
 
@@ -301,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "slopes", "zero-set"])
     v.add_argument("path")
     v.add_argument("--b", type=_rhs)
-    v.add_argument("--k", type=int)
+    v.add_argument("--k", type=_level)
     v.set_defaults(func=cmd_verify)
 
     ce = sub.add_parser("certify", help="run an extremality certification")
@@ -311,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["pwl-perturbation", "replay", "two-slope"])
     ce.add_argument("--refine", type=_positive_int, default=16,
                     help="refinement denominator for pwl-perturbation")
-    ce.add_argument("--k", type=int, help="level for replay mode")
+    ce.add_argument("--k", type=_level, help="level for replay mode")
     ce.set_defaults(func=cmd_certify)
 
     m = sub.add_parser("merge", help="sequential-merge an outer function over an inner one")
@@ -334,9 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (_UsageError, DomainError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

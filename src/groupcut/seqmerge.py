@@ -4,16 +4,16 @@ mixed-integer function, its k-slope variant, and sampled structural checks
 for the resulting n-dimensional functions.
 
 n-dimensional functions are never materialized as polyhedral complexes;
-they exist only as evaluation trees with two independent evaluation paths
-(a recursive closed formula and the definitional nested-lift route) that
-must agree exactly.
+they exist only as checked chains of 1-D functions with two independent
+evaluation paths (the closed formula and the definitional nested-lift
+route) that must agree exactly.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .constructions import gmi, pi_k_reflected
 from .errors import DomainError, FormatError
@@ -47,94 +47,79 @@ def group_space_eval(psi: Callable[[Vector], Fraction], b_vector, x) -> Fraction
 
 
 # ---------------------------------------------------------------------------
-# merge trees
+# merged functions
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class MergedFn:
-    """Evaluation tree: a leaf holds a 1-D periodic function with its
-    right-hand-side parameter; a merge node combines an outer 1-D function
-    with an inner tree via the sequential-merge formula."""
+    """The sequential merge of the chain ((f_1, b_1), ..., (f_n, b_n)): f_1
+    merged over the merge of the rest, with f_n alone at the end.  A merge
+    tree is always right-nested, so the chain is all of it.  Building one
+    checks that every b_i lies in (0, 1) and every f_i is minimal at b_i,
+    which is what makes the merge periodic modulo the integer lattice."""
 
-    kind: str                      # "leaf" | "merge"
-    fn: Optional[PeriodicPWL] = None       # leaf payload
-    b: Optional[Fraction] = None           # leaf parameter
-    outer: Optional[PeriodicPWL] = None    # merge payload
-    b1: Optional[Fraction] = None
-    inner: Optional["MergedFn"] = None
+    nodes: tuple                   # ((PeriodicPWL, Fraction), ...)
+
+    def __post_init__(self):
+        if not self.nodes:
+            raise DomainError("a merged function needs at least one node")
+        for i, (f, b) in enumerate(self.nodes, 1):
+            if not 0 < b < 1:      # b_1 + ... + b_n = 0 would divide by 0
+                raise DomainError(f"b{i} must lie in (0, 1), got {b}")
+            cert = check_minimal(f, b)
+            if not cert.passed:
+                raise DomainError(f"f{i} is not minimal at b{i} = {b}: "
+                                  f"{cert.witness}")
 
     @property
     def arity(self) -> int:
-        return 1 if self.kind == "leaf" else 1 + self.inner.arity
+        return len(self.nodes)
 
     @property
     def b_vector(self) -> list:
-        if self.kind == "leaf":
-            return [self.b]
-        return [self.b1] + self.inner.b_vector
+        return [b for _, b in self.nodes]
 
-    # -- serialization ------------------------------------------------------
+    # -- serialization: nested {"kind": "merge"|"leaf"} objects -------------
 
     def to_dict(self) -> dict:
-        if self.kind == "leaf":
-            return {"kind": "leaf", "b": rat_str(self.b), "fn": self.fn.to_dict()}
-        return {"kind": "merge", "b1": rat_str(self.b1),
-                "outer": self.outer.to_dict(), "inner": self.inner.to_dict()}
+        (f, b), *outers = reversed(self.nodes)
+        obj = {"kind": "leaf", "b": rat_str(b), "fn": f.to_dict()}
+        for f, b in outers:
+            obj = {"kind": "merge", "b1": rat_str(b), "outer": f.to_dict(),
+                   "inner": obj}
+        return obj
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MergedFn":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise FormatError("merged function JSON must be an object with a 'kind'")
-        if obj["kind"] == "leaf":
-            if set(obj) != {"kind", "b", "fn"}:
-                raise FormatError("leaf node must have exactly kind, b, fn")
-            return leaf(PeriodicPWL.from_dict(obj["fn"]), rat(obj["b"]))
-        if obj["kind"] == "merge":
+        nodes = []
+        while True:
+            if not isinstance(obj, dict) or "kind" not in obj:
+                raise FormatError("merged function JSON must be an object "
+                                  "with a 'kind'")
+            if obj["kind"] == "leaf":
+                if set(obj) != {"kind", "b", "fn"}:
+                    raise FormatError("leaf node must have exactly kind, b, fn")
+                nodes.append((PeriodicPWL.from_dict(obj["fn"]), rat(obj["b"])))
+                return cls(tuple(nodes))
+            if obj["kind"] != "merge":
+                raise FormatError(f"unknown node kind {obj['kind']!r}")
             if set(obj) != {"kind", "b1", "outer", "inner"}:
-                raise FormatError("merge node must have exactly kind, b1, outer, inner")
-            b1 = rat(obj["b1"])
-            if not 0 < b1 < 1:   # as in seq_merge; b1 + B2 = 0 would divide by 0
-                raise DomainError(f"b1 must lie in (0, 1), got {b1}")
-            return cls(kind="merge", outer=PeriodicPWL.from_dict(obj["outer"]),
-                       b1=b1, inner=cls.from_dict(obj["inner"]))
-        raise FormatError(f"unknown node kind {obj['kind']!r}")
+                raise FormatError("merge node must have exactly kind, b1, "
+                                  "outer, inner")
+            nodes.append((PeriodicPWL.from_dict(obj["outer"]), rat(obj["b1"])))
+            obj = obj["inner"]
 
     def __call__(self, x) -> Fraction:
         return eval_merged(self, x)
 
 
 def leaf(f: PeriodicPWL, b) -> MergedFn:
-    b = rat(b)
-    if not 0 < b < 1:
-        raise DomainError(f"b must lie in (0, 1), got {b}")
-    return MergedFn(kind="leaf", fn=f, b=b)
+    return MergedFn(((f, rat(b)),))
 
 
 def seq_merge(f: PeriodicPWL, b1, g: MergedFn) -> MergedFn:
-    """Merge the 1-D function f (parameter b1) over the tree g.  All 1-D
-    ingredients must be minimal; that is what makes the result periodic
-    modulo the integer lattice."""
-    b1 = rat(b1)
-    if not 0 < b1 < 1:
-        raise DomainError(f"b1 must lie in (0, 1), got {b1}")
-    cert = check_minimal(f, b1)
-    if not cert.passed:
-        raise DomainError(f"outer function is not minimal: {cert.witness}")
-    _check_tree_minimal(g)
-    return MergedFn(kind="merge", outer=f, b1=b1, inner=g)
-
-
-def _check_tree_minimal(g: MergedFn) -> None:
-    if g.kind == "leaf":
-        cert = check_minimal(g.fn, g.b)
-        if not cert.passed:
-            raise DomainError(f"inner leaf is not minimal: {cert.witness}")
-    else:
-        cert = check_minimal(g.outer, g.b1)
-        if not cert.passed:
-            raise DomainError(f"inner merge outer function is not minimal: "
-                              f"{cert.witness}")
-        _check_tree_minimal(g.inner)
+    """Merge the 1-D function f (parameter b1) over g."""
+    return MergedFn(((f, rat(b1)),) + g.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -149,39 +134,34 @@ def _coerce_vector(F: MergedFn, x) -> list:
 
 
 def eval_merged(F: MergedFn, x) -> Fraction:
-    """Recursive closed formula: with inner value g(x2) and inner parameter
-    mass B2, the merge evaluates to
-    (B2*g(x2) + b1*f(sum(x) - B2*g(x2))) / (b1 + B2)."""
+    """Closed formula, from the last node out: with the value g and the
+    parameter mass B of the nodes after f_i, and s the sum of their
+    coordinates plus x_i, the merge up to f_i evaluates to
+    (B*g + b_i*f_i(s - B*g)) / (b_i + B)."""
     x = _coerce_vector(F, x)
-    return _eval_closed(F, x)
-
-
-def _eval_closed(F: MergedFn, x: list) -> Fraction:
-    if F.kind == "leaf":
-        return F.fn.eval(x[0])
-    B2 = sum(F.inner.b_vector)
-    gval = _eval_closed(F.inner, x[1:])
-    return (B2 * gval + F.b1 * F.outer.eval(sum(x) - B2 * gval)) / (F.b1 + B2)
+    (f, B), *outers = reversed(F.nodes)
+    s = x[-1]
+    g = f.eval(s)
+    for (f, b), xi in zip(outers, reversed(x[:-1])):
+        s += xi
+        g = (B * g + b * f.eval(s - B * g)) / (b + B)
+        B += b
+    return g
 
 
 def psi_eval(F: MergedFn, x) -> Fraction:
-    """The nested-lift (pseudo-periodic) representation of F."""
-    x = _coerce_vector(F, x)
-    return _psi(F, x)
-
-
-def _psi(F: MergedFn, x: list) -> Fraction:
-    if F.kind == "leaf":
-        return lift_eval(F.fn, F.b, x[0])
-    t = x[0] + _psi(F.inner, x[1:])
-    return t - F.b1 * F.outer.eval(t)
+    """The nested-lift (pseudo-periodic) representation of F: from the last
+    node out, psi is the lift of f_i at x_i plus psi of the nodes after f_i."""
+    psi = Fraction(0)
+    for (f, b), xi in zip(reversed(F.nodes), reversed(_coerce_vector(F, x))):
+        psi = lift_eval(f, b, xi + psi)
+    return psi
 
 
 def eval_definitional(F: MergedFn, x) -> Fraction:
     """Definitional path: group-space value of the nested lifts.  Must agree
     exactly with eval_merged."""
-    x = _coerce_vector(F, x)
-    return group_space_eval(lambda v: _psi(F, list(v)), F.b_vector, x)
+    return group_space_eval(lambda v: psi_eval(F, v), F.b_vector, x)
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +180,7 @@ def phi_m(m: int, b) -> MergedFn:
     b = _require_b_upper(b)
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    f = gmi(b)
-    tree = leaf(f, b)
-    for _ in range(m - 1):
-        tree = MergedFn(kind="merge", outer=f, b1=b, inner=tree)
-    return tree
+    return MergedFn(((gmi(b), b),) * m)
 
 
 def pi_n_k(n: int, k: int, b) -> MergedFn:
@@ -215,8 +191,7 @@ def pi_n_k(n: int, k: int, b) -> MergedFn:
         raise DomainError(f"n must be >= 2, got {n}")
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    return MergedFn(kind="merge", outer=pi_k_reflected(k, b), b1=b,
-                    inner=phi_m(n - 1, b))
+    return MergedFn(((pi_k_reflected(k, b), b),) + ((gmi(b), b),) * (n - 1))
 
 
 def check_lift_nondecreasing(f: PeriodicPWL, b) -> Certificate:

@@ -179,7 +179,8 @@ def check_zero_set(f: PeriodicPWL) -> Certificate:
     Positivity on a piece is decided by its endpoint values.
     """
     if f.eval(0) != 0:
-        return Certificate("fail", witness=_point_witness(Fraction(0)))
+        return Certificate("fail", checked_count=1,
+                           witness=_point_witness(Fraction(0), value=rat_str(f.eval(0))))
     n = len(f.breakpoints)
     for i, (t, v) in enumerate(zip(f.breakpoints, f.values)):
         if i > 0 and v <= 0:

@@ -16,6 +16,11 @@ from groupcut.cli import main
 from conftest import bump_value
 
 
+# gmi(1/2) merged over a leaf gmi(1/3) at b = 1/2: the leaf is not minimal
+BAD_LEAF_TREE = {"kind": "merge", "b1": "1/2", "outer": gmi(F(1, 2)).to_dict(),
+                "inner": {"kind": "leaf", "b": "1/2", "fn": gmi(F(1, 3)).to_dict()}}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -186,6 +191,21 @@ def test_merge_non_minimal_outer_exits_1(tmp_path, capsys):
     assert json.loads(stdout)["verdict"] == "fail"
 
 
+def test_merge_exit_codes_for_a_non_minimal_inner(tmp_path, capsys):
+    # a plain inner is a merge ingredient (exit 1, like a bad outer); a
+    # merged inner file that holds a non-minimal node is bad input (exit 2)
+    g, bad, out = tmp_path / "g.json", tmp_path / "bad.json", tmp_path / "x.json"
+    g.write_text(gmi(F(1, 2)).to_json())
+    bad.write_text(json.dumps(BAD_LEAF_TREE))
+    code, stdout, _ = run(capsys, "merge", str(g), str(g), "--b1", "1/2",
+                          "--b2", "1/3", "--out", str(out))
+    assert code == 1 and "f2 is not minimal" in json.loads(stdout)["reason"]
+    code, stdout, err = run(capsys, "merge", str(g), str(bad), "--b1", "1/2",
+                            "--out", str(out))
+    assert code == 2 and stdout == "" and _one_error_line(err)
+    assert "f2 is not minimal" in err and not out.exists()
+
+
 def test_plot_csv_contains_exact_breakpoints(tmp_path, capsys):
     f = tmp_path / "f.json"
     out = tmp_path / "f.csv"
@@ -211,6 +231,34 @@ def test_plot_svg(tmp_path, capsys):
 def test_unknown_verb_and_flags(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "construct", "gmi")[0] == 2   # missing --b
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "pi-k", "--b", "1/2", "--k", "65"],
+    ["construct", "pi-inf", "--b", "1/2", "--K", "65"],
+    ["construct", "phi-m", "--b", "1/2", "--m", "990"],
+    ["construct", "pi-n-k", "--b", "1/2", "--n", "65", "--k", "3"],
+    ["construct", "pi-n-k", "--b", "1/2", "--n", "2", "--k", "100000"],
+    ["verify", "slopes", "{f}", "--b", "1/2", "--k", "65"],
+    ["certify", "{f}", "--b", "1/2", "--mode", "replay", "--k", "65"],
+], ids=["pi-k", "pi-inf", "phi-m", "pi-n-k-n", "pi-n-k-k", "verify", "certify"])
+def test_level_flags_are_capped(tmp_path, capsys, argv):
+    # pi_k grows as k^2 bits, and phi-m --m 990 used to exit with a
+    # RecursionError traceback
+    f = tmp_path / "f.json"
+    f.write_text(pi_k(3, F(1, 2)).to_json())
+    code, stdout, err = run(capsys, *[w.format(f=f) for w in argv])
+    assert code == 2 and stdout == "" and _one_error_line(err), (argv, err)
+    assert "at most 64" in err
+
+
+def test_certify_replay_requires_k_before_any_scan(tmp_path, capsys):
+    for f in (gmi(F(1, 3)), pi_k(3, F(1, 2))):     # not minimal, minimal
+        path = tmp_path / "f.json"
+        path.write_text(f.to_json())
+        code, stdout, err = run(capsys, "certify", str(path), "--b", "1/2",
+                                "--mode", "replay")
+        assert code == 2 and stdout == "" and _one_error_line(err) and "--k" in err
 
 
 def _one_error_line(err):
@@ -266,8 +314,18 @@ def test_hostile_json_inside_merged_tree(tmp_path, capsys):
                                 "fn": {"breakpoints": 5, "values": [0]}}))
     code, _, err = run(capsys, "eval", str(path), "--x", "1/4")
     assert code == 2 and _one_error_line(err)
-    # a merge node's b1 is range-checked as in seq_merge (-1/2 + 1/2 = 0)
+    # every node must be minimal at its parameter: the non-minimal node is
+    # the leaf of BAD_LEAF_TREE and the middle outer of a depth-3 tree
     leaf = {"kind": "leaf", "b": "1/2", "fn": gmi(F(1, 2)).to_dict()}
+    bad_middle = {"kind": "merge", "b1": "1/2", "outer": gmi(F(1, 2)).to_dict(),
+                  "inner": {"kind": "merge", "b1": "1/2",
+                            "outer": gmi(F(1, 3)).to_dict(), "inner": leaf}}
+    for tree, x in ((BAD_LEAF_TREE, "1/4,1/4"), (bad_middle, "1/4,1/4,1/4")):
+        path.write_text(json.dumps(tree))
+        code, stdout, err = run(capsys, "eval", str(path), "--x", x)
+        assert code == 2 and stdout == "" and _one_error_line(err)
+        assert "f2 is not minimal at b2 = 1/2" in err
+    # a merge node's b1 is range-checked as in seq_merge (-1/2 + 1/2 = 0)
     for b1 in ("-1/2", "0", "1"):
         path.write_text(json.dumps({"kind": "merge", "b1": b1,
                                     "outer": gmi(F(1, 2)).to_dict(), "inner": leaf}))
@@ -296,7 +354,8 @@ def test_unreadable_json_is_a_usage_error(tmp_path, capsys, text):
 SEED_DOCS = [gmi(F(1, 2)).to_dict(), pi_k(3, F(1, 3)).to_dict(),
              pi_k(4, F(1, 2)).to_dict(),
              bump_value(pi_k(3, F(1, 2)), 1, F(-1, 1000)).to_dict(),
-             phi_m(2, F(1, 2)).to_dict()]
+             phi_m(2, F(1, 2)).to_dict(), phi_m(3, F(1, 2)).to_dict(),
+             BAD_LEAF_TREE]
 RATIONALS = ["0", "1", "1/2", "1/3", "2/5", "1/4", "2/3", "3/2", "-1/2", "1/1000",
              "1/0", "0.5", "x", ""]
 JSON_SCALARS = st.one_of(st.none(), st.booleans(),

@@ -8,7 +8,7 @@ from groupcut import (DomainError, FormatError, MergedFn, PeriodicPWL,
                       eval_definitional, eval_merged, gmi, group_space_eval,
                       leaf, lift_eval, phi_m, pi_k, pi_k_reflected, pi_n_k,
                       psi_eval, region_gradients, sample_subadditivity_nd,
-                      seq_merge)
+                      seq_merge, seqmerge)
 
 
 def rand_fracs(rng, n, maxq=60):
@@ -55,7 +55,7 @@ def test_merged_arity_and_b_vector():
 
 
 def test_phi_m_examples():
-    assert phi_m(1, F(2, 3)).fn == gmi(F(2, 3))
+    assert phi_m(1, F(2, 3)).nodes == ((gmi(F(2, 3)), F(2, 3)),)
     assert eval_merged(phi_m(2, F(1, 2)), [F(1, 4), F(1, 4)]) == F(1, 2)
     assert eval_merged(phi_m(3, F(1, 2)), [F(0), F(0), F(0)]) == 0
     assert eval_merged(phi_m(3, F(1, 2)), [F(1), F(0), F(2)]) == 0
@@ -94,6 +94,17 @@ def test_closed_formula_matches_definitional_path():
             assert eval_merged(Fn, x) == eval_definitional(Fn, x)
 
 
+def test_evaluation_paths_are_independent(monkeypatch):
+    # the closed formula and the nested lifts agree on every chain, so only
+    # a fault planted in one path shows that neither calls the other
+    P = pi_n_k(3, 3, F(1, 2))
+    x = [F(1, 5), F(2, 7), F(-3, 4)]
+    closed, definitional = eval_merged(P, x), eval_definitional(P, x)
+    monkeypatch.setattr(seqmerge, "psi_eval", lambda Fn, v: psi_eval(Fn, v) + 1)
+    assert eval_merged(P, x) == closed
+    assert eval_definitional(P, x) == definitional - F(1) / sum(P.b_vector)
+
+
 def test_merged_function_is_lattice_periodic():
     rng = random.Random(11)
     P = pi_n_k(2, 3, F(1, 2))
@@ -111,6 +122,32 @@ def test_psi_is_pseudo_periodic():
         for i in range(3):
             e = [F(1) if j == i else F(0) for j in range(3)]
             assert psi_eval(P, [a + c for a, c in zip(x, e)]) == psi_eval(P, x) + 1
+
+
+def _nested(nodes):
+    """The JSON tree of a chain, built without the checking constructor."""
+    (f, b), *outers = reversed(nodes)
+    obj = {"kind": "leaf", "b": str(b), "fn": f.to_dict()}
+    for f, b in outers:
+        obj = {"kind": "merge", "b1": str(b), "outer": f.to_dict(), "inner": obj}
+    return obj
+
+
+def test_every_node_of_a_chain_is_checked():
+    good = (gmi(F(1, 2)), F(1, 2))
+    for bad, message in (((gmi(F(1, 3)), F(1, 2)), "not minimal"),
+                         ((gmi(F(1, 2)), F(0)), "must lie in"),
+                         ((gmi(F(1, 2)), F(3, 2)), "must lie in")):
+        for nodes in ((bad,), (bad, good), (good, bad), (good, bad, good),
+                      (good, good, bad)):
+            with pytest.raises(DomainError, match=message):
+                MergedFn(nodes)
+            with pytest.raises(DomainError, match=message):
+                MergedFn.from_dict(_nested(nodes))
+    with pytest.raises(DomainError):
+        MergedFn(())
+    with pytest.raises(DomainError, match="f2 is not minimal at b2 = 1/2"):
+        MergedFn((good, (gmi(F(1, 3)), F(1, 2)), good))
 
 
 def test_seq_merge_rejects_non_minimal_ingredients():
@@ -168,12 +205,18 @@ def test_subadditivity_sampler():
     assert sample_subadditivity_nd(phi_m(2, F(1, 2)), 500, seed=1).passed
     assert sample_subadditivity_nd(pi_n_k(2, 4, F(1, 2)), 500, seed=1).passed
     # mutant with a grid-verified violation must be caught
+    # (a MergedFn refuses the non-minimal outer, so the merge formula is
+    # written out here)
     g = gmi(F(1, 2))
     bad = PeriodicPWL(g.breakpoints, [F(0), F(11, 10)])
-    M = MergedFn(kind="merge", outer=bad, b1=F(1, 2), inner=leaf(g, F(1, 2)))
-    assert eval_merged(M, [F(0), F(1, 8)]) + eval_merged(M, [F(0), F(1, 2)]) \
-        < eval_merged(M, [F(0), F(5, 8)])
-    c = sample_subadditivity_nd(M, 500, seed=0)
+    b = F(1, 2)
+
+    def M(v):
+        inner = g.eval(v[1])
+        return (b * inner + b * bad.eval(v[0] + v[1] - b * inner)) / (b + b)
+
+    assert M([F(0), F(1, 8)]) + M([F(0), F(1, 2)]) < M([F(0), F(5, 8)])
+    c = sample_subadditivity_nd((M, 2), 500, seed=0)
     assert not c.passed and c.witness["kind"] == "subadditivity-nd"
 
 

@@ -137,6 +137,15 @@ def test_zero_set_check():
     assert not check_zero_set(flat).passed
 
 
+def test_zero_set_failure_at_the_origin_reproduces():
+    lifted = PeriodicPWL([F(0), F(1, 2)], [F(1, 4), F(1)])
+    c = check_zero_set(lifted)
+    assert not c.passed and c.checked_count == 1
+    assert c.witness == {"kind": "point", "x": "0", "value": "1/4"}
+    assert c.witness == check_minimal(lifted, F(1, 2)).witness
+    assert lifted.eval(F(c.witness["x"])) == F(c.witness["value"])
+
+
 def test_slope_census_pass_and_fail():
     b = F(1, 2)
     assert check_slope_census(pi_k(5, b), 5, b).passed
