@@ -268,25 +268,41 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
+def _at_most(n: int, cap: int) -> int:
+    if n > cap:
+        raise argparse.ArgumentTypeError(f"must be at most {cap}, got {n}")
+    return n
+
+
+def _positive_int(text: str, cap: int) -> int:
     n = _int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
-    return n
+    return _at_most(n, cap)
 
 
 # pi_k has about 4k breakpoints of about 3k bits each, so its size grows as
 # k^2 bits and k = 10^5 would need tens of GB; at 64 every verb ends in seconds
 MAX_LEVEL = 64
+# the facet test's grid has about 2d points: on a 2-core Xeon, certify of
+# pi_8(1/2) takes 0.15 s at --refine 1024 and 1.4 s at 4096
+MAX_REFINE = 1024
+# each CSV sample is one exact evaluation: 16384 of them take 0.5 s there
+MAX_SAMPLES = 16384
 
 
 def _level(text: str) -> int:
     """A level --k, --K, --m or --n: an int at most MAX_LEVEL.  Its lower
     bound is the library's, which differs per construction."""
-    n = _int(text)
-    if n > MAX_LEVEL:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_LEVEL}, got {n}")
-    return n
+    return _at_most(_int(text), MAX_LEVEL)
+
+
+def _refine(text: str) -> int:
+    return _positive_int(text, MAX_REFINE)
+
+
+def _samples(text: str) -> int:
+    return _positive_int(text, MAX_SAMPLES)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -331,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--b", type=_rhs, required=True)
     ce.add_argument("--mode", required=True,
                     choices=["pwl-perturbation", "replay", "two-slope"])
-    ce.add_argument("--refine", type=_positive_int, default=16,
-                    help="refinement denominator for pwl-perturbation")
+    ce.add_argument("--refine", type=_refine, default=16,
+                    help="refinement denominator for pwl-perturbation, "
+                         f"at most {MAX_REFINE}")
     ce.add_argument("--k", type=_level, help="level for replay mode")
     ce.set_defaults(func=cmd_certify)
 
@@ -347,9 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("plot", help="export a CSV or SVG plot")
     pl.add_argument("path")
     pl.add_argument("--out", required=True, help="output file, .csv or .svg")
-    pl.add_argument("--samples", type=_positive_int, default=256,
-                    help="uniform float samples added to a .csv (an .svg "
-                         "draws the exact breakpoints only)")
+    pl.add_argument("--samples", type=_samples, default=256,
+                    help=f"uniform float samples added to a .csv, at most "
+                         f"{MAX_SAMPLES} (an .svg draws the exact "
+                         "breakpoints only)")
     pl.set_defaults(func=cmd_plot)
 
     return p

@@ -11,6 +11,7 @@ it, and every serialized result says so.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +21,8 @@ from .constructions import interval_system, pi_k, new_slope
 from .errors import DomainError
 from .pwl import (Interval, PeriodicPWL, breakpoints_in, pieces_meeting,
                   points_in, rat, rat_str)
-from .verification import Certificate, _Lattice, check_minimal
+from .verification import (Certificate, _Lattice, _pair_witness, _point_witness,
+                           check_minimal, check_nonnegative, check_symmetry)
 
 PWL_CAVEAT = ("certified within the continuous piecewise-linear perturbation "
               "class on the chosen refinement; this checks the facet "
@@ -116,32 +118,48 @@ def equality_structure(f: PeriodicPWL) -> EqualityStructure:
 
     Faces: every full-dimensional cell of the slack's complex on which the
     slack vanishes identically contributes its inscribed axis box.  Cells are
-    listed per orientation without deduplication; duplicates are harmless for
-    downstream constraint generation.
+    walked per orientation, and a box equal to one already listed is skipped.
 
     The vertices are those of `check_subadditive`'s scan, so the same pass
     decides subadditivity: a negative slack raises DomainError.
     """
     lat = _Lattice(f)
+    q = lat.q
+    vertices, faces = _additive_sets(lat)
+    return EqualityStructure(
+        additive_vertices=tuple((Fraction(x, q), Fraction(y, q))
+                                for x, y in vertices),
+        additive_faces=tuple((Interval(u.lo / q, u.hi / q),
+                              Interval(v.lo / q, v.hi / q))
+                             for u, v in faces))
+
+
+def _additive_sets(lat: _Lattice) -> tuple:
+    """`equality_structure` in lattice numerators: the additive vertex pairs
+    (i, k) of ints, and the face boxes (U, V) scaled by q, in the same order.
+    A negative slack raises DomainError naming subadditivity, with the
+    witness `check_subadditive` gives."""
     q, slack = lat.q, lat.slack
     vertices = []
     for x, y in lat.vertex_pairs():
         d = slack(x, y)
         if d < 0:
-            raise DomainError("equality structure requires a subadditive function")
+            raise DomainError(
+                "equality structure requires a subadditive function: "
+                "subadditivity fails: " + str(_pair_witness(
+                    Fraction(x, q), Fraction(y, q), Fraction(d, lat.scale))))
         if d == 0:
-            vertices.append((Fraction(x, q), Fraction(y, q)))
+            vertices.append((x, y))
     P = lat.points + [q]
     faces = []
     seen = set()
     for cell, zero in _cells(lat, P, P):
         if zero:
-            box = _inscribed_box(*(Fraction(t, q) for t in cell))
+            box = _inscribed_box(*map(Fraction, cell))
             if box is not None and box not in seen:
                 seen.add(box)
                 faces.append(box)
-    return EqualityStructure(additive_vertices=tuple(vertices),
-                             additive_faces=tuple(faces))
+    return vertices, faces
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +176,13 @@ class AffinityConstraint:
     sum_parts: tuple   # one or two Intervals inside [0, 1]
 
 
-def _sum_mod_segments(U: Interval, V: Interval):
+def _sum_mod_segments(U: Interval, V: Interval, period=1):
     lo, hi = U.lo + V.lo, U.hi + V.hi
-    if hi <= 1:
+    if hi <= period:
         return (Interval(lo, hi),)
-    if lo >= 1:
-        return (Interval(lo - 1, hi - 1),)
-    return (Interval(lo, Fraction(1)), Interval(Fraction(0), hi - 1))
+    if lo >= period:
+        return (Interval(lo - period, hi - period),)
+    return (Interval(lo, Fraction(period)), Interval(Fraction(0), hi - period))
 
 
 def interval_lemma_apply(structure: EqualityStructure, U: Interval,
@@ -196,89 +214,90 @@ class PerturbationTestResult:
                 "note": self.note}
 
 
-class _ExactSolver:
-    """Incremental reduced row echelon form over exact rationals."""
+def _primitive(row: dict, rhs: int) -> tuple:
+    """The row and right-hand side divided by the gcd of all their entries,
+    signed so that the lead (lowest column) entry is positive."""
+    g = math.gcd(*row.values(), rhs)
+    if row[min(row)] < 0:
+        g = -g
+    return {c: v // g for c, v in row.items()}, rhs // g
+
+
+def _eliminate(row: dict, rhs: int, prow: dict, prhs: int, col: int) -> tuple:
+    """p*row - r*prow and its right-hand side, with p and r the entries of
+    prow and row at col over their gcd: zero at col, and integer."""
+    p, r = prow[col], row[col]
+    g = math.gcd(p, r)
+    p, r = p // g, r // g
+    out = {c: p * v for c, v in row.items()}
+    for c, v in prow.items():
+        w = out.get(c, 0) - r * v
+        if w:
+            out[c] = w
+        else:
+            del out[c]
+    return out, p * rhs - r * prhs
+
+
+class _IntegerSolver:
+    """Incremental reduced row echelon form over integer rows, fraction-free.
+
+    Rows are dicts column -> int with an int right-hand side.  Each pivot row
+    is kept as the primitive integer multiple, lead entry positive, of its
+    row in the reduced row echelon form over the rationals: it is zero in
+    every other pivot column.  Elimination cross-multiplies and divides out
+    the gcd, in the spirit of Bareiss's integer-preserving elimination
+    (Math. Comp. 1968), so no Fraction is built until the nullspace.  The
+    reduced form is unique, so rank, pivots and nullspace do not depend on
+    the order of the rows.
+    """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.pivots = {}       # col -> (row dict, rhs)
 
-    def add(self, row: dict, rhs: Fraction):
-        row = {c: v for c, v in row.items() if v != 0}
-        for col in sorted(row):
-            if col in self.pivots:
-                prow, prhs = self.pivots[col]
-                factor = row[col]
-                for c, v in prow.items():
-                    row[c] = row.get(c, Fraction(0)) - factor * v
-                    if row[c] == 0:
-                        del row[c]
-                rhs -= factor * prhs
+    def add(self, row: dict, rhs: int):
+        row = {c: v for c, v in row.items() if v}
+        for col in [c for c in row if c in self.pivots]:
+            # a pivot row is zero in every other pivot column, so this
+            # brings in no pivot column the loop has not seen
+            row, rhs = _eliminate(row, rhs, *self.pivots[col], col)
         if not row:
             if rhs != 0:
                 raise DomainError("inconsistent constraint system")
             return
+        row, rhs = _primitive(row, rhs)
         lead = min(row)
-        inv = 1 / row[lead]
-        row = {c: v * inv for c, v in row.items()}
-        rhs *= inv
-        # keep existing pivot rows reduced against the new one
-        for col, (prow, prhs) in list(self.pivots.items()):
+        # keep the existing pivot rows reduced against the new one
+        for col, (prow, prhs) in self.pivots.items():
             if lead in prow:
-                factor = prow[lead]
-                for c, v in row.items():
-                    prow[c] = prow.get(c, Fraction(0)) - factor * v
-                    if prow[c] == 0:
-                        del prow[c]
-                self.pivots[col] = (prow, prhs - factor * rhs)
+                self.pivots[col] = _primitive(
+                    *_eliminate(prow, prhs, row, rhs, lead))
         self.pivots[lead] = (row, rhs)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def nullspace(self):
+    def nullspace(self) -> list:
+        """One basis vector per free column fc: 1 at fc, and at each pivot
+        column minus the reduced row's entry at fc."""
         free = [c for c in range(self.ncols) if c not in self.pivots]
         basis = []
         for fc in free:
             vec = [Fraction(0)] * self.ncols
             vec[fc] = Fraction(1)
             for col, (prow, _) in self.pivots.items():
-                vec[col] = -prow.get(fc, Fraction(0))
+                v = prow.get(fc)
+                if v:
+                    vec[col] = Fraction(-v, prow[col])
             basis.append(vec)
         return basis
 
 
-def _interp(grid, index, x):
-    """Coefficients expressing the PWL value at x from grid unknowns."""
-    x = x % 1
-    i = bisect_right(grid, x) - 1
-    t0 = grid[i]
-    if x == t0:
-        return {index[t0]: Fraction(1)}
-    if i + 1 < len(grid):
-        t1, c1 = grid[i + 1], index[grid[i + 1]]
-    else:
-        t1, c1 = Fraction(1), index[grid[0]]    # wrap: value at 1 is the value at 0
-    lam = (x - t0) / (t1 - t0)
-    return {index[t0]: 1 - lam, c1: lam}
-
-
-def _add_into(row, coeffs, sign=1):
-    for c, v in coeffs.items():
-        row[c] = row.get(c, Fraction(0)) + sign * v
-        if row[c] == 0:
-            del row[c]
-
-
-def _piece_slope_coeffs(grid, index, i):
-    t0 = grid[i]
-    if i + 1 < len(grid):
-        t1, c1 = grid[i + 1], index[grid[i + 1]]
-    else:
-        t1, c1 = Fraction(1), index[grid[0]]
-    inv = 1 / (t1 - t0)
-    return {index[t0]: -inv, c1: inv}
+def _not_minimal(check: str, witness: dict) -> DomainError:
+    return DomainError(f"restricted facet test requires a minimal function: "
+                       f"{check} fails: {witness}")
 
 
 def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
@@ -289,70 +308,106 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
     Constraints: theta(0)=0, theta(b)=1, the symmetry identity at every grid
     point, additivity at every additive vertex, and interval-lemma affinity
     over every additive face.  `certified_unique` iff f is the only solution.
+
+    Everything runs on one lattice (1/Q)Z, Q the lcm of f's breakpoint
+    denominators, the refinement denominator d and b's denominator: grid
+    points are int numerators over Q and every row is scaled to ints.  The
+    minimality gate runs in check_minimal's order, f(0) = 0, nonnegativity,
+    subadditivity (decided by the equality structure's own vertex pass) and
+    symmetry, and a failure raises DomainError naming the check and its
+    witness.
     """
     b = rat(b)
-    if not check_minimal(f, b).passed:
-        raise DomainError("restricted facet test requires a minimal function")
-    es = equality_structure(f)
-
-    pts = set(f.breakpoints) | {b % 1}
     d = refinement_denominator
-    pts |= {Fraction(i, d) for i in range(d)}
-    pts |= {(b - t) % 1 for t in pts}
+    if f.values[0] != 0:
+        raise _not_minimal("f(0) != 0", _point_witness(
+            Fraction(0), value=rat_str(f.values[0])))
+    cert = check_nonnegative(f)
+    if not cert.passed:
+        raise _not_minimal("nonnegativity", cert.witness)
+    lat = _Lattice(f, math.lcm(d, b.denominator))
+    Q = lat.q
+    vertices, faces = _additive_sets(lat)
+    cert = check_symmetry(f, b)
+    if not cert.passed:
+        raise _not_minimal("symmetry", cert.witness)
+
+    B = b.numerator * (Q // b.denominator) % Q
+    pts = {*lat.points, B, *range(0, Q, Q // d)}
+    pts |= {(B - t) % Q for t in pts}
     grid = sorted(pts)
-    index = {t: i for i, t in enumerate(grid)}
     n = len(grid)
+
+    def piece(i):
+        """The right end of grid piece i as (numerator, column); the last
+        piece ends at Q, whose value is the value at 0."""
+        return (grid[i + 1] if i + 1 < n else Q), (i + 1) % n
+
+    def interp(x):
+        """The value at x/Q as (L, ((column, weight), ...)): the weighted sum
+        of the grid unknowns, divided by L."""
+        x %= Q
+        i = bisect_right(grid, x) - 1
+        t0 = grid[i]
+        if x == t0:
+            return 1, ((i, 1),)
+        t1, c1 = piece(i)
+        return t1 - t0, ((i, t1 - x), (c1, x - t0))
+
+    def slope(i):
+        """Q times the slope of piece i, in the same form."""
+        t1, c1 = piece(i)
+        return t1 - grid[i], ((i, -1), (c1, 1))
 
     rows = []
 
-    def add_row(row, rhs):
+    def add_row(terms, rhs):
+        """sum(sign * (weighted sum) / L) = rhs, scaled to a primitive int row."""
+        m = math.lcm(*(L for _, (L, _) in terms))
+        row = {}
+        for sign, (L, weights) in terms:
+            k = sign * (m // L)
+            for c, w in weights:
+                row[c] = row.get(c, 0) + k * w
+        row = {c: v for c, v in row.items() if v}
         if row:
-            rows.append((row, rhs))
+            rows.append(_primitive(row, rhs * m))
 
-    add_row({index[Fraction(0)]: Fraction(1)}, Fraction(0))
-    add_row({index[b % 1]: Fraction(1)}, Fraction(1))
+    add_row([(1, interp(0))], 0)
+    add_row([(1, interp(B))], 1)
     for x in grid:
-        row = {}
-        _add_into(row, _interp(grid, index, x))
-        _add_into(row, _interp(grid, index, (b - x) % 1))
-        add_row(row, Fraction(1))
-    for x, y in es.additive_vertices:
-        row = {}
-        _add_into(row, _interp(grid, index, x))
-        _add_into(row, _interp(grid, index, y))
-        _add_into(row, _interp(grid, index, (x + y) % 1), sign=-1)
-        add_row(row, Fraction(0))
-    for fu, fv in es.additive_faces:
+        add_row([(1, interp(x)), (1, interp(B - x))], 1)
+    for x, y in vertices:
+        add_row([(1, interp(x)), (1, interp(y)), (-1, interp(x + y))], 0)
+    for fu, fv in faces:
         # the interval lemma on the face itself: one slope on fu, fv, fu+fv
-        piece_ids = sorted({i for g in (fu, fv, *_sum_mod_segments(fu, fv))
+        piece_ids = sorted({i for g in (fu, fv, *_sum_mod_segments(fu, fv, Q))
                             for i in pieces_meeting(grid, g.lo, g.hi)})
-        ref = piece_ids[0]
-        ref_coeffs = _piece_slope_coeffs(grid, index, ref)
+        ref = slope(piece_ids[0])
         for pid in piece_ids[1:]:
-            row = {}
-            _add_into(row, _piece_slope_coeffs(grid, index, pid))
-            _add_into(row, ref_coeffs, sign=-1)
-            add_row(row, Fraction(0))
+            add_row([(1, slope(pid)), (-1, ref)], 0)
 
-    # every constraint is a consequence of facts f itself satisfies
-    fvec = [f.eval(t) for t in grid]
+    # every constraint is a consequence of facts f itself satisfies; f's
+    # grid values are read off the lattice, scaled by lat.scale
+    fvec = [lat.value(t) for t in grid]
     for row, rhs in rows:
-        if sum(v * fvec[c] for c, v in row.items()) != rhs:
+        if sum(v * fvec[c] for c, v in row.items()) != rhs * lat.scale:
             raise RuntimeError("constraint generation bug: f violates its own "
                                "equality structure")
 
-    solver = _ExactSolver(n)
+    solver = _IntegerSolver(n)
     seen = set()
     for row, rhs in rows:
         key = (frozenset(row.items()), rhs)
         if key in seen:
             continue
         seen.add(key)
-        solver.add(dict(row), rhs)
+        solver.add(row, rhs)
 
     dim = n - solver.rank
-    basis = tuple(PeriodicPWL(grid, vec) for vec in solver.nullspace())
-    if not es.additive_faces:
+    xs = [Fraction(t, Q) for t in grid]
+    basis = tuple(PeriodicPWL(xs, vec) for vec in solver.nullspace())
+    if not faces:
         verdict = "inconclusive"
     elif dim == 0:
         verdict = "certified_unique"

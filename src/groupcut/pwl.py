@@ -251,8 +251,9 @@ def points_in(points, period, lo, hi) -> list:
 
 
 def pieces_meeting(breakpoints, lo, hi) -> range:
-    """Indices of the pieces [t_i, t_{i+1}] (the last one ending at 1) whose
-    interior meets (lo, hi), for 0 <= lo <= hi <= 1."""
+    """Indices of the pieces [t_i, t_{i+1}] (the last one ending at the
+    period) whose interior meets (lo, hi), for 0 <= lo <= hi <= the period:
+    1 for breakpoints, q for lattice numerators."""
     if lo >= hi:
         return range(0)
     return range(bisect_right(breakpoints, lo) - 1, bisect_left(breakpoints, hi))

@@ -56,20 +56,26 @@ class MergedFn:
     merged over the merge of the rest, with f_n alone at the end.  A merge
     tree is always right-nested, so the chain is all of it.  Building one
     checks that every b_i lies in (0, 1) and every f_i is minimal at b_i,
-    which is what makes the merge periodic modulo the integer lattice."""
+    which is what makes the merge periodic modulo the integer lattice.  A
+    node repeated within the chain is checked once."""
 
     nodes: tuple                   # ((PeriodicPWL, Fraction), ...)
 
     def __post_init__(self):
         if not self.nodes:
             raise DomainError("a merged function needs at least one node")
+        checked = set()    # the stored tuples: __hash__ would canonicalize
         for i, (f, b) in enumerate(self.nodes, 1):
             if not 0 < b < 1:      # b_1 + ... + b_n = 0 would divide by 0
                 raise DomainError(f"b{i} must lie in (0, 1), got {b}")
+            key = (f.breakpoints, f.values, b)
+            if key in checked:
+                continue
             cert = check_minimal(f, b)
             if not cert.passed:
                 raise DomainError(f"f{i} is not minimal at b{i} = {b}: "
                                   f"{cert.witness}")
+            checked.add(key)
 
     @property
     def arity(self) -> int:

@@ -43,9 +43,11 @@ def _point_witness(x, **extra) -> dict:
 class _Lattice:
     """f restricted to the lattice (1/q)Z and scaled to integers.
 
-    q is the lcm of the breakpoint denominators, so every breakpoint is
-    p/q for an integer p, and so is every sum and difference of
-    breakpoints: every vertex of the slack's arrangement lies on (1/q)Z.
+    q is the lcm of the breakpoint denominators and of `denominator`, so
+    every breakpoint is p/q for an integer p, and so is every sum and
+    difference of breakpoints: every vertex of the slack's arrangement lies
+    on (1/q)Z.  A `denominator` above 1 puts other points on the same
+    lattice, such as a refinement grid.
     On piece j, scale*f(i/q) = a_j*i + c_j with integers a_j, c_j, so the
     slack at (i/q, k/q) is the integer value(i) + value(k) - value(i + k),
     which is scale times the exact slack.  This is the finite-group
@@ -55,9 +57,9 @@ class _Lattice:
 
     __slots__ = ("q", "scale", "points", "_a", "_c", "_memo")
 
-    def __init__(self, f: PeriodicPWL):
+    def __init__(self, f: PeriodicPWL, denominator: int = 1):
         bps, vals = f.breakpoints, f.values
-        q = math.lcm(*(t.denominator for t in bps))
+        q = math.lcm(denominator, *(t.denominator for t in bps))
         # Fraction(): an all-int function has a float slope, 0/1 == 0.0
         steps = [Fraction(f.piece_slope(j)) / q for j in range(len(bps))]
         scale = math.lcm(*(v.denominator for v in vals),

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupcut import PeriodicPWL, gmi, phi_m, pi_k, rat
-from groupcut.cli import main
+from groupcut.cli import MAX_REFINE, MAX_SAMPLES, main
 from conftest import bump_value
 
 
@@ -285,6 +285,27 @@ def test_certify_rejects_nonpositive_refine(tmp_path, capsys, refine):
                             "--mode", "pwl-perturbation", "--refine", refine)
     assert code == 2 and stdout == "" and _one_error_line(err)
     assert "--refine" in err
+
+
+def test_refine_and_samples_have_an_upper_bound(tmp_path, capsys):
+    f = tmp_path / "f.json"
+    f.write_text(gmi(F(1, 2)).to_json())
+    # every value here is refused by argparse, before any work starts
+    for n in (MAX_REFINE + 1, 10**9):
+        code, stdout, err = run(capsys, "certify", str(f), "--b", "1/2",
+                                "--mode", "pwl-perturbation", "--refine", str(n))
+        assert code == 2 and stdout == "" and _one_error_line(err)
+        assert "--refine" in err and f"at most {MAX_REFINE}" in err
+    for n in (MAX_SAMPLES + 1, 10**9):
+        out = tmp_path / "f.csv"
+        code, _, err = run(capsys, "plot", str(f), "--out", str(out),
+                           "--samples", str(n))
+        assert code == 2 and _one_error_line(err) and not out.exists()
+        assert "--samples" in err and f"at most {MAX_SAMPLES}" in err
+    # the bound itself is accepted
+    code, stdout, _ = run(capsys, "certify", str(f), "--b", "1/2", "--mode",
+                          "pwl-perturbation", "--refine", str(MAX_REFINE))
+    assert code == 0 and json.loads(stdout)["verdict"] == "certified_unique"
 
 
 @pytest.mark.parametrize("obj", [

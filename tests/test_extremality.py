@@ -1,14 +1,18 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groupcut import (DomainError, Interval, PeriodicPWL, check_subadditive,
+from groupcut import (DomainError, Interval, PeriodicPWL, check_minimal,
+                      check_nonnegative, check_subadditive, check_symmetry,
                       equality_structure, gmi, interval_lemma_apply,
                       linear_combine, pi_k, replay_pi_k_facet_proof,
                       restricted_facet_test, two_slope_shortcut)
-from groupcut.extremality import delta_zero_on_box
+from groupcut.extremality import _IntegerSolver, delta_zero_on_box
 from conftest import bump_value
 
 
@@ -168,8 +172,27 @@ def test_restricted_facet_test_detects_non_extreme_average():
 
 
 def test_restricted_facet_test_requires_minimality():
-    with pytest.raises(DomainError):
-        restricted_facet_test(gmi(F(1, 3)), F(1, 2), 8)
+    b = F(1, 2)
+    # symmetric and nonnegative, but f(1/8) + f(1/4) < f(3/8)
+    dent = PeriodicPWL([F(0), F(1, 8), F(1, 4), F(3, 8), b],
+                       [F(0), F(1, 5), F(1, 2), F(4, 5), F(1)])
+    assert check_symmetry(dent, b).passed and check_nonnegative(dent).passed
+    cases = [
+        (PeriodicPWL([F(0), b], [F(1, 10), F(1)]), "f(0) != 0"),
+        (PeriodicPWL([F(0), F(1, 4), b], [F(0), F(-1, 10), F(1)]), "nonnegativity"),
+        (dent, "subadditivity"),
+        (gmi(F(1, 3)), "symmetry"),
+    ]
+    for f, check in cases:
+        cert = check_minimal(f, b)
+        assert cert.detail == check
+        # the check's name and its witness, as check_minimal gives them
+        with pytest.raises(DomainError,
+                           match=re.escape(f"{check} fails: {cert.witness}")):
+            restricted_facet_test(f, b, 8)
+    # subadditivity is decided by the equality structure's own vertex pass
+    with pytest.raises(DomainError, match="^equality structure requires"):
+        restricted_facet_test(dent, b, 8)
 
 
 def test_restricted_facet_test_result_serializes():
@@ -210,3 +233,78 @@ def test_two_slope_shortcut():
     assert not c.passed and c.witness["kind"] == "slope-count"
     c = two_slope_shortcut(gmi(F(1, 3)), F(1, 2))   # wrong parameter: not minimal
     assert not c.passed and c.detail == "not minimal"
+
+
+def _gauss_jordan(rows, ncols):
+    """Plain Fraction Gauss-Jordan: (consistent, {pivot col: (row, rhs)} of
+    the reduced row echelon form, nullspace basis)."""
+    mat = [[F(row.get(c, 0)) for c in range(ncols)] + [F(rhs)] for row, rhs in rows]
+    pivots, r = [], 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        mat[r] = [v / mat[r][c] for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                mat[i] = [v - mat[i][c] * w for v, w in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    if any(row[-1] != 0 for row in mat[r:]):
+        return False, None, None
+    rref = {c: (mat[i][:-1], mat[i][-1]) for i, c in enumerate(pivots)}
+    basis = []
+    for fc in (c for c in range(ncols) if c not in rref):
+        vec = [F(0)] * ncols
+        vec[fc] = F(1)
+        for c, (row, _) in rref.items():
+            vec[c] = -row[fc]
+        basis.append(vec)
+    return True, rref, basis
+
+
+@st.composite
+def _systems(draw):
+    """Small sparse integer systems with duplicate, dependent and (now and
+    then) inconsistent rows, in a drawn order."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.integers(-4, 4).filter(bool)
+    row = st.dictionaries(st.integers(0, ncols - 1), entry, min_size=1, max_size=3)
+    x0 = draw(st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols))
+    rows = [(r, sum(v * x0[c] for c, v in r.items()))     # solved by x0
+            for r in draw(st.lists(row, min_size=1, max_size=6))]
+    for _ in range(draw(st.integers(0, 4))):
+        (r1, h1), (r2, h2) = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        a, c = draw(entry), draw(st.integers(-3, 3))
+        comb = {k: a * r1.get(k, 0) + c * r2.get(k, 0) for k in {*r1, *r2}}
+        shift = draw(st.sampled_from([0, 0, 0, 0, 0, 1]))   # 1: an inconsistent row
+        rows.append((comb, a * h1 + c * h2 + shift))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))   # duplicates
+    return ncols, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_integer_solver_matches_a_fraction_gauss_jordan(system):
+    ncols, rows = system
+    consistent, rref, basis = _gauss_jordan(rows, ncols)
+    solver = _IntegerSolver(ncols)
+    if not consistent:
+        with pytest.raises(DomainError):
+            for row, rhs in rows:
+                solver.add(dict(row), rhs)
+        return
+    for row, rhs in rows:
+        solver.add(dict(row), rhs)
+    assert solver.rank == len(rref)
+    assert solver.nullspace() == basis
+    # each pivot row is the primitive integer multiple, lead positive, of
+    # its reduced row
+    assert set(solver.pivots) == set(rref)
+    for col, (row, rhs) in solver.pivots.items():
+        lead = row[col]
+        assert lead > 0 and math.gcd(*row.values(), rhs) == 1
+        want_row, want_rhs = rref[col]
+        assert [F(row.get(c, 0), lead) for c in range(ncols)] == want_row
+        assert F(rhs, lead) == want_rhs

@@ -150,6 +150,30 @@ def test_every_node_of_a_chain_is_checked():
         MergedFn((good, (gmi(F(1, 3)), F(1, 2)), good))
 
 
+def test_a_repeated_node_is_checked_once_per_construction(monkeypatch):
+    calls = []
+    check = seqmerge.check_minimal
+    monkeypatch.setattr(seqmerge, "check_minimal",
+                        lambda f, b: calls.append((f, b)) or check(f, b))
+    for _ in range(2):       # no memory across constructions
+        calls.clear()
+        phi_m(8, F(1, 2))
+        assert calls == [(gmi(F(1, 2)), F(1, 2))]
+    # the key is the stored tuples: an equal function with an extra
+    # breakpoint, or the same function at another b, is checked again
+    g = gmi(F(1, 2))
+    calls.clear()
+    MergedFn(((g, F(1, 2)), (g.refine_to([F(1, 8)]), F(1, 2)), (g, F(1, 2)),
+              (gmi(F(1, 3)), F(1, 3)), (gmi(F(1, 3)), F(1, 3))))
+    assert len(calls) == 3
+    # a repeated bad node is reported at its first index
+    bad = (gmi(F(1, 3)), F(1, 2))
+    for nodes in (((g, F(1, 2)), bad, bad), (bad, (g, F(1, 2)), bad)):
+        first = nodes.index(bad) + 1
+        with pytest.raises(DomainError, match=f"f{first} is not minimal"):
+            MergedFn(nodes)
+
+
 def test_seq_merge_rejects_non_minimal_ingredients():
     g = gmi(F(1, 2))
     with pytest.raises(DomainError):
