@@ -57,12 +57,18 @@ def delta_zero_on_box(f: PeriodicPWL, U: Interval, V: Interval) -> bool:
 
 
 def _zero_on_box(lat: _Lattice, U: Interval, V: Interval) -> bool:
-    """The box test on a lattice built once.  Box ends off (1/q)Z are exact
-    rational numerators; a degenerate side [lo, lo] walks one segment."""
+    """The box test on a lattice built once.  Box ends on (1/q)Z become int
+    numerators and ends off it stay exact rational ones; a degenerate side
+    [lo, lo] walks one segment.  A square (U == V) walks half its cells, as
+    `_cells` says."""
     q = lat.q
 
+    def num(t):
+        t *= q
+        return t.numerator if t.denominator == 1 else t
+
     def cuts(I):
-        lo, hi = I.lo * q, I.hi * q
+        lo, hi = num(I.lo), num(I.hi)
         return [lo, *(p for p in points_in(lat.points, q, lo, hi)
                       if lo < p < hi), hi]
 
@@ -70,13 +76,22 @@ def _zero_on_box(lat: _Lattice, U: Interval, V: Interval) -> bool:
 
 
 def _cell_vertices(a1, a2, b1, b2, wl, wu):
-    """Vertices of the convex cell {box} intersect {wl <= x+y <= wu}: the box
-    corners inside the strip and the diagonals' crossings of the box edges."""
-    pts = {(x, y) for x in (a1, a2) for y in (b1, b2) if wl <= x + y <= wu}
+    """Vertices of the convex cell {box} intersect {wl <= x+y <= wu}: first
+    the box corners inside the strip, then the diagonals' crossings of the
+    box edges.  A vertex may come twice (a corner on a diagonal is also a
+    crossing); the callers only ask whether the slack vanishes at all of
+    them, and stop at the first one where it does not."""
+    for x in (a1, a2):
+        for y in (b1, b2):
+            if wl <= x + y <= wu:
+                yield x, y
     for w in (wl, wu):
-        pts.update((x, w - x) for x in (a1, a2) if b1 <= w - x <= b2)
-        pts.update((w - y, y) for y in (b1, b2) if a1 <= w - y <= a2)
-    return pts
+        for x in (a1, a2):
+            if b1 <= w - x <= b2:
+                yield x, w - x
+        for y in (b1, b2):
+            if a1 <= w - y <= a2:
+                yield w - y, y
 
 
 def _cells(lat: _Lattice, xs: list, ys: list):
@@ -84,10 +99,18 @@ def _cells(lat: _Lattice, xs: list, ys: list):
     [ys[0], ys[-1]] in lattice numerators, xs and ys sorted and holding every
     breakpoint between their ends.  Yields each cell (a1, a2, b1, b2, wl, wu)
     with whether the slack, affine on it, vanishes at all its vertices.  A
-    point box is one cell with wl == wu."""
+    point box is one cell with wl == wu.
+
+    Given the same cuts on both axes (xs == ys), it walks only the cells
+    with a1 <= b1.  The mirror (b1, b2, a1, a2, wl, wu) of a cell is a cell
+    of the full walk, and since D(x, y) = D(y, x) the slack vanishes on one
+    iff it vanishes on the other.  A caller that needs every cell adds the
+    mirrors of the cells off the diagonal."""
     q, slack = lat.q, lat.slack
-    for a1, a2 in zip(xs, xs[1:]):
-        for b1, b2 in zip(ys, ys[1:]):
+    ysegs = list(zip(ys, ys[1:]))
+    half = xs == ys
+    for n, (a1, a2) in enumerate(zip(xs, xs[1:])):
+        for b1, b2 in ysegs[n:] if half else ysegs:
             ws = sorted({a1 + b1, a2 + b2,
                          *points_in(lat.points, q, a1 + b1, a2 + b2)})
             for wl, wu in zip(ws, ws[1:] or ws):
@@ -138,10 +161,23 @@ def _additive_sets(lat: _Lattice) -> tuple:
     """`equality_structure` in lattice numerators: the additive vertex pairs
     (i, k) of ints, and the face boxes (U, V) scaled by q, in the same order.
     A negative slack raises DomainError naming subadditivity, with the
-    witness `check_subadditive` gives."""
+    witness `check_subadditive` gives.
+
+    Both passes use D(x, y) = D(y, x).  The vertex pass evaluates the pairs
+    with x <= y, as `check_subadditive` does; a pair with x > y comes after
+    its mirror and is additive iff the mirror was.  The cell walk covers the
+    half a1 <= b1 of the square; each zero cell off the diagonal brings its
+    mirror, whose inscribed box is (V, U), and sorting the zero cells by
+    (a1, b1, wl) restores the order of the full walk, so the faces and
+    their dedupe are unchanged."""
     q, slack = lat.q, lat.slack
     vertices = []
+    additive = set()
     for x, y in lat.vertex_pairs():
+        if x > y:
+            if (y, x) in additive:
+                vertices.append((x, y))
+            continue
         d = slack(x, y)
         if d < 0:
             raise DomainError(
@@ -149,16 +185,24 @@ def _additive_sets(lat: _Lattice) -> tuple:
                 "subadditivity fails: " + str(_pair_witness(
                     Fraction(x, q), Fraction(y, q), Fraction(d, lat.scale))))
         if d == 0:
+            additive.add((x, y))
             vertices.append((x, y))
     P = lat.points + [q]
+    zero_cells = []       # ((a1, b1, wl), inscribed box) of each zero cell
+    for cell, zero in _cells(lat, P, P):
+        box = _inscribed_box(*map(Fraction, cell)) if zero else None
+        if box is not None:
+            a1, _, b1, _, wl, _ = cell
+            zero_cells.append(((a1, b1, wl), box))
+            if a1 != b1:
+                zero_cells.append(((b1, a1, wl), box[::-1]))
+    zero_cells.sort()
     faces = []
     seen = set()
-    for cell, zero in _cells(lat, P, P):
-        if zero:
-            box = _inscribed_box(*map(Fraction, cell))
-            if box is not None and box not in seen:
-                seen.add(box)
-                faces.append(box)
+    for _, box in zero_cells:
+        if box not in seen:
+            seen.add(box)
+            faces.append(box)
     return vertices, faces
 
 

@@ -118,11 +118,21 @@ def subadditivity_vertex_pairs(f: PeriodicPWL) -> list:
 def check_subadditive(f: PeriodicPWL) -> Certificate:
     """Exact subadditivity decision via the vertex scan, in integer
     arithmetic on the lattice; witness is the lexicographically smallest
-    violating pair."""
+    violating pair.
+
+    The pair set is symmetric and D(x, y) = D(y, x), so only the pairs
+    (i, k) with i <= k are evaluated.  A pair with i > k comes after its
+    mirror (k, i) in the sorted list, and the scan got past the mirror only
+    because its slack is nonnegative.  So the first negative pair, hence the
+    witness and `checked` (its index + 1 in the full list), are those of the
+    full scan.
+    """
     lat = _Lattice(f)
     q, slack = lat.q, lat.slack
     pairs = lat.vertex_pairs()
     for idx, (i, k) in enumerate(pairs):
+        if i > k:
+            continue
         d = slack(i, k)
         if d < 0:
             return Certificate("fail", checked_count=idx + 1, witness=_pair_witness(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 from groupcut import (DomainError, Interval, PeriodicPWL, check_minimal,
                       check_nonnegative, check_subadditive, check_symmetry,
                       equality_structure, gmi, interval_lemma_apply,
-                      linear_combine, pi_k, replay_pi_k_facet_proof,
-                      restricted_facet_test, two_slope_shortcut)
-from groupcut.extremality import _IntegerSolver, delta_zero_on_box
-from conftest import bump_value
+                      linear_combine, pi_k, pi_k_reflected,
+                      replay_pi_k_facet_proof, restricted_facet_test,
+                      two_slope_shortcut)
+from groupcut.extremality import (_IntegerSolver, _inscribed_box,
+                                  delta_zero_on_box)
+from conftest import bump_value, fraction_vertex_pairs
 
 
 def test_equality_structure_requires_subadditivity():
@@ -71,6 +74,65 @@ def test_equality_structure_faces_of_pi_3():
                    for fu, fv in es.additive_faces), (U.to_pair(), V.to_pair())
 
 
+def _full_square_walk(f):
+    """`equality_structure(f).to_dict()` spelled out over Fractions on the
+    whole period square, or the DomainError message for a negative slack.
+    Vertices: every vertex pair in sorted order with slack 0.  Faces: every
+    cell of P x P in (a1, b1, wl) order, zero iff the slack vanishes at each
+    point where two of its six edge lines meet inside it, and each zero
+    cell's inscribed box kept the first time it appears."""
+    vertices = []
+    for x, y in fraction_vertex_pairs(f):
+        d = f.delta(x, y)
+        if d < 0:
+            witness = {"kind": "pair", "x": str(x), "y": str(y), "delta": str(d)}
+            return ("equality structure requires a subadditive function: "
+                    f"subadditivity fails: {witness}")
+        if d == 0:
+            vertices.append([str(x), str(y)])
+    B = f.breakpoints
+    P = list(B) + [F(1)]
+    faces = []
+    for a1, a2 in zip(P, P[1:]):
+        for b1, b2 in zip(P, P[1:]):
+            ws = sorted({a1 + b1, a2 + b2} | {t + m for t in B for m in (0, 1, 2)
+                                              if a1 + b1 < t + m < a2 + b2})
+            for wl, wu in zip(ws, ws[1:]):
+                # each line (c0, c1, c) is c0*x + c1*y = c
+                lines = [(1, 0, a1), (1, 0, a2), (0, 1, b1), (0, 1, b2),
+                         (1, 1, wl), (1, 1, wu)]
+                corners = []
+                for (p0, p1, pc), (r0, r1, rc) in itertools.combinations(lines, 2):
+                    det = p0 * r1 - p1 * r0
+                    if det:
+                        x, y = (pc * r1 - p1 * rc) / det, (p0 * rc - pc * r0) / det
+                        if a1 <= x <= a2 and b1 <= y <= b2 and wl <= x + y <= wu:
+                            corners.append((x, y))
+                if all(f.delta(x, y) == 0 for x, y in corners):
+                    box = _inscribed_box(a1, a2, b1, b2, wl, wu)
+                    if box is not None and box not in faces:
+                        faces.append(box)
+    return {"additive_vertices": vertices,
+            "additive_faces": [[u.to_pair(), v.to_pair()] for u, v in faces]}
+
+
+def test_equality_structure_matches_a_full_square_walk():
+    fns = []
+    for b in (F(1, 5), F(1, 3), F(1, 2)):
+        fns += [gmi(b)] + [pi_k(k, b) for k in range(2, 7)]
+    fns += [pi_k_reflected(k, F(3, 5)) for k in (3, 4, 5)]
+    fns.append(linear_combine(F(1, 2), gmi(F(1, 2)), F(1, 2), pi_k(3, F(1, 2))))
+    for f in fns:
+        assert equality_structure(f).to_dict() == _full_square_walk(f), f.to_json()
+    # a subadditivity mutant: the same message, witness included
+    bad = bump_value(pi_k(3, F(1, 2)), 1, F(-1, 1000))
+    message = _full_square_walk(bad)
+    assert isinstance(message, str)
+    with pytest.raises(DomainError) as err:
+        equality_structure(bad)
+    assert str(err.value) == message
+
+
 def _brute_zero_on_box(f, U, V):
     """The slack is affine between the vertices of its arrangement in U x V:
     the grid of x and y breakpoints with the box ends, and the points where
@@ -118,8 +180,11 @@ def test_delta_zero_on_box_matches_a_brute_enumeration():
     seen = set()
     for f in fns:
         # squares anchored at the origin, up to the whole period, then random
+        # boxes, then the square on each side drawn for them: a square walks
+        # half its cells
         boxes = [(Interval(F(0), t), Interval(F(0), t)) for t in f.breakpoints[1:] + (F(1),)]
-        boxes += [(side(f), side(f)) for _ in range(30)]
+        drawn = [(side(f), side(f)) for _ in range(30)]
+        boxes += drawn + [(S, S) for box in drawn for S in box]
         for U, V in boxes:
             got = delta_zero_on_box(f, U, V)
             assert got == _brute_zero_on_box(f, U, V), (f, U, V)

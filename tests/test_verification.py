@@ -9,7 +9,7 @@ from groupcut import (DomainError, PeriodicPWL, brute_force_subadditive,
                       check_slope_census, check_subadditive, check_symmetry,
                       check_zero_set, equality_structure, gmi, phi_m, pi_k,
                       subadditivity_vertex_pairs)
-from conftest import bump_value
+from conftest import bump_value, fraction_vertex_pairs
 
 
 def test_certificate_shape():
@@ -66,11 +66,7 @@ def test_vertex_scan_agrees_with_dense_grid():
 
 def _reference_scan(f):
     """The vertex scan spelled out over Fractions: (verdict, witness, checked)."""
-    B = f.breakpoints
-    pairs = {(u, v) for u in B for v in B}
-    pairs |= {(u, (w - u) % 1) for u in B for w in B}
-    pairs |= {((w - u) % 1, u) for u in B for w in B}
-    pairs = sorted(pairs)
+    pairs = fraction_vertex_pairs(f)
     assert subadditivity_vertex_pairs(f) == pairs
     for idx, (x, y) in enumerate(pairs):
         d = f.delta(x, y)
