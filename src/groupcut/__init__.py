@@ -2,8 +2,8 @@
 piecewise-linear cut-generating functions, all over rational arithmetic."""
 
 from .errors import DomainError, FormatError
-from .pwl import (Interval, PeriodicPWL, breakpoints_in, common_refinement,
-                  linear_combine, rat, rat_str)
+from .pwl import (Interval, PeriodicPWL, common_refinement, linear_combine,
+                  rat, rat_str)
 from .constructions import (IntervalSystem, PiInfinityTruncation, gmi,
                             interval_system, new_slope, pi_infinity_truncation,
                             pi_infinity_value, pi_k, pi_k_reflected,
@@ -23,8 +23,8 @@ from .seqmerge import (MergedFn, check_genuinely_nd, check_lift_nondecreasing,
 
 __all__ = [
     "DomainError", "FormatError",
-    "Interval", "PeriodicPWL", "breakpoints_in", "common_refinement",
-    "linear_combine", "rat", "rat_str",
+    "Interval", "PeriodicPWL", "common_refinement", "linear_combine", "rat",
+    "rat_str",
     "IntervalSystem", "PiInfinityTruncation", "gmi", "interval_system",
     "new_slope", "pi_infinity_truncation", "pi_infinity_value", "pi_k",
     "pi_k_reflected", "stabilization_index", "truncation_bound",

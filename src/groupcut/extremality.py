@@ -19,10 +19,8 @@ from typing import Optional
 
 from .constructions import interval_system, pi_k, new_slope
 from .errors import DomainError
-from .pwl import (Interval, PeriodicPWL, breakpoints_in, pieces_meeting,
-                  points_in, rat, rat_str)
-from .verification import (Certificate, _Lattice, _pair_witness, _point_witness,
-                           check_minimal, check_nonnegative, check_symmetry)
+from .pwl import Interval, PeriodicPWL, pieces_meeting, points_in, rat, rat_str
+from .verification import Certificate, _Lattice, _minimal, _scan, check_minimal
 
 PWL_CAVEAT = ("certified within the continuous piecewise-linear perturbation "
               "class on the chosen refinement; this checks the facet "
@@ -63,12 +61,8 @@ def _zero_on_box(lat: _Lattice, U: Interval, V: Interval) -> bool:
     `_cells` says."""
     q = lat.q
 
-    def num(t):
-        t *= q
-        return t.numerator if t.denominator == 1 else t
-
     def cuts(I):
-        lo, hi = num(I.lo), num(I.hi)
+        lo, hi = lat.numerator(I.lo), lat.numerator(I.hi)
         return [lo, *(p for p in points_in(lat.points, q, lo, hi)
                       if lo < p < hi), hi]
 
@@ -148,7 +142,11 @@ def equality_structure(f: PeriodicPWL) -> EqualityStructure:
     """
     lat = _Lattice(f)
     q = lat.q
-    vertices, faces = _additive_sets(lat)
+    cert, zeros = _scan(lat)
+    if not cert.passed:
+        raise DomainError("equality structure requires a subadditive function: "
+                          f"subadditivity fails: {cert.witness}")
+    vertices, faces = _additive_sets(lat, zeros)
     return EqualityStructure(
         additive_vertices=tuple((Fraction(x, q), Fraction(y, q))
                                 for x, y in vertices),
@@ -157,36 +155,20 @@ def equality_structure(f: PeriodicPWL) -> EqualityStructure:
                              for u, v in faces))
 
 
-def _additive_sets(lat: _Lattice) -> tuple:
-    """`equality_structure` in lattice numerators: the additive vertex pairs
-    (i, k) of ints, and the face boxes (U, V) scaled by q, in the same order.
-    A negative slack raises DomainError naming subadditivity, with the
-    witness `check_subadditive` gives.
+def _additive_sets(lat: _Lattice, zeros: list) -> tuple:
+    """`equality_structure` in lattice numerators, given the zero-slack pairs
+    (i, k), i <= k, of a passing `_scan`: the additive vertex pairs (i, k) of
+    ints, and the face boxes (U, V) scaled by q, in the same order.
 
-    Both passes use D(x, y) = D(y, x).  The vertex pass evaluates the pairs
-    with x <= y, as `check_subadditive` does; a pair with x > y comes after
-    its mirror and is additive iff the mirror was.  The cell walk covers the
+    Both sets use D(x, y) = D(y, x).  A vertex pair with x > y is additive
+    iff its mirror is, so the vertices are the zeros and their mirrors,
+    sorted as the full scan would meet them.  The cell walk covers the
     half a1 <= b1 of the square; each zero cell off the diagonal brings its
     mirror, whose inscribed box is (V, U), and sorting the zero cells by
     (a1, b1, wl) restores the order of the full walk, so the faces and
     their dedupe are unchanged."""
-    q, slack = lat.q, lat.slack
-    vertices = []
-    additive = set()
-    for x, y in lat.vertex_pairs():
-        if x > y:
-            if (y, x) in additive:
-                vertices.append((x, y))
-            continue
-        d = slack(x, y)
-        if d < 0:
-            raise DomainError(
-                "equality structure requires a subadditive function: "
-                "subadditivity fails: " + str(_pair_witness(
-                    Fraction(x, q), Fraction(y, q), Fraction(d, lat.scale))))
-        if d == 0:
-            additive.add((x, y))
-            vertices.append((x, y))
+    q = lat.q
+    vertices = sorted({*zeros, *((k, i) for i, k in zeros)})
     P = lat.points + [q]
     zero_cells = []       # ((a1, b1, wl), inscribed box) of each zero cell
     for cell, zero in _cells(lat, P, P):
@@ -339,11 +321,6 @@ class _IntegerSolver:
         return basis
 
 
-def _not_minimal(check: str, witness: dict) -> DomainError:
-    return DomainError(f"restricted facet test requires a minimal function: "
-                       f"{check} fails: {witness}")
-
-
 def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
                           ) -> PerturbationTestResult:
     """Solve, exactly, for all continuous PWL perturbations on the refinement
@@ -356,27 +333,22 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
     Everything runs on one lattice (1/Q)Z, Q the lcm of f's breakpoint
     denominators, the refinement denominator d and b's denominator: grid
     points are int numerators over Q and every row is scaled to ints.  The
-    minimality gate runs in check_minimal's order, f(0) = 0, nonnegativity,
-    subadditivity (decided by the equality structure's own vertex pass) and
-    symmetry, and a failure raises DomainError naming the check and its
-    witness.
+    minimality gate is check_minimal's, run on that lattice; a failure
+    raises DomainError naming the check and its witness.
     """
     b = rat(b)
     d = refinement_denominator
-    if f.values[0] != 0:
-        raise _not_minimal("f(0) != 0", _point_witness(
-            Fraction(0), value=rat_str(f.values[0])))
-    cert = check_nonnegative(f)
-    if not cert.passed:
-        raise _not_minimal("nonnegativity", cert.witness)
+    if d < 1:
+        raise DomainError(f"refinement_denominator must be >= 1, got {d}")
     lat = _Lattice(f, math.lcm(d, b.denominator))
     Q = lat.q
-    vertices, faces = _additive_sets(lat)
-    cert = check_symmetry(f, b)
+    cert, zeros = _minimal(f, lat, b)
     if not cert.passed:
-        raise _not_minimal("symmetry", cert.witness)
+        raise DomainError("restricted facet test requires a minimal function: "
+                          f"{cert.detail} fails: {cert.witness}")
+    vertices, faces = _additive_sets(lat, zeros)
 
-    B = b.numerator * (Q // b.denominator) % Q
+    B = lat.numerator(b) % Q
     pts = {*lat.points, B, *range(0, Q, Q // d)}
     pts |= {(B - t) % Q for t in pts}
     grid = sorted(pts)
@@ -465,15 +437,17 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
 # exact replay of the facet-proof facts
 # ---------------------------------------------------------------------------
 
-def affine_slope_on(f: PeriodicPWL, I: Interval) -> Optional[Fraction]:
-    """The single slope of f on I, or None if f is not affine there."""
+def _affine_slope_on(lat: _Lattice, I: Interval) -> Optional[Fraction]:
+    """The single slope of f on I as a Fraction, or None if f is not affine
+    there: every breakpoint in I must lie on the chord."""
     if I.degenerate:
         return None
-    chord = (f.eval(I.hi) - f.eval(I.lo)) / (I.hi - I.lo)
-    for t in breakpoints_in(f, I.lo, I.hi):
-        if f.eval(t) != f.eval(I.lo) + chord * (t - I.lo):
+    lo, hi = lat.numerator(I.lo), lat.numerator(I.hi)
+    v0, rise = lat.value(lo), lat.value(hi) - lat.value(lo)
+    for t in points_in(lat.points, lat.q, lo, hi):
+        if (lat.value(t) - v0) * (hi - lo) != rise * (t - lo):
             return None
-    return chord
+    return Fraction(rise * lat.q, (hi - lo) * lat.scale)
 
 
 def replay_pi_k_facet_proof(k: int, b, f: Optional[PeriodicPWL] = None
@@ -489,6 +463,7 @@ def replay_pi_k_facet_proof(k: int, b, f: Optional[PeriodicPWL] = None
     if f is None:
         f = pi_k(k, b)
     lat = _Lattice(f)
+    num, value = lat.numerator, lat.value
     eighth = Fraction(1, 8)
     checked = 0
 
@@ -515,8 +490,9 @@ def replay_pi_k_facet_proof(k: int, b, f: Optional[PeriodicPWL] = None
     for x, v in ((b / 4, Fraction(1, 4)), (b / 2, Fraction(1, 2)),
                  (3 * b / 4, Fraction(3, 4))):
         checked += 1
-        if f.eval(x) != v:
-            return fail("b", f"value at {x} is {f.eval(x)}, expected {v}")
+        fx = Fraction(value(num(x)), lat.scale)
+        if fx != v:
+            return fail("b", f"value at {x} is {fx}, expected {v}")
 
     # (c) per level j: U + V recovers I2 mod 1, additively, with one slope
     for j in range(3, k + 1):
@@ -530,8 +506,7 @@ def replay_pi_k_facet_proof(k: int, b, f: Optional[PeriodicPWL] = None
         if not _zero_on_box(lat, U, V):
             return fail("c", f"j={j}: slack does not vanish on U x V")
         checked += 1
-        s1, s2, s3 = (affine_slope_on(f, U), affine_slope_on(f, V),
-                      affine_slope_on(f, i2))
+        s1, s2, s3 = (_affine_slope_on(lat, I) for I in (U, V, i2))
         checked += 1
         if not (s1 == s2 == s3 == Fraction(-1) / (1 - b)):
             return fail("c", f"j={j}: slopes disagree on U, V, I2")
@@ -553,9 +528,10 @@ def replay_pi_k_facet_proof(k: int, b, f: Optional[PeriodicPWL] = None
             if not i3.contains_interval(istar):
                 return fail("d", f"j={j}: I* is not inside level-{m} I3")
         checked += 3
-        if f.delta(2 * dl, 2 * dl) != 0 or f.delta(4 * dl, 4 * dl) != 0:
+        x2, x4 = num(2 * dl), num(4 * dl)
+        if lat.slack(x2, x2) != 0 or lat.slack(x4, x4) != 0:
             return fail("d", f"j={j}: doubling additivities fail")
-        if 4 * f.eval(2 * dl) != f.eval(eps):
+        if 4 * value(x2) != value(num(eps)):
             return fail("d", f"j={j}: the 4x doubling chain breaks")
         if not _zero_on_box(lat, U, U):
             return fail("d", f"j={j}: slack does not vanish on U x U")

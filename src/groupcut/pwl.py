@@ -257,8 +257,3 @@ def pieces_meeting(breakpoints, lo, hi) -> range:
     if lo >= hi:
         return range(0)
     return range(bisect_right(breakpoints, lo) - 1, bisect_left(breakpoints, hi))
-
-
-def breakpoints_in(f: PeriodicPWL, lo: Fraction, hi: Fraction) -> list:
-    """Breakpoint abscissae of the periodic extension of f inside [lo, hi]."""
-    return points_in(f.breakpoints, 1, lo, hi)

@@ -71,6 +71,11 @@ class _Lattice:
                    for v, a, p in zip(vals, self._a, self.points)]
         self._memo = {}
 
+    def numerator(self, t):
+        """q*t: an int for t on (1/q)Z, else the exact rational numerator."""
+        t *= self.q
+        return t.numerator if t.denominator == 1 else t
+
     def value(self, i: int) -> int:
         """scale*f(i/q) for any integer or rational i: on each piece it is
         the affine a_j*i + c_j, so it is exact between lattice points too."""
@@ -118,7 +123,13 @@ def subadditivity_vertex_pairs(f: PeriodicPWL) -> list:
 def check_subadditive(f: PeriodicPWL) -> Certificate:
     """Exact subadditivity decision via the vertex scan, in integer
     arithmetic on the lattice; witness is the lexicographically smallest
-    violating pair.
+    violating pair."""
+    return _scan(_Lattice(f))[0]
+
+
+def _scan(lat: _Lattice) -> tuple:
+    """The vertex scan: `check_subadditive`'s certificate and the pairs
+    (i, k), i <= k, of zero slack in scan order.
 
     The pair set is symmetric and D(x, y) = D(y, x), so only the pairs
     (i, k) with i <= k are evaluated.  A pair with i > k comes after its
@@ -127,32 +138,41 @@ def check_subadditive(f: PeriodicPWL) -> Certificate:
     witness and `checked` (its index + 1 in the full list), are those of the
     full scan.
     """
-    lat = _Lattice(f)
     q, slack = lat.q, lat.slack
     pairs = lat.vertex_pairs()
+    zeros = []
     for idx, (i, k) in enumerate(pairs):
         if i > k:
             continue
         d = slack(i, k)
         if d < 0:
             return Certificate("fail", checked_count=idx + 1, witness=_pair_witness(
-                Fraction(i, q), Fraction(k, q), Fraction(d, lat.scale)))
-    return Certificate("pass", checked_count=len(pairs))
+                Fraction(i, q), Fraction(k, q), Fraction(d, lat.scale))), zeros
+        if d == 0:
+            zeros.append((i, k))
+    return Certificate("pass", checked_count=len(pairs)), zeros
 
 
 def check_symmetry(f: PeriodicPWL, b) -> Certificate:
-    """Decide f(x) + f(b-x) = 1 for all x.
+    """Decide f(x) + f(b-x) = 1 for all x."""
+    b = rat(b)
+    return _symmetry(_Lattice(f, b.denominator), b)
+
+
+def _symmetry(lat: _Lattice, b: Fraction) -> Certificate:
+    """`check_symmetry` on a lattice (1/q)Z that holds b.
 
     g(x) = f(x) + f(b-x) is piecewise linear with breakpoints in
-    B union (b - B) mod 1, so g = 1 everywhere iff it holds at those points.
+    P union (B - P) mod q, in numerators over q, so g = 1 everywhere iff
+    value(x) + value(B - x) == scale at those points.
     """
-    b = rat(b)
-    pts = sorted({t for t in f.breakpoints} | {(b - t) % 1 for t in f.breakpoints})
+    q, value, B = lat.q, lat.value, lat.numerator(b)
+    pts = sorted({*lat.points, *((B - p) % q for p in lat.points)})
     for x in pts:
-        s = f.eval(x) + f.eval(b - x)
-        if s != 1:
-            return Certificate("fail", witness=_point_witness(x, sum=rat_str(s)),
-                               checked_count=len(pts))
+        s = value(x) + value(B - x)
+        if s != lat.scale:
+            return Certificate("fail", checked_count=len(pts), witness=_point_witness(
+                Fraction(x, q), sum=rat_str(Fraction(s, lat.scale))))
     return Certificate("pass", checked_count=len(pts))
 
 
@@ -171,18 +191,27 @@ def check_minimal(f: PeriodicPWL, b) -> Certificate:
     Sub-checks run in that fixed order and the first failure is reported.
     """
     b = rat(b)
-    checked = 1
-    if f.eval(0) != 0:
-        return Certificate("fail", checked_count=1, detail="f(0) != 0",
-                           witness=_point_witness(Fraction(0), value=rat_str(f.eval(0))))
-    for name, cert in (("nonnegativity", check_nonnegative(f)),
-                       ("subadditivity", check_subadditive(f)),
-                       ("symmetry", check_symmetry(f, b))):
+    return _minimal(f, _Lattice(f, b.denominator), b)[0]
+
+
+def _minimal(f: PeriodicPWL, lat: _Lattice, b: Fraction) -> tuple:
+    """`check_minimal` on a lattice that holds b: its certificate and the
+    zero-slack pairs of `_scan` (empty unless the scan ran).  Each check
+    runs only if the ones before it passed."""
+    if f.values[0] != 0:
+        w = _point_witness(Fraction(0), value=rat_str(f.values[0]))
+        return Certificate("fail", witness=w, checked_count=1, detail="f(0) != 0"), []
+    checked, zeros = 1, []
+    for name in ("nonnegativity", "subadditivity", "symmetry"):
+        if name == "subadditivity":
+            cert, zeros = _scan(lat)
+        else:
+            cert = check_nonnegative(f) if name == "nonnegativity" else _symmetry(lat, b)
         checked += cert.checked_count
         if not cert.passed:
             return Certificate("fail", witness=cert.witness, checked_count=checked,
-                               detail=name)
-    return Certificate("pass", checked_count=checked)
+                               detail=name), zeros
+    return Certificate("pass", checked_count=checked), zeros
 
 
 def check_zero_set(f: PeriodicPWL) -> Certificate:

@@ -14,8 +14,9 @@ from groupcut import (DomainError, Interval, PeriodicPWL, check_minimal,
                       linear_combine, pi_k, pi_k_reflected,
                       replay_pi_k_facet_proof, restricted_facet_test,
                       two_slope_shortcut)
-from groupcut.extremality import (_IntegerSolver, _inscribed_box,
-                                  delta_zero_on_box)
+from groupcut.extremality import (_IntegerSolver, _affine_slope_on,
+                                  _inscribed_box, delta_zero_on_box)
+from groupcut.verification import _Lattice
 from conftest import bump_value, fraction_vertex_pairs
 
 
@@ -255,9 +256,15 @@ def test_restricted_facet_test_requires_minimality():
         with pytest.raises(DomainError,
                            match=re.escape(f"{check} fails: {cert.witness}")):
             restricted_facet_test(f, b, 8)
-    # subadditivity is decided by the equality structure's own vertex pass
-    with pytest.raises(DomainError, match="^equality structure requires"):
+    # the gate is check_minimal's, so its message has one prefix
+    with pytest.raises(DomainError, match="^restricted facet test requires"):
         restricted_facet_test(dent, b, 8)
+
+
+def test_restricted_facet_test_rejects_refinement_below_one():
+    for d in (0, -8):
+        with pytest.raises(DomainError, match=f"got {d}$"):
+            restricted_facet_test(pi_k(3, F(1, 2)), F(1, 2), d)
 
 
 def test_restricted_facet_test_result_serializes():
@@ -290,6 +297,68 @@ def test_replay_domain_errors():
         replay_pi_k_facet_proof(2, F(1, 2))
     with pytest.raises(DomainError):
         replay_pi_k_facet_proof(3, F(2, 3))
+
+
+def _reference_slope(f, I):
+    """f's slope on I by Fractions, or None when a breakpoint strictly
+    inside I bends: its left and right piece slopes differ."""
+    if I.degenerate:
+        return None
+    n = len(f.breakpoints)
+    for m in range(math.floor(I.lo) - 1, math.ceil(I.hi) + 1):
+        for i, t in enumerate(f.breakpoints):
+            if (I.lo < t + m < I.hi
+                    and f.piece_slope((i - 1) % n) != f.piece_slope(i)):
+                return None
+    return (f.eval(I.hi) - f.eval(I.lo)) / I.length
+
+
+@st.composite
+def _slope_queries(draw):
+    """A PWL function and an interval whose ends are on its lattice (1/q)Z,
+    off it, or the wrapping V = [1 - eps/2, 1] of the replay."""
+    inner = draw(st.sets(st.fractions(0, 1, max_denominator=12)
+                         .filter(lambda t: 0 < t < 1), max_size=5))
+    bps = [F(0)] + sorted(inner)
+    vals = [draw(st.fractions(-2, 2, max_denominator=8)) for _ in bps]
+    f = PeriodicPWL(bps, vals)
+    q = math.lcm(*(t.denominator for t in bps))
+    kind = draw(st.sampled_from(["lattice", "off", "wrap"]))
+    if kind == "lattice":
+        lo, hi = sorted(F(draw(st.integers(-q, 2 * q)), q) for _ in range(2))
+    elif kind == "off":
+        lo, hi = sorted(draw(st.fractions(-1, 2, max_denominator=97))
+                        for _ in range(2))
+    else:
+        eps = draw(st.fractions(0, 1, max_denominator=64).filter(bool))
+        lo, hi = 1 - eps / 2, F(1)
+    return f, Interval(lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_slope_queries())
+def test_affine_slope_on_matches_a_fraction_chord(query):
+    f, I = query
+    got = _affine_slope_on(_Lattice(f), I)
+    assert got == _reference_slope(f, I)
+    assert got is None or type(got) is F
+
+
+def test_affine_slope_on_fixed_cases():
+    b = F(1, 2)
+    f = pi_k(4, b)
+    lat = _Lattice(f)
+    eps = b / 64
+    for I in (Interval(1 - eps / 2, F(1)), Interval(3 * eps / 2, 2 * eps)):
+        s = _affine_slope_on(lat, I)
+        assert type(s) is F and s == -1 / (1 - b)
+    # an all-int function still has a Fraction slope
+    ramp = PeriodicPWL([0], [0])
+    s = _affine_slope_on(_Lattice(ramp), Interval(F(0), F(1, 3)))
+    assert type(s) is F and s == 0
+    # a bending breakpoint strictly inside, and one at an end
+    assert _affine_slope_on(lat, Interval(F(0), b)) is None
+    assert _affine_slope_on(lat, Interval(F(1, 4), F(1, 4))) is None
 
 
 def test_two_slope_shortcut():

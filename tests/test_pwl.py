@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupcut import (DomainError, FormatError, Interval, PeriodicPWL,
-                      breakpoints_in, common_refinement, linear_combine, rat,
-                      rat_str)
+                      common_refinement, linear_combine, rat, rat_str)
 from groupcut.pwl import pieces_meeting, points_in
 
 ZIGZAG = PeriodicPWL([F(0), F(1, 4), F(1, 2)], [F(0), F(1), F(1, 2)])
@@ -166,16 +165,14 @@ def periodic_windows(draw):
 @settings(max_examples=100, deadline=None)
 @given(periodic_windows())
 def test_breakpoints_in_periodic_window(window):
-    assert breakpoints_in(ZIGZAG, F(3, 8), F(5, 4)) == [F(1, 2), F(1), F(5, 4)]
+    assert points_in(ZIGZAG.breakpoints, 1, F(3, 8), F(5, 4)) == [
+        F(1, 2), F(1), F(5, 4)]
     points, period, lo, hi = window
     want = sorted({p + m * period for p in points for m in range(-4, 6)
                    if lo <= p + m * period <= hi})
     got = points_in(points, period, lo, hi)
     assert got == want
     assert all(type(s) is type(points[0]) for s in got)
-    if period == 1:
-        f = PeriodicPWL(points, [F(0)] * len(points))
-        assert breakpoints_in(f, lo, hi) == want
 
 
 @settings(max_examples=100, deadline=None)

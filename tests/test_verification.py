@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupcut import (DomainError, PeriodicPWL, brute_force_subadditive,
                       check_genuinely_nd, check_minimal, check_nonnegative,
@@ -33,6 +35,41 @@ def test_symmetry_fails_for_wrong_parameter():
     c = check_symmetry(gmi(F(1, 3)), F(1, 2))
     assert not c.passed
     assert c.witness is not None
+
+
+def _reference_symmetry(f, b):
+    """check_symmetry's certificate spelled out over Fractions."""
+    B = f.breakpoints
+    pts = sorted(set(B) | {(b - t) % 1 for t in B})
+    for x in pts:
+        s = f.eval(x) + f.eval(b - x)
+        if s != 1:
+            return {"verdict": "fail", "checked": len(pts), "detail": "",
+                    "witness": {"kind": "point", "x": str(x), "sum": str(s)}}
+    return {"verdict": "pass", "witness": None, "checked": len(pts), "detail": ""}
+
+
+@st.composite
+def _symmetry_queries(draw):
+    """A PWL function and a b: random ones, or gmi(b0) at b = b0 + m, so
+    that some pass; b may be negative, past 1, or of a denominator coprime
+    to the breakpoints'."""
+    b = draw(st.fractions(-3, 3, max_denominator=13))
+    if draw(st.booleans()):
+        b0 = draw(st.fractions(0, 1, max_denominator=13).filter(lambda t: 0 < t < 1))
+        return gmi(b0), b0 + draw(st.integers(-2, 2))
+    inner = draw(st.sets(st.fractions(0, 1, max_denominator=12)
+                         .filter(lambda t: 0 < t < 1), max_size=5))
+    bps = [F(0)] + sorted(inner)
+    vals = [draw(st.fractions(-2, 2, max_denominator=8)) for _ in bps]
+    return PeriodicPWL(bps, vals), b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symmetry_queries())
+def test_lattice_symmetry_agrees_with_fraction_symmetry(query):
+    f, b = query
+    assert check_symmetry(f, b).to_dict() == _reference_symmetry(f, b)
 
 
 def test_subadditivity_witness_is_lex_smallest():
