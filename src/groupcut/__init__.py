@@ -12,9 +12,8 @@ from .verification import (Certificate, brute_force_subadditive,
                            check_minimal, check_nonnegative, check_slope_census,
                            check_subadditive, check_symmetry, check_zero_set,
                            subadditivity_vertex_pairs)
-from .extremality import (AffinityConstraint, EqualityStructure,
-                          PerturbationTestResult, equality_structure,
-                          interval_lemma_apply, replay_pi_k_facet_proof,
+from .extremality import (EqualityStructure, PerturbationTestResult,
+                          equality_structure, replay_pi_k_facet_proof,
                           restricted_facet_test, two_slope_shortcut)
 from .seqmerge import (MergedFn, check_genuinely_nd, check_lift_nondecreasing,
                        eval_definitional, eval_merged, group_space_eval, leaf,
@@ -31,9 +30,8 @@ __all__ = [
     "Certificate", "brute_force_subadditive", "check_minimal",
     "check_nonnegative", "check_slope_census", "check_subadditive",
     "check_symmetry", "check_zero_set", "subadditivity_vertex_pairs",
-    "AffinityConstraint", "EqualityStructure", "PerturbationTestResult",
-    "equality_structure", "interval_lemma_apply", "replay_pi_k_facet_proof",
-    "restricted_facet_test", "two_slope_shortcut",
+    "EqualityStructure", "PerturbationTestResult", "equality_structure",
+    "replay_pi_k_facet_proof", "restricted_facet_test", "two_slope_shortcut",
     "MergedFn", "check_genuinely_nd", "check_lift_nondecreasing",
     "eval_definitional", "eval_merged", "group_space_eval", "leaf",
     "lift_eval", "phi_m", "pi_n_k", "psi_eval", "region_gradients",

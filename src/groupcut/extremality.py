@@ -1,7 +1,7 @@
-"""Equality structure of the subadditivity slack, mechanical interval-lemma
-application, extremality certification within the piecewise-linear
-perturbation class, and an exact replay of the numeric facts behind the
-facet argument for the k-slope family.
+"""Equality structure of the subadditivity slack, extremality
+certification within the piecewise-linear perturbation class, and an exact
+replay of the numeric facts behind the facet argument for the k-slope
+family.
 
 The perturbation certificates are deliberately scoped: `certified_unique`
 means the function is the unique solution of the finite linear system over
@@ -35,17 +35,19 @@ PWL_CAVEAT = ("certified within the continuous piecewise-linear perturbation "
 @dataclass(frozen=True)
 class EqualityStructure:
     """Additive vertices and full-dimensional additive faces of the
-    subadditivity complex of a function."""
+    subadditivity complex of a function.  Each face is a zero cell of the
+    slack, given by its projections p1, p2 and p3 onto x, y and x + y."""
 
     additive_vertices: tuple      # of (x, y) pairs, slack exactly 0
-    additive_faces: tuple         # of (Interval, Interval): U x V inside the zero set
+    additive_faces: tuple         # of (p1, p2, p3) Intervals: the zero cell
+                                  # {x in p1, y in p2, x + y in p3}
 
     def to_dict(self) -> dict:
         return {
             "additive_vertices": [[rat_str(x), rat_str(y)]
                                   for x, y in self.additive_vertices],
-            "additive_faces": [[u.to_pair(), v.to_pair()]
-                               for u, v in self.additive_faces],
+            "additive_faces": [[p.to_pair() for p in face]
+                               for face in self.additive_faces],
         }
 
 
@@ -113,29 +115,13 @@ def _cells(lat: _Lattice, xs: list, ys: list):
                                 for x, y in _cell_vertices(*cell))
 
 
-def _inscribed_box(a1, a2, b1, b2, wl, wu):
-    """A nondegenerate axis box inside the (full-dimensional) diagonal cell.
-
-    Centered on the midline x + y = (wl+wu)/2; the half-size is capped so the
-    box stays inside the strip and the bounding box.
-    """
-    wm = (wl + wu) / 2
-    xlo = max(a1, wm - b2)
-    xhi = min(a2, wm - b1)
-    cx = (xlo + xhi) / 2
-    cy = wm - cx
-    h = min(cx - a1, a2 - cx, cy - b1, b2 - cy, (wu - wl) / 4)
-    if h <= 0:
-        return None
-    return Interval(cx - h, cx + h), Interval(cy - h, cy + h)
-
-
 def equality_structure(f: PeriodicPWL) -> EqualityStructure:
     """Enumerate additive vertices and additive faces exactly.
 
     Faces: every full-dimensional cell of the slack's complex on which the
-    slack vanishes identically contributes its inscribed axis box.  Cells are
-    walked per orientation, and a box equal to one already listed is skipped.
+    slack vanishes identically, given by its three projections (p1, p2, p3):
+    the cell is {x in p1, y in p2, x + y in p3}, with p3 unreduced in
+    [0, 2].  Distinct cells have distinct projections.
 
     The vertices are those of `check_subadditive`'s scan, so the same pass
     decides subadditivity: a negative slack raises DomainError.
@@ -150,77 +136,51 @@ def equality_structure(f: PeriodicPWL) -> EqualityStructure:
     return EqualityStructure(
         additive_vertices=tuple((Fraction(x, q), Fraction(y, q))
                                 for x, y in vertices),
-        additive_faces=tuple((Interval(u.lo / q, u.hi / q),
-                              Interval(v.lo / q, v.hi / q))
-                             for u, v in faces))
+        additive_faces=tuple(tuple(Interval(Fraction(lo, q), Fraction(hi, q))
+                                   for lo, hi in face)
+                             for face in faces))
 
 
 def _additive_sets(lat: _Lattice, zeros: list) -> tuple:
     """`equality_structure` in lattice numerators, given the zero-slack pairs
     (i, k), i <= k, of a passing `_scan`: the additive vertex pairs (i, k) of
-    ints, and the face boxes (U, V) scaled by q, in the same order.
+    ints, and the faces as projection triples (p1, p2, p3) of int pairs
+    (lo, hi), in the same order.
+
+    A zero cell (a1, a2, b1, b2, wl, wu) projects to
+    p1 = [max(a1, wl - b2), min(a2, wu - b1)], p2 likewise with the axes
+    swapped, and p3 = [wl, wu], since the walk's strips lie between a1 + b1
+    and a2 + b2.
 
     Both sets use D(x, y) = D(y, x).  A vertex pair with x > y is additive
     iff its mirror is, so the vertices are the zeros and their mirrors,
     sorted as the full scan would meet them.  The cell walk covers the
     half a1 <= b1 of the square; each zero cell off the diagonal brings its
-    mirror, whose inscribed box is (V, U), and sorting the zero cells by
-    (a1, b1, wl) restores the order of the full walk, so the faces and
-    their dedupe are unchanged."""
+    mirror, whose triple is (p2, p1, p3), and sorting the zero cells by
+    (a1, b1, wl) restores the order of the full walk."""
     q = lat.q
     vertices = sorted({*zeros, *((k, i) for i, k in zeros)})
     P = lat.points + [q]
-    zero_cells = []       # ((a1, b1, wl), inscribed box) of each zero cell
-    for cell, zero in _cells(lat, P, P):
-        box = _inscribed_box(*map(Fraction, cell)) if zero else None
-        if box is not None:
-            a1, _, b1, _, wl, _ = cell
-            zero_cells.append(((a1, b1, wl), box))
+    zero_cells = []       # ((a1, b1, wl), (p1, p2, p3)) of each zero cell
+    for (a1, a2, b1, b2, wl, wu), zero in _cells(lat, P, P):
+        if zero:
+            p1 = (max(a1, wl - b2), min(a2, wu - b1))
+            p2 = (max(b1, wl - a2), min(b2, wu - a1))
+            zero_cells.append(((a1, b1, wl), (p1, p2, (wl, wu))))
             if a1 != b1:
-                zero_cells.append(((b1, a1, wl), box[::-1]))
+                zero_cells.append(((b1, a1, wl), (p2, p1, (wl, wu))))
     zero_cells.sort()
-    faces = []
-    seen = set()
-    for _, box in zero_cells:
-        if box not in seen:
-            seen.add(box)
-            faces.append(box)
-    return vertices, faces
+    return vertices, [face for _, face in zero_cells]
 
 
-# ---------------------------------------------------------------------------
-# interval lemma
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AffinityConstraint:
-    """Affinity with one shared slope on U, V and U+V (the latter reduced
-    modulo 1, possibly into two segments)."""
-
-    u: Interval
-    v: Interval
-    sum_parts: tuple   # one or two Intervals inside [0, 1]
-
-
-def _sum_mod_segments(U: Interval, V: Interval, period=1):
-    lo, hi = U.lo + V.lo, U.hi + V.hi
+def _mod_segments(lo: int, hi: int, period: int) -> tuple:
+    """[lo, hi], inside [0, 2*period], reduced modulo the period: one
+    segment (lo, hi), or two when it straddles the period."""
     if hi <= period:
-        return (Interval(lo, hi),)
+        return ((lo, hi),)
     if lo >= period:
-        return (Interval(lo - period, hi - period),)
-    return (Interval(lo, Fraction(period)), Interval(Fraction(0), hi - period))
-
-
-def interval_lemma_apply(structure: EqualityStructure, U: Interval,
-                         V: Interval) -> AffinityConstraint:
-    """Emit the affinity constraints licensed by U x V lying in an additive
-    face: one unknown slope shared by U, V and U+V."""
-    if U.degenerate or V.degenerate:
-        raise DomainError("interval lemma requires nondegenerate intervals")
-    for fu, fv in structure.additive_faces:
-        if fu.contains_interval(U) and fv.contains_interval(V):
-            return AffinityConstraint(u=U, v=V, sum_parts=_sum_mod_segments(U, V))
-    raise DomainError("U x V is not contained in any additive face")
+        return ((lo - period, hi - period),)
+    return ((lo, period), (0, hi - period))
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +287,9 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
     that satisfy every constraint forced by the equality structure of f.
 
     Constraints: theta(0)=0, theta(b)=1, the symmetry identity at every grid
-    point, additivity at every additive vertex, and interval-lemma affinity
-    over every additive face.  `certified_unique` iff f is the only solution.
+    point, additivity at every additive vertex, and the interval lemma on
+    each face's three projections: one slope on p1, p2 and p3, the last
+    reduced modulo 1.  `certified_unique` iff f is the only solution.
 
     Everything runs on one lattice (1/Q)Z, Q the lcm of f's breakpoint
     denominators, the refinement denominator d and b's denominator: grid
@@ -395,10 +356,10 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
         add_row([(1, interp(x)), (1, interp(B - x))], 1)
     for x, y in vertices:
         add_row([(1, interp(x)), (1, interp(y)), (-1, interp(x + y))], 0)
-    for fu, fv in faces:
-        # the interval lemma on the face itself: one slope on fu, fv, fu+fv
-        piece_ids = sorted({i for g in (fu, fv, *_sum_mod_segments(fu, fv, Q))
-                            for i in pieces_meeting(grid, g.lo, g.hi)})
+    for p1, p2, (wl, wu) in faces:
+        # the interval lemma on the face: one slope on p1, p2 and p3 mod Q
+        piece_ids = sorted({i for lo, hi in (p1, p2, *_mod_segments(wl, wu, Q))
+                            for i in pieces_meeting(grid, lo, hi)})
         ref = slope(piece_ids[0])
         for pid in piece_ids[1:]:
             add_row([(1, slope(pid)), (-1, ref)], 0)

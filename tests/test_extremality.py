@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 
 from groupcut import (DomainError, Interval, PeriodicPWL, check_minimal,
                       check_nonnegative, check_subadditive, check_symmetry,
-                      equality_structure, gmi, interval_lemma_apply,
-                      linear_combine, pi_k, pi_k_reflected,
-                      replay_pi_k_facet_proof, restricted_facet_test,
-                      two_slope_shortcut)
+                      equality_structure, gmi, linear_combine, pi_k,
+                      pi_k_reflected, replay_pi_k_facet_proof,
+                      restricted_facet_test, two_slope_shortcut)
 from groupcut.extremality import (_IntegerSolver, _affine_slope_on,
-                                  _inscribed_box, delta_zero_on_box)
+                                  _mod_segments, delta_zero_on_box)
 from groupcut.verification import _Lattice
 from conftest import bump_value, fraction_vertex_pairs
 
@@ -40,6 +39,41 @@ def test_equality_structure_requires_subadditivity():
     assert any(verdicts) and not all(verdicts)
 
 
+def _cell_corners(a1, a2, b1, b2, wl, wu):
+    """The points of {a1 <= x <= a2, b1 <= y <= b2, wl <= x + y <= wu} where
+    two of its six edge lines meet: every vertex of the cell, some twice."""
+    # each line (c0, c1, c) is c0*x + c1*y = c
+    lines = [(1, 0, a1), (1, 0, a2), (0, 1, b1), (0, 1, b2),
+             (1, 1, wl), (1, 1, wu)]
+    corners = []
+    for (p0, p1, pc), (r0, r1, rc) in itertools.combinations(lines, 2):
+        det = p0 * r1 - p1 * r0
+        if det:
+            x, y = (pc * r1 - p1 * rc) / det, (p0 * rc - pc * r0) / det
+            if a1 <= x <= a2 and b1 <= y <= b2 and wl <= x + y <= wu:
+                corners.append((x, y))
+    return corners
+
+
+def _covers(face, U, V):
+    """U x V lies in the face {x in p1, y in p2, x + y in p3}."""
+    p1, p2, p3 = face
+    return (p1.contains_interval(U) and p2.contains_interval(V)
+            and p3.contains_interval(Interval(U.lo + V.lo, U.hi + V.hi)))
+
+
+def _assert_faces_in_zero_set(f, es):
+    """Each face is one cell of the slack's complex, so the slack is affine
+    on it: no breakpoint of x, y or x + y (mod 1) lies inside a projection.
+    The slack then vanishes on the face iff it does at every vertex."""
+    B = f.breakpoints
+    for p1, p2, p3 in es.additive_faces:
+        for p in (p1, p2, p3):
+            assert not any(p.lo < t + m < p.hi for t in B for m in (0, 1, 2))
+        corners = _cell_corners(p1.lo, p1.hi, p2.lo, p2.hi, p3.lo, p3.hi)
+        assert corners and all(f.delta(x, y) == 0 for x, y in corners)
+
+
 def test_equality_structure_of_base_function():
     b = F(1, 2)
     es = equality_structure(gmi(b))
@@ -50,12 +84,9 @@ def test_equality_structure_of_base_function():
     assert es.additive_faces
     # the two proof squares are covered by faces
     for sq in (Interval(F(0), F(1, 4)), Interval(F(3, 4), F(1))):
-        assert any(u.contains_interval(sq) and v.contains_interval(sq)
-                   for u, v in es.additive_faces)
+        assert any(_covers(face, sq, sq) for face in es.additive_faces)
     # every face really lies in the zero set of the slack
-    g = gmi(b)
-    for u, v in es.additive_faces:
-        assert delta_zero_on_box(g, u, v)
+    _assert_faces_in_zero_set(gmi(b), es)
 
 
 def test_equality_structure_faces_of_pi_3():
@@ -71,8 +102,9 @@ def test_equality_structure_faces_of_pi_3():
     ]
     for U, V in proof_boxes:
         assert delta_zero_on_box(f, U, V)
-        assert any(fu.contains_interval(U) and fv.contains_interval(V)
-                   for fu, fv in es.additive_faces), (U.to_pair(), V.to_pair())
+        assert any(_covers(face, U, V) for face in es.additive_faces), \
+            (U.to_pair(), V.to_pair())
+    _assert_faces_in_zero_set(f, es)
 
 
 def _full_square_walk(f):
@@ -80,8 +112,9 @@ def _full_square_walk(f):
     whole period square, or the DomainError message for a negative slack.
     Vertices: every vertex pair in sorted order with slack 0.  Faces: every
     cell of P x P in (a1, b1, wl) order, zero iff the slack vanishes at each
-    point where two of its six edge lines meet inside it, and each zero
-    cell's inscribed box kept the first time it appears."""
+    point where two of its six edge lines meet inside it, given by the
+    ranges of x, y and x + y over those points.  No two zero cells share
+    their ranges."""
     vertices = []
     for x, y in fraction_vertex_pairs(f):
         d = f.delta(x, y)
@@ -99,22 +132,14 @@ def _full_square_walk(f):
             ws = sorted({a1 + b1, a2 + b2} | {t + m for t in B for m in (0, 1, 2)
                                               if a1 + b1 < t + m < a2 + b2})
             for wl, wu in zip(ws, ws[1:]):
-                # each line (c0, c1, c) is c0*x + c1*y = c
-                lines = [(1, 0, a1), (1, 0, a2), (0, 1, b1), (0, 1, b2),
-                         (1, 1, wl), (1, 1, wu)]
-                corners = []
-                for (p0, p1, pc), (r0, r1, rc) in itertools.combinations(lines, 2):
-                    det = p0 * r1 - p1 * r0
-                    if det:
-                        x, y = (pc * r1 - p1 * rc) / det, (p0 * rc - pc * r0) / det
-                        if a1 <= x <= a2 and b1 <= y <= b2 and wl <= x + y <= wu:
-                            corners.append((x, y))
+                corners = _cell_corners(a1, a2, b1, b2, wl, wu)
                 if all(f.delta(x, y) == 0 for x, y in corners):
-                    box = _inscribed_box(a1, a2, b1, b2, wl, wu)
-                    if box is not None and box not in faces:
-                        faces.append(box)
+                    faces.append(tuple(
+                        (str(min(vals)), str(max(vals)))
+                        for vals in (*zip(*corners), [x + y for x, y in corners])))
+    assert len(set(faces)) == len(faces)
     return {"additive_vertices": vertices,
-            "additive_faces": [[u.to_pair(), v.to_pair()] for u, v in faces]}
+            "additive_faces": [[list(p) for p in face] for face in faces]}
 
 
 def test_equality_structure_matches_a_full_square_walk():
@@ -195,25 +220,13 @@ def test_delta_zero_on_box_matches_a_brute_enumeration():
                     for p in (True, False)}
 
 
-def test_interval_lemma_apply():
-    es = equality_structure(gmi(F(1, 2)))
-    con = interval_lemma_apply(es, Interval(F(0), F(1, 8)),
-                               Interval(F(0), F(1, 8)))
-    assert con.sum_parts == (Interval(F(0), F(1, 4)),)
-    # a sum landing entirely past 1 reduces to a single shifted segment
-    con = interval_lemma_apply(es, Interval(F(7, 8), F(1)),
-                               Interval(F(7, 8), F(1)))
-    assert con.sum_parts == (Interval(F(3, 4), F(1)),)
-    # a sum straddling 1 splits into two segments
-    from groupcut.extremality import _sum_mod_segments
-    parts = _sum_mod_segments(Interval(F(7, 8), F(1)), Interval(F(1, 16), F(3, 16)))
-    assert parts == (Interval(F(15, 16), F(1)), Interval(F(0), F(3, 16)))
-    with pytest.raises(DomainError):
-        interval_lemma_apply(es, Interval(F(1, 8), F(1, 8)),
-                             Interval(F(0), F(1, 8)))
-    with pytest.raises(DomainError):
-        interval_lemma_apply(es, Interval(F(0), F(1, 2)),
-                             Interval(F(0), F(1, 2)))
+def test_mod_segments_splits_p3_at_the_period():
+    # numerators over Q = 16: [0, 1/8] + [0, 1/8] stays inside the period
+    assert _mod_segments(0, 4, 16) == ((0, 4),)
+    # [7/8, 1] + [7/8, 1] lands wholly past 1: one shifted segment
+    assert _mod_segments(28, 32, 16) == ((12, 16),)
+    # [7/8, 1] + [1/16, 3/16] straddles 1: two segments
+    assert _mod_segments(15, 19, 16) == ((15, 16), (0, 3))
 
 
 def test_restricted_facet_test_certifies_true_functions():
