@@ -1,7 +1,7 @@
 """Exact construction, verification, and certification of periodic
 piecewise-linear cut-generating functions, all over rational arithmetic."""
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, NotMinimal
 from .pwl import (Interval, PeriodicPWL, common_refinement, linear_combine,
                   rat, rat_str)
 from .constructions import (IntervalSystem, PiInfinityTruncation, gmi,
@@ -21,7 +21,7 @@ from .seqmerge import (MergedFn, check_genuinely_nd, check_lift_nondecreasing,
                        sample_subadditivity_nd, seq_merge)
 
 __all__ = [
-    "DomainError", "FormatError",
+    "DomainError", "FormatError", "NotMinimal",
     "Interval", "PeriodicPWL", "common_refinement", "linear_combine", "rat",
     "rat_str",
     "IntervalSystem", "PiInfinityTruncation", "gmi", "interval_system",

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import constructions, extremality, seqmerge, verification
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, NotMinimal
 from .pwl import PeriodicPWL, rat, rat_str
 
 
@@ -150,20 +150,18 @@ def cmd_certify(args) -> int:
         raise _UsageError("certify --mode replay requires --k")
     f = _load_pwl(args.path)
     b = args.b
-    minimal = verification.check_minimal(f, b)
-    if not minimal.passed:
-        print(json.dumps({"verdict": "fail", "stage": "minimality",
-                          **minimal.to_dict()}, indent=2))
-        return 1
-    if args.mode == "pwl-perturbation":
-        result = extremality.restricted_facet_test(f, b, args.refine)
-        print(json.dumps(result.to_dict(), indent=2))
-        return 0 if result.verdict == "certified_unique" else 1
-    if args.mode == "replay":
-        return _print_cert(extremality.replay_pi_k_facet_proof(args.k, b, f))
-    if args.mode == "two-slope":
+    try:    # each mode gates on minimality itself, once
+        if args.mode == "pwl-perturbation":
+            result = extremality.restricted_facet_test(f, b, args.refine)
+            print(json.dumps(result.to_dict(), indent=2))
+            return 0 if result.verdict == "certified_unique" else 1
+        if args.mode == "replay":
+            return _print_cert(extremality.replay_pi_k_facet_proof(args.k, b, f))
         return _print_cert(extremality.two_slope_shortcut(f, b))
-    raise _UsageError(f"unknown mode {args.mode}")  # pragma: no cover
+    except NotMinimal as exc:
+        print(json.dumps({"verdict": "fail", "stage": "minimality",
+                          **exc.certificate.to_dict()}, indent=2))
+        return 1
 
 
 def cmd_merge(args) -> int:

@@ -20,7 +20,7 @@ from typing import Optional
 from .constructions import interval_system, pi_k, new_slope
 from .errors import DomainError
 from .pwl import Interval, PeriodicPWL, pieces_meeting, points_in, rat, rat_str
-from .verification import Certificate, _Lattice, _minimal, _scan, check_minimal
+from .verification import Certificate, _Lattice, _require_minimal, _scan
 
 PWL_CAVEAT = ("certified within the continuous piecewise-linear perturbation "
               "class on the chosen refinement; this checks the facet "
@@ -294,8 +294,8 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
     Everything runs on one lattice (1/Q)Z, Q the lcm of f's breakpoint
     denominators, the refinement denominator d and b's denominator: grid
     points are int numerators over Q and every row is scaled to ints.  The
-    minimality gate is check_minimal's, run on that lattice; a failure
-    raises DomainError naming the check and its witness.
+    minimality gate is check_minimal's, run once on that lattice; a failure
+    raises NotMinimal naming the check and its witness.
     """
     b = rat(b)
     d = refinement_denominator
@@ -303,10 +303,7 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
         raise DomainError(f"refinement_denominator must be >= 1, got {d}")
     lat = _Lattice(f, math.lcm(d, b.denominator))
     Q = lat.q
-    cert, zeros = _minimal(f, lat, b)
-    if not cert.passed:
-        raise DomainError("restricted facet test requires a minimal function: "
-                          f"{cert.detail} fails: {cert.witness}")
+    _, zeros = _require_minimal(f, lat, b, "restricted facet test")
     vertices, faces = _additive_sets(lat, zeros)
 
     B = lat.numerator(b) % Q
@@ -415,7 +412,9 @@ def replay_pi_k_facet_proof(k: int, b, f: Optional[PeriodicPWL] = None
                             ) -> Certificate:
     """Verify, exactly, every numeric fact the facet argument for the
     level-k function rests on.  `f` defaults to the genuine construction;
-    passing a mutant exercises the failure paths."""
+    passing a mutant exercises the failure paths.  The argument assumes f
+    minimal: check_minimal's gate runs once, after the checks on k and b, on
+    the lattice the replay reads, and a failure raises NotMinimal."""
     b = rat(b)
     if k < 3:
         raise DomainError(f"k must be >= 3, got {k}")
@@ -423,7 +422,8 @@ def replay_pi_k_facet_proof(k: int, b, f: Optional[PeriodicPWL] = None
         raise DomainError(f"b must lie in (0, 1/2], got {b}")
     if f is None:
         f = pi_k(k, b)
-    lat = _Lattice(f)
+    lat = _Lattice(f, b.denominator)
+    _require_minimal(f, lat, b, "facet-proof replay")
     num, value = lat.numerator, lat.value
     eighth = Fraction(1, 8)
     checked = 0
@@ -514,12 +514,10 @@ def replay_pi_k_facet_proof(k: int, b, f: Optional[PeriodicPWL] = None
 def two_slope_shortcut(f: PeriodicPWL, b) -> Certificate:
     """Facet certificate by the two-slope theorem: a continuous minimal
     valid function with exactly 2 slopes is a facet, no perturbation
-    computation needed."""
+    computation needed.  The minimality hypothesis is check_minimal's gate;
+    a failure raises NotMinimal."""
     b = rat(b)
-    cm = check_minimal(f, b)
-    if not cm.passed:
-        return Certificate("fail", witness=cm.witness, checked_count=cm.checked_count,
-                           detail="not minimal")
+    cm, _ = _require_minimal(f, _Lattice(f, b.denominator), b, "two-slope shortcut")
     ns = len(f.slopes())
     if ns != 2:
         return Certificate("fail", witness={"kind": "slope-count", "count": ns},

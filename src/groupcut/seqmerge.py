@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .constructions import gmi, pi_k_reflected
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, NotMinimal
 from .pwl import Interval, PeriodicPWL, rat, rat_str
 from .verification import Certificate, check_minimal
 
@@ -73,8 +73,8 @@ class MergedFn:
                 continue
             cert = check_minimal(f, b)
             if not cert.passed:
-                raise DomainError(f"f{i} is not minimal at b{i} = {b}: "
-                                  f"{cert.witness}")
+                raise NotMinimal(f"f{i} is not minimal at b{i} = {b}: "
+                                 f"{cert.witness}", cert)
             checked.add(key)
 
     @property

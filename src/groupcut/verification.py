@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .constructions import interval_system, new_slope
-from .errors import DomainError
+from .errors import DomainError, NotMinimal
 from .pwl import PeriodicPWL, pieces_meeting, rat, rat_str
 
 
@@ -212,6 +212,16 @@ def _minimal(f: PeriodicPWL, lat: _Lattice, b: Fraction) -> tuple:
             return Certificate("fail", witness=cert.witness, checked_count=checked,
                                detail=name), zeros
     return Certificate("pass", checked_count=checked), zeros
+
+
+def _require_minimal(f: PeriodicPWL, lat: _Lattice, b: Fraction, what: str) -> tuple:
+    """`_minimal` as the gate of `what`: its passing certificate and zero
+    pairs, or NotMinimal naming the failing check and its witness."""
+    cert, zeros = _minimal(f, lat, b)
+    if not cert.passed:
+        raise NotMinimal(f"{what} requires a minimal function: "
+                         f"{cert.detail} fails: {cert.witness}", cert)
+    return cert, zeros
 
 
 def check_zero_set(f: PeriodicPWL) -> Certificate:

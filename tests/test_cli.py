@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupcut import PeriodicPWL, gmi, phi_m, pi_k, rat
+from groupcut import PeriodicPWL, gmi, phi_m, pi_k, rat, verification
 from groupcut.cli import MAX_REFINE, MAX_SAMPLES, main
 from conftest import bump_value
 
@@ -154,13 +154,60 @@ def test_certify_modes(tmp_path, capsys):
     assert run(capsys, "certify", str(g), "--b", "1/2", "--mode", "two-slope")[0] == 0
 
 
+CERTIFY_MODES = [["--mode", "pwl-perturbation", "--refine", "8"],
+                 ["--mode", "replay", "--k", "4"], ["--mode", "two-slope"]]
+
+
+@pytest.fixture
+def gate_counts(monkeypatch):
+    """Counts of the lattices built and the vertex scans run."""
+    counts = {"lattices": 0, "scans": 0}
+    init, scan = verification._Lattice.__init__, verification._scan
+
+    def counted_init(self, *args, **kwargs):
+        counts["lattices"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_scan(lat):
+        counts["scans"] += 1
+        return scan(lat)
+
+    monkeypatch.setattr(verification._Lattice, "__init__", counted_init)
+    monkeypatch.setattr(verification, "_scan", counted_scan)
+    return counts
+
+
 def test_certify_non_minimal_fails_first(tmp_path, capsys):
-    g = tmp_path / "g.json"
-    run(capsys, "construct", "gmi", "--b", "1/3", "--out", str(g))
-    code, stdout, _ = run(capsys, "certify", str(g), "--b", "1/2",
-                          "--mode", "two-slope")
-    assert code == 1
-    assert json.loads(stdout)["stage"] == "minimality"
+    b = F(1, 2)
+    # symmetric and nonnegative, but f(1/8) + f(1/4) < f(3/8)
+    dent = PeriodicPWL([F(0), F(1, 8), F(1, 4), F(3, 8), b],
+                       [F(0), F(1, 5), F(1, 2), F(4, 5), F(1)])
+    for f, detail in ((gmi(F(1, 3)), "symmetry"), (dent, "subadditivity")):
+        g = tmp_path / "g.json"
+        g.write_text(f.to_json())
+        for mode in CERTIFY_MODES:
+            code, stdout, _ = run(capsys, "certify", str(g), "--b", "1/2", *mode)
+            c = json.loads(stdout)
+            assert code == 1, mode
+            assert c["stage"] == "minimality" and c["detail"] == detail
+            w = c["witness"]
+            x = rat(w["x"])
+            if detail == "symmetry":
+                assert f.eval(x) + f.eval(b - x) == rat(w["sum"]) != 1
+            else:
+                y = rat(w["y"])
+                assert f.eval(x) + f.eval(y) - f.eval(x + y) == rat(w["delta"]) < 0
+
+
+def test_certify_runs_one_gate_per_call(tmp_path, capsys, gate_counts):
+    b = F(1, 2)
+    for f, codes in ((pi_k(4, b), (0, 0, 1)), (gmi(b), (0, 1, 0))):
+        path = tmp_path / "f.json"
+        path.write_text(f.to_json())
+        for mode, code in zip(CERTIFY_MODES, codes):
+            gate_counts.update(lattices=0, scans=0)
+            assert run(capsys, "certify", str(path), "--b", "1/2", *mode)[0] == code
+            assert gate_counts == {"lattices": 1, "scans": 1}, (f, mode)
 
 
 def test_merge_verb(tmp_path, capsys):
@@ -252,13 +299,20 @@ def test_level_flags_are_capped(tmp_path, capsys, argv):
     assert "at most 64" in err
 
 
-def test_certify_replay_requires_k_before_any_scan(tmp_path, capsys):
+def test_certify_replay_requires_k_before_any_scan(tmp_path, capsys, gate_counts):
+    # a missing --k, a level below 3 and a b above 1/2 are each refused
+    # before the minimality gate runs, whether or not f would pass it
     for f in (gmi(F(1, 3)), pi_k(3, F(1, 2))):     # not minimal, minimal
         path = tmp_path / "f.json"
         path.write_text(f.to_json())
-        code, stdout, err = run(capsys, "certify", str(path), "--b", "1/2",
-                                "--mode", "replay")
-        assert code == 2 and stdout == "" and _one_error_line(err) and "--k" in err
+        for argv, flag in ((["--b", "1/2"], "--k"),
+                           (["--b", "1/2", "--k", "2"], "k must be >= 3"),
+                           (["--b", "2/3", "--k", "3"], "b must lie in (0, 1/2]")):
+            code, stdout, err = run(capsys, "certify", str(path), "--mode",
+                                    "replay", *argv)
+            assert code == 2 and stdout == "" and _one_error_line(err)
+            assert flag in err, (argv, err)
+    assert gate_counts["scans"] == 0
 
 
 def _one_error_line(err):

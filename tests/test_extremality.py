@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupcut import (DomainError, Interval, PeriodicPWL, check_minimal,
-                      check_nonnegative, check_subadditive, check_symmetry,
-                      equality_structure, gmi, linear_combine, pi_k,
-                      pi_k_reflected, replay_pi_k_facet_proof,
+from groupcut import (DomainError, Interval, NotMinimal, PeriodicPWL,
+                      check_minimal, check_nonnegative, check_subadditive,
+                      check_symmetry, equality_structure, gmi, linear_combine,
+                      pi_k, pi_k_reflected, rat, replay_pi_k_facet_proof,
                       restricted_facet_test, two_slope_shortcut)
 from groupcut.extremality import (_IntegerSolver, _affine_slope_on,
                                   _mod_segments, delta_zero_on_box)
@@ -267,8 +267,9 @@ def test_restricted_facet_test_requires_minimality():
         assert cert.detail == check
         # the check's name and its witness, as check_minimal gives them
         with pytest.raises(DomainError,
-                           match=re.escape(f"{check} fails: {cert.witness}")):
+                           match=re.escape(f"{check} fails: {cert.witness}")) as exc:
             restricted_facet_test(f, b, 8)
+        assert type(exc.value) is NotMinimal and exc.value.certificate == cert
     # the gate is check_minimal's, so its message has one prefix
     with pytest.raises(DomainError, match="^restricted facet test requires"):
         restricted_facet_test(dent, b, 8)
@@ -297,12 +298,32 @@ def test_replay_passes_for_true_functions():
 
 def test_replay_names_a_failing_step_for_mutants():
     b = F(1, 2)
-    f = pi_k(4, b)
-    broken = bump_value(f, 1, F(1, 1000))
-    c = replay_pi_k_facet_proof(4, b, broken)
-    assert not c.passed
-    assert c.witness["kind"] == "replay-step"
-    assert c.witness["step"] in set("abcde")
+    # minimal functions of the wrong level reach the steps and fail one
+    for f, step in ((pi_k(3, b), "c"), (pi_k(5, b), "e")):
+        c = replay_pi_k_facet_proof(4, b, f)
+        assert not c.passed
+        assert c.witness["kind"] == "replay-step"
+        assert c.witness["step"] == step
+    # a non-minimal mutant stops at the gate, with check_minimal's certificate
+    broken = bump_value(pi_k(4, b), 1, F(1, 1000))
+    with pytest.raises(NotMinimal, match="^facet-proof replay requires") as exc:
+        replay_pi_k_facet_proof(4, b, broken)
+    assert exc.value.certificate == check_minimal(broken, b)
+
+
+def test_replay_refuses_a_function_that_is_not_subadditive():
+    # pi_3 with a breakpoint at 97/256 raised by 10^-6: every fact the replay
+    # checks still holds, but the function is not subadditive
+    b, x = F(1, 2), F(97, 256)
+    g = pi_k(3, b).refine_to([x])
+    g = bump_value(g, g.breakpoints.index(x), F(1, 10**6))
+    with pytest.raises(NotMinimal, match="subadditivity fails") as exc:
+        replay_pi_k_facet_proof(3, b, g)
+    cert = exc.value.certificate
+    assert cert == check_minimal(g, b) and cert.detail == "subadditivity"
+    w = cert.witness
+    assert (w["x"], w["y"], w["delta"]) == ("7/16", "241/256", "-1/1000000")
+    assert g.delta(rat(w["x"]), rat(w["y"])) == rat(w["delta"])
 
 
 def test_replay_domain_errors():
@@ -378,8 +399,12 @@ def test_two_slope_shortcut():
     assert two_slope_shortcut(gmi(F(1, 2)), F(1, 2)).passed
     c = two_slope_shortcut(pi_k(3, F(1, 2)), F(1, 2))
     assert not c.passed and c.witness["kind"] == "slope-count"
-    c = two_slope_shortcut(gmi(F(1, 3)), F(1, 2))   # wrong parameter: not minimal
-    assert not c.passed and c.detail == "not minimal"
+    f = gmi(F(1, 3))    # wrong parameter: not minimal
+    with pytest.raises(NotMinimal, match="^two-slope shortcut requires") as exc:
+        two_slope_shortcut(f, F(1, 2))
+    cert = exc.value.certificate
+    assert cert == check_minimal(f, F(1, 2)) and cert.detail == "symmetry"
+    assert cert.witness == {"kind": "point", "x": "0", "sum": "3/4"}
 
 
 def _gauss_jordan(rows, ncols):

@@ -3,12 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from groupcut import (DomainError, FormatError, MergedFn, PeriodicPWL,
-                      check_genuinely_nd, check_lift_nondecreasing,
-                      eval_definitional, eval_merged, gmi, group_space_eval,
-                      leaf, lift_eval, phi_m, pi_k, pi_k_reflected, pi_n_k,
-                      psi_eval, region_gradients, sample_subadditivity_nd,
-                      seq_merge, seqmerge)
+from groupcut import (DomainError, FormatError, MergedFn, NotMinimal,
+                      PeriodicPWL, check_genuinely_nd, check_lift_nondecreasing,
+                      check_minimal, eval_definitional, eval_merged, gmi,
+                      group_space_eval, leaf, lift_eval, phi_m, pi_k,
+                      pi_k_reflected, pi_n_k, psi_eval, region_gradients,
+                      sample_subadditivity_nd, seq_merge, seqmerge)
 
 
 def rand_fracs(rng, n, maxq=60):
@@ -146,8 +146,9 @@ def test_every_node_of_a_chain_is_checked():
                 MergedFn.from_dict(_nested(nodes))
     with pytest.raises(DomainError):
         MergedFn(())
-    with pytest.raises(DomainError, match="f2 is not minimal at b2 = 1/2"):
+    with pytest.raises(NotMinimal, match="f2 is not minimal at b2 = 1/2") as exc:
         MergedFn((good, (gmi(F(1, 3)), F(1, 2)), good))
+    assert exc.value.certificate == check_minimal(gmi(F(1, 3)), F(1, 2))
 
 
 def test_a_repeated_node_is_checked_once_per_construction(monkeypatch):
