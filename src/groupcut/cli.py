@@ -175,8 +175,10 @@ def cmd_merge(args) -> int:
         nodes = ((inner, args.b2),)
     try:    # the outer at --b1 is f1, a plain inner at --b2 is f2
         F = seqmerge.MergedFn(((outer, args.b1),) + nodes)
-    except DomainError as exc:
-        print(json.dumps({"verdict": "fail", "reason": str(exc)}, indent=2))
+    except NotMinimal as exc:   # "f<i> is not minimal at b<i> = <b>: <witness>"
+        print(json.dumps({"verdict": "fail", "stage": "minimality",
+                          "reason": str(exc).partition(": ")[0],
+                          **exc.certificate.to_dict()}, indent=2))
         return 1
     lift_ok = seqmerge.check_lift_nondecreasing(outer, args.b1)
     if not lift_ok.passed:

@@ -71,23 +71,40 @@ def pi_k(k: int, b) -> PeriodicPWL:
     """The k-slope minimal valid function: the GMI's points plus the four
     points eps_j, 2 eps_j, b - 2 eps_j, b - eps_j that each level j = 3..k
     of the recursion adds.  They lie strictly inside every later level's
-    I3, which later levels leave alone, so one pass suffices."""
+    I3, which later levels leave alone, so one pass suffices.
+
+    The levels follow a recurrence from eps_2 = b: level j sets
+    eps_j = eps_{j-1}/8, doubles 2^(j-2) and quarters 4^(2-j), and its new
+    slope is s_j = (2^(j-2) - b) / (b - b^2), as `new_slope` gives it.  The
+    points it adds are
+
+        (eps_j, s_j eps_j),
+        (2 eps_j, (4^(2-j) - 2 eps_j) / (1 - b)),
+        (b - 2 eps_j, (1 - 4^(2-j) - (b - 2 eps_j)) / (1 - b)),
+        (b - eps_j, (1 - 2^(j-2)) / (1 - b) + s_j (b - eps_j)),
+
+    the ends of I2 and I4 of `interval_system(j, b)`.  Since
+    2 eps_j < eps_{j-1}, listing the I2 points of the levels from k down to
+    3 and the I4 points from 3 up to k gives them in ascending order."""
     b = rat(b)
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     if not (0 < b <= Fraction(1, 2)):
         raise DomainError(f"b must lie in (0, 1/2], got {b}")
-    pts = [(Fraction(0), Fraction(0)), (b, Fraction(1))]
-    for j in range(3, k + 1):
-        s = interval_system(j, b)
-        slope, four_pow = new_slope(j, b), Fraction(4) ** (2 - j)
-        pts += [
-            (s.i2.lo, slope * s.i2.lo),
-            (s.i2.hi, (four_pow - s.i2.hi) / (1 - b)),
-            (s.i4.lo, (1 - four_pow - s.i4.lo) / (1 - b)),
-            (s.i4.hi, (1 - Fraction(2) ** (j - 2)) / (1 - b) + slope * s.i4.hi),
-        ]
-    return PeriodicPWL.from_points(pts)
+    one_minus_b, b_minus_b2 = 1 - b, b - b * b
+    eps, two_pow, four_pow = b, 1, Fraction(1)
+    lows, highs = [], []
+    for _ in range(3, k + 1):
+        eps /= 8
+        two_pow *= 2
+        four_pow /= 4
+        slope = (two_pow - b) / b_minus_b2
+        two_eps = 2 * eps
+        lows += [(two_eps, (four_pow - two_eps) / one_minus_b), (eps, slope * eps)]
+        highs += [(b - two_eps, (1 - four_pow - (b - two_eps)) / one_minus_b),
+                  (b - eps, (1 - two_pow) / one_minus_b + slope * (b - eps))]
+    return PeriodicPWL.from_points([(Fraction(0), Fraction(0)), *reversed(lows),
+                                    *highs, (b, Fraction(1))])
 
 
 def pi_k_reflected(k: int, b) -> PeriodicPWL:

@@ -81,9 +81,12 @@ class PeriodicPWL:
     starting with 0; ``values`` the corresponding function values.  The last
     piece wraps: on [breakpoints[-1], 1] the function runs linearly to
     ``values[0]`` at abscissa 1.
+
+    Each piece's slope is computed on first use and kept in a private slot,
+    so an object computes it at most once.
     """
 
-    __slots__ = ("breakpoints", "values")
+    __slots__ = ("breakpoints", "values", "_slopes")
 
     def __init__(self, breakpoints, values):
         bps = tuple(breakpoints)
@@ -99,6 +102,7 @@ class PeriodicPWL:
             raise FormatError("breakpoints must lie in [0, 1)")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_slopes", [None] * len(bps))
 
     def __setattr__(self, *a):  # immutable value type
         raise AttributeError("PeriodicPWL is immutable")
@@ -125,21 +129,43 @@ class PeriodicPWL:
         return cls(bps, [seen[t] for t in bps]).canonical()
 
     def canonical(self) -> "PeriodicPWL":
-        """Merge adjacent pieces of equal slope; breakpoint 0 is always kept."""
-        slopes = [self.piece_slope(i) for i in range(len(self.breakpoints))]
+        """Merge adjacent pieces of equal slope; breakpoint 0 is always kept.
+
+        A kept piece's slope is that of every piece merged into it, so the
+        result starts with all its slopes known."""
+        slopes = self._piece_slopes()
         keep = [0] + [i for i in range(1, len(slopes))
                       if slopes[i - 1] != slopes[i]]
-        return PeriodicPWL([self.breakpoints[i] for i in keep],
-                           [self.values[i] for i in keep])
+        out = PeriodicPWL([self.breakpoints[i] for i in keep],
+                          [self.values[i] for i in keep])
+        object.__setattr__(out, "_slopes", [slopes[i] for i in keep])
+        return out
 
     # -- evaluation -------------------------------------------------------
 
     def piece_slope(self, i: int) -> Fraction:
-        """Slope on piece [t_i, t_{i+1}] (the last piece wraps to 1)."""
-        bps, vals = self.breakpoints, self.values
-        if i == len(bps) - 1:
-            return (vals[0] - vals[-1]) / (1 - bps[-1])
-        return (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i])
+        """Slope on piece [t_i, t_{i+1}] (the last piece wraps to 1), for i
+        in range(n); any other index raises IndexError."""
+        memo = self._slopes
+        if not 0 <= i < len(memo):
+            raise IndexError(f"piece {i} outside range({len(memo)})")
+        s = memo[i]
+        if s is None:
+            bps, vals = self.breakpoints, self.values
+            if i == len(bps) - 1:
+                s = (vals[0] - vals[-1]) / (1 - bps[-1])
+            else:
+                s = (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i])
+            memo[i] = s
+        return s
+
+    def _piece_slopes(self) -> list:
+        """Every piece's slope by index: the object's own list, not a copy."""
+        memo = self._slopes
+        for i, s in enumerate(memo):
+            if s is None:
+                self.piece_slope(i)
+        return memo
 
     def eval(self, x) -> Fraction:
         x = rat(x) % 1
@@ -157,7 +183,7 @@ class PeriodicPWL:
         return self.eval(x) + self.eval(y) - self.eval(x + y)
 
     def slopes(self) -> frozenset:
-        return frozenset(self.piece_slope(i) for i in range(len(self.breakpoints)))
+        return frozenset(self._piece_slopes())
 
     # -- algebra ----------------------------------------------------------
 

@@ -256,7 +256,8 @@ def check_slope_census(f: PeriodicPWL, k: int, b) -> Certificate:
     if not 0 < b < 1:
         raise DomainError(f"b must lie in (0, 1), got {b}")
     neg = Fraction(-1) / (1 - b)
-    expected = frozenset({neg} | {new_slope(i, b) for i in range(2, k + 1)})
+    news = [new_slope(i, b) for i in range(2, k + 1)]
+    expected = frozenset([neg, *news])
     actual = f.slopes()
     if actual != expected:
         return Certificate("fail", witness={
@@ -269,7 +270,7 @@ def check_slope_census(f: PeriodicPWL, k: int, b) -> Certificate:
         on_i3, on_i6 = (frozenset(f.piece_slope(i)
                                   for i in pieces_meeting(f.breakpoints, I.lo, I.hi))
                         for I in (sysk.i3, sysk.i6))
-        want_i3 = frozenset(new_slope(i, b) for i in range(2, k))
+        want_i3 = frozenset(news[:-1])
         # the central band carries every intermediate new slope; the inherited
         # down-slope may appear there too, but the level-k new slope must not
         if not (want_i3 <= on_i3 <= want_i3 | {neg}):

@@ -246,7 +246,13 @@ def test_merge_exit_codes_for_a_non_minimal_inner(tmp_path, capsys):
     bad.write_text(json.dumps(BAD_LEAF_TREE))
     code, stdout, _ = run(capsys, "merge", str(g), str(g), "--b1", "1/2",
                           "--b2", "1/3", "--out", str(out))
-    assert code == 1 and "f2 is not minimal" in json.loads(stdout)["reason"]
+    c = json.loads(stdout)
+    assert code == 1 and not out.exists()
+    assert c["verdict"] == "fail" and c["stage"] == "minimality"
+    assert c["reason"] == "f2 is not minimal at b2 = 1/3"
+    assert c["detail"] == "symmetry" and c["witness"]["kind"] == "point"
+    f, b2, x = gmi(F(1, 2)), F(1, 3), rat(c["witness"]["x"])
+    assert f.eval(x) + f.eval(b2 - x) == rat(c["witness"]["sum"]) != 1
     code, stdout, err = run(capsys, "merge", str(g), str(bad), "--b1", "1/2",
                             "--out", str(out))
     assert code == 2 and stdout == "" and _one_error_line(err)

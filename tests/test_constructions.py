@@ -66,6 +66,25 @@ def test_pi_4_slopes():
     assert p.slopes() == frozenset({F(-2), F(2), F(6), F(14)})
 
 
+def _pi_k_closed_form(k, b):
+    """pi_k's points from each level's interval system and new slope."""
+    pts = [(F(0), F(0)), (b, F(1))]
+    for j in range(3, k + 1):
+        s, slope, four_pow = interval_system(j, b), new_slope(j, b), F(4) ** (2 - j)
+        pts += [(s.i2.lo, slope * s.i2.lo),
+                (s.i2.hi, (four_pow - s.i2.hi) / (1 - b)),
+                (s.i4.lo, (1 - four_pow - s.i4.lo) / (1 - b)),
+                (s.i4.hi, (1 - F(2) ** (j - 2)) / (1 - b) + slope * s.i4.hi)]
+    return PeriodicPWL.from_points(pts)
+
+
+@pytest.mark.parametrize("b", [F(1, 2), F(1, 3), F(2, 5), F(1, 4), F(3, 7),
+                               F(1, 10), F(1, 7), F(5, 11)])
+def test_pi_k_recurrence_matches_the_closed_form(b):
+    for k in range(2, 25):
+        assert pi_k(k, b).to_dict() == _pi_k_closed_form(k, b).to_dict(), k
+
+
 def test_new_slope_formula():
     assert new_slope(2, F(1, 2)) == F(2)
     assert new_slope(4, F(1, 2)) == F(14)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupcut import (DomainError, FormatError, Interval, PeriodicPWL,
-                      common_refinement, linear_combine, rat, rat_str)
+                      common_refinement, gmi, linear_combine, pi_k,
+                      pi_k_reflected, rat, rat_str)
 from groupcut.pwl import pieces_meeting, points_in
 
 ZIGZAG = PeriodicPWL([F(0), F(1, 4), F(1, 2)], [F(0), F(1), F(1, 2)])
@@ -81,6 +83,80 @@ def test_piece_slopes_including_wrap():
     assert ZIGZAG.piece_slope(1) == -2
     assert ZIGZAG.piece_slope(2) == -1
     assert ZIGZAG.slopes() == frozenset({F(4), F(-2), F(-1)})
+
+
+@pytest.mark.parametrize("f", [ZIGZAG, PeriodicPWL([F(0)], [F(0)])])
+def test_piece_slope_rejects_indices_outside_the_pieces(f):
+    n = len(f.breakpoints)
+    for i in (-1, -n, n):
+        with pytest.raises(IndexError):
+            f.piece_slope(i)
+    assert f.piece_slope(n - 1) == _formula_slope(f, n - 1)
+
+
+def test_wrap_piece_slope_is_not_the_chord_from_0():
+    p = pi_k(3, F(1, 2))
+    with pytest.raises(IndexError):
+        p.piece_slope(-1)      # was 2, the chord from 0 to the last breakpoint
+    assert p.piece_slope(len(p.breakpoints) - 1) == -2     # -1/(1 - b)
+    assert p.eval(F(3, 4)) == F(1, 2)
+
+
+def _formula_slope(f, i):
+    """(v1 - v0) / (t1 - t0) on piece i, the last piece ending at (1, v_0)."""
+    n = len(f.breakpoints)
+    t1 = f.breakpoints[i + 1] if i + 1 < n else 1
+    return (f.values[(i + 1) % n] - f.values[i]) / (t1 - f.breakpoints[i])
+
+
+def _random_pwl(rng):
+    bps = sorted({F(0)} | {F(rng.randrange(1, 12), 12) for _ in range(rng.randrange(6))})
+    return PeriodicPWL(bps, [F(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in bps])
+
+
+# gmi, pi_k, its reflection, random functions, collinear points that canonical
+# merges (inside the period, and into the wrap piece) and one-piece functions
+SLOPE_CASES = [
+    gmi(F(1, 2)), gmi(F(2, 7)), pi_k(5, F(1, 3)), pi_k(8, F(2, 5)),
+    pi_k_reflected(6, F(3, 5)), ZIGZAG,
+    PeriodicPWL([F(0), F(1, 8), F(1, 4), F(1, 2)], [F(0), F(1, 2), F(1), F(1, 2)]),
+    PeriodicPWL([F(0), F(1, 2), F(3, 4)], [F(0), F(1), F(1, 2)]),
+    PeriodicPWL([F(0), F(1, 3), F(2, 3)], [F(1, 2)] * 3),
+    PeriodicPWL([F(0)], [F(3, 4)]),
+    *(_random_pwl(random.Random(seed)) for seed in range(12)),
+]
+
+
+@pytest.mark.parametrize("f", SLOPE_CASES)
+def test_piece_slope_memo_matches_the_formula(f):
+    bps, vals = f.breakpoints, f.values
+    ends = [*bps[1:], 1]
+    want = [_formula_slope(f, i) for i in range(len(bps))]
+
+    def check_eval(g):
+        for i, (t, v, s) in enumerate(zip(bps, vals, want)):
+            x = (t + ends[i]) / 2
+            assert g.eval(x) == v + s * (x - t)
+
+    eval_first, slopes_first = PeriodicPWL(bps, vals), PeriodicPWL(bps, vals)
+    check_eval(eval_first)
+    assert eval_first.slopes() == frozenset(want)
+    assert slopes_first.slopes() == frozenset(want)
+    check_eval(slopes_first)
+    for g in (eval_first, slopes_first, f.canonical(),
+              PeriodicPWL.from_points(zip(bps, vals))):
+        assert [g.piece_slope(i) for i in range(len(g.breakpoints))] == [
+            _formula_slope(g, i) for i in range(len(g.breakpoints))]
+        assert g == f and hash(g) == hash(f)
+        for name in ("breakpoints", "_slopes"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, ())
+
+
+def test_eval_computes_only_the_slope_it_needs():
+    f = PeriodicPWL(ZIGZAG.breakpoints, ZIGZAG.values)
+    assert f.eval(F(1, 4)) == 1 and f.eval(F(3, 8)) == F(3, 4)
+    assert [s is not None for s in f._slopes] == [False, True, False]
 
 
 def test_canonical_merges_collinear_breakpoints():
