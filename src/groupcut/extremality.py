@@ -183,6 +183,14 @@ def _mod_segments(lo: int, hi: int, period: int) -> tuple:
     return ((lo, period), (0, hi - period))
 
 
+def _face_pieces(grid: list, face: tuple, period: int) -> list:
+    """The sorted ids of the grid pieces that a face's projections p1, p2
+    and p3, the last reduced modulo the period, meet."""
+    p1, p2, (wl, wu) = face
+    return sorted({i for lo, hi in (p1, p2, *_mod_segments(wl, wu, period))
+                   for i in pieces_meeting(grid, lo, hi)})
+
+
 # ---------------------------------------------------------------------------
 # PWL-restricted facet test
 # ---------------------------------------------------------------------------
@@ -353,10 +361,9 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
         add_row([(1, interp(x)), (1, interp(B - x))], 1)
     for x, y in vertices:
         add_row([(1, interp(x)), (1, interp(y)), (-1, interp(x + y))], 0)
-    for p1, p2, (wl, wu) in faces:
+    for face in faces:
         # the interval lemma on the face: one slope on p1, p2 and p3 mod Q
-        piece_ids = sorted({i for lo, hi in (p1, p2, *_mod_segments(wl, wu, Q))
-                            for i in pieces_meeting(grid, lo, hi)})
+        piece_ids = _face_pieces(grid, face, Q)
         ref = slope(piece_ids[0])
         for pid in piece_ids[1:]:
             add_row([(1, slope(pid)), (-1, ref)], 0)

@@ -80,7 +80,8 @@ class PeriodicPWL:
     ``breakpoints`` is a strictly increasing tuple of rationals in [0, 1)
     starting with 0; ``values`` the corresponding function values.  The last
     piece wraps: on [breakpoints[-1], 1] the function runs linearly to
-    ``values[0]`` at abscissa 1.
+    ``values[0]`` at abscissa 1.  Both are read through `rat`: an int
+    becomes a Fraction, and a float or bool raises FormatError.
 
     Each piece's slope is computed on first use and kept in a private slot,
     so an object computes it at most once.
@@ -89,8 +90,8 @@ class PeriodicPWL:
     __slots__ = ("breakpoints", "values", "_slopes")
 
     def __init__(self, breakpoints, values):
-        bps = tuple(breakpoints)
-        vals = tuple(values)
+        bps = tuple(map(rat, breakpoints))
+        vals = tuple(map(rat, values))
         if len(bps) == 0 or len(bps) != len(vals):
             raise FormatError("breakpoints/values must be nonempty and equal length")
         if bps[0] != 0:

@@ -60,8 +60,7 @@ class _Lattice:
     def __init__(self, f: PeriodicPWL, denominator: int = 1):
         bps, vals = f.breakpoints, f.values
         q = math.lcm(denominator, *(t.denominator for t in bps))
-        # Fraction(): an all-int function has a float slope, 0/1 == 0.0
-        steps = [Fraction(f.piece_slope(j)) / q for j in range(len(bps))]
+        steps = [f.piece_slope(j) / q for j in range(len(bps))]
         scale = math.lcm(*(v.denominator for v in vals),
                          *(s.denominator for s in steps))
         self.q, self.scale = q, scale
@@ -91,18 +90,6 @@ class _Lattice:
         value = self.value
         return value(i) + value(k) - value(i + k)
 
-    def vertex_pairs(self) -> list:
-        """The vertex pairs of `subadditivity_vertex_pairs`, as numerators
-        over q, in the same (lexicographic) order."""
-        P, q = self.points, self.q
-        pairs = {(u, v) for u in P for v in P}
-        for u in P:
-            for w in P:
-                d = (w - u) % q
-                pairs.add((u, d))
-                pairs.add((d, u))
-        return sorted(pairs)
-
 
 def subadditivity_vertex_pairs(f: PeriodicPWL) -> list:
     """The finite vertex set on which the subadditivity slack attains its
@@ -116,8 +103,24 @@ def subadditivity_vertex_pairs(f: PeriodicPWL) -> list:
     B, reduced modulo 1 and sorted.
     """
     lat = _Lattice(f)
-    q = lat.q
-    return [(Fraction(i, q), Fraction(k, q)) for i, k in lat.vertex_pairs()]
+    P, q = lat.points, lat.q
+    pairs = [(u, v) for u in P for v in P]
+    for u, d, _ in _cross_pairs(lat):
+        pairs += (u, d), (d, u)
+    pairs.sort()
+    return [(Fraction(i, q), Fraction(k, q)) for i, k in pairs]
+
+
+def _cross_pairs(lat: _Lattice):
+    """The pairs (u, d, w) with u, w in P, d = (w - u) mod q not in P: the
+    vertex pairs (u, d) outside P x P, each with the breakpoint w = u + d."""
+    P, q = lat.points, lat.q
+    in_P = set(P)
+    for u in P:
+        for w in P:
+            d = (w - u) % q
+            if d not in in_P:
+                yield u, d, w
 
 
 def check_subadditive(f: PeriodicPWL) -> Certificate:
@@ -128,29 +131,67 @@ def check_subadditive(f: PeriodicPWL) -> Certificate:
 
 
 def _scan(lat: _Lattice) -> tuple:
-    """The vertex scan: `check_subadditive`'s certificate and the pairs
-    (i, k), i <= k, of zero slack in scan order.
+    """The vertex scan: `check_subadditive`'s certificate and, on a pass,
+    the pairs (i, k), i <= k, of zero slack, sorted.
 
-    The pair set is symmetric and D(x, y) = D(y, x), so only the pairs
-    (i, k) with i <= k are evaluated.  A pair with i > k comes after its
-    mirror (k, i) in the sorted list, and the scan got past the mirror only
-    because its slack is nonnegative.  So the first negative pair, hence the
-    witness and `checked` (its index + 1 in the full list), are those of the
-    full scan.
+    With P the breakpoint numerators, n = |P| and V[u] = value(u), the
+    vertex list of `subadditivity_vertex_pairs` is P x P together with
+    (u, d) and (d, u) for u, w in P, d = (w - u) mod q.  The scan walks
+    two generators and builds no list of the vertex pairs:
+    A:  (u, v), u <= v in P, slack V[u] + V[v] - value(u + v);
+    B': (u, d, w) of `_cross_pairs`, d not in P, slack
+        V[u] + value(d) - V[w], since u + d = w mod q.
+    Each half-pair (i, k), i <= k, of the list is evaluated exactly once,
+    and D(x, y) = D(y, x) decides its mirror.  A's pairs are distinct.  A
+    B' pair has d outside P, so it is not in P x P.  For a fixed u,
+    distinct w give distinct d, and neither (u, d) nor its mirror (d, u)
+    comes from another u', since d is not in P.  So the list has exactly
+    n^2 + 2|B'| pairs, and no dedupe is needed.
+
+    The first negative pair of the sorted list is its smallest negative
+    half-pair, since a pair's mirror sorts after it when i < k.  That is
+    the witness, and `checked` is its position in the list, counted by
+    `_rank`.  A failing scan returns no zeros.
     """
-    q, slack = lat.q, lat.slack
-    pairs = lat.vertex_pairs()
-    zeros = []
-    for idx, (i, k) in enumerate(pairs):
-        if i > k:
-            continue
-        d = slack(i, k)
-        if d < 0:
-            return Certificate("fail", checked_count=idx + 1, witness=_pair_witness(
-                Fraction(i, q), Fraction(k, q), Fraction(d, lat.scale))), zeros
-        if d == 0:
-            zeros.append((i, k))
-    return Certificate("pass", checked_count=len(pairs)), zeros
+    P, q, A, C = lat.points, lat.q, lat._a, lat._c
+    # value(x) = A[j]*x + C[j] on piece j, without value's memo: the sums
+    # and differences met here are nearly all distinct, so it would cost
+    # more than it saves
+    V = {u: a * u + c for u, a, c in zip(P, A, C)}
+    zeros, first = [], None       # first: the smallest negative (i, k, slack)
+    for idx, u in enumerate(P):
+        Vu = V[u]
+        for v in P[idx:]:
+            x = (u + v) % q
+            j = bisect_right(P, x) - 1
+            s = Vu + V[v] - A[j] * x - C[j]
+            if s < 0:
+                first = min(first, (u, v, s)) if first else (u, v, s)
+            elif s == 0:
+                zeros.append((u, v))
+    cross = 0
+    for u, d, w in _cross_pairs(lat):
+        cross += 1
+        j = bisect_right(P, d) - 1
+        s = V[u] + A[j] * d + C[j] - V[w]
+        if s < 0:
+            pair = (u, d, s) if u < d else (d, u, s)
+            first = min(first, pair) if first else pair
+        elif s == 0:
+            zeros.append((u, d) if u < d else (d, u))
+    if first:
+        i, k, s = first
+        return Certificate("fail", checked_count=_rank(lat, i, k), witness=_pair_witness(
+            Fraction(i, q), Fraction(k, q), Fraction(s, lat.scale))), []
+    zeros.sort()
+    return Certificate("pass", checked_count=len(P) ** 2 + 2 * cross), zeros
+
+
+def _rank(lat: _Lattice, i: int, k: int) -> int:
+    """The number of pairs of the sorted vertex list that are <= (i, k)."""
+    P, top = lat.points, (i, k)
+    return (sum((u, v) <= top for u in P for v in P)
+            + sum(((u, d) <= top) + ((d, u) <= top) for u, d, _ in _cross_pairs(lat)))
 
 
 def check_symmetry(f: PeriodicPWL, b) -> Certificate:

@@ -14,7 +14,8 @@ from groupcut import (DomainError, Interval, NotMinimal, PeriodicPWL,
                       pi_k, pi_k_reflected, rat, replay_pi_k_facet_proof,
                       restricted_facet_test, two_slope_shortcut)
 from groupcut.extremality import (_IntegerSolver, _affine_slope_on,
-                                  _mod_segments, delta_zero_on_box)
+                                  _face_pieces, _mod_segments,
+                                  delta_zero_on_box)
 from groupcut.verification import _Lattice
 from conftest import bump_value, fraction_vertex_pairs
 
@@ -227,6 +228,16 @@ def test_mod_segments_splits_p3_at_the_period():
     assert _mod_segments(28, 32, 16) == ((12, 16),)
     # [7/8, 1] + [1/16, 3/16] straddles 1: two segments
     assert _mod_segments(15, 19, 16) == ((15, 16), (0, 3))
+
+
+def test_face_pieces_read_both_segments_of_a_straddling_p3():
+    # grid pieces [0, 4], [4, 8], [8, 12], [12, 16] over Q = 16; the face
+    # x in [6, 7], y in [9, 10], x + y in [15, 17] has p3 straddling Q, and
+    # only its wrapped segment [0, 1] meets piece 0
+    face = ((6, 7), (9, 10), (15, 17))
+    assert _face_pieces([0, 4, 8, 12], face, 16) == [0, 1, 2, 3]
+    # p3 wholly past Q: reduced to [1, 3] inside piece 0
+    assert _face_pieces([0, 4, 8, 12], ((6, 7), (11, 12), (17, 19)), 16) == [0, 1, 2]
 
 
 def test_restricted_facet_test_certifies_true_functions():

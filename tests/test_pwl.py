@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupcut import (DomainError, FormatError, Interval, PeriodicPWL,
-                      common_refinement, gmi, linear_combine, pi_k,
-                      pi_k_reflected, rat, rat_str)
+                      check_slope_census, common_refinement, gmi,
+                      linear_combine, pi_k, pi_k_reflected, rat, rat_str)
 from groupcut.pwl import pieces_meeting, points_in
 
 ZIGZAG = PeriodicPWL([F(0), F(1, 4), F(1, 2)], [F(0), F(1), F(1, 2)])
@@ -61,6 +61,20 @@ def test_constructor_validates_breakpoints():
         PeriodicPWL([F(0), F(1)], [F(0), F(1)])             # all < 1
     with pytest.raises(bad):
         PeriodicPWL([F(0), F(1, 2)], [F(0)])                # length mismatch
+
+
+def test_constructor_reads_ints_as_fractions():
+    f = PeriodicPWL([0], [0])
+    assert f.slopes() == frozenset({F(0)})
+    assert all(type(t) is F for t in (*f.breakpoints, *f.values, *f.slopes()))
+    assert check_slope_census(f, 2, F(1, 2)).witness["actual"] == ["0"]
+
+
+@pytest.mark.parametrize("bps, vals", [
+    ([0], [0.0]), ([0.0], [0]), ([0, F(1, 2)], [0, 0.5]), ([0], [False])])
+def test_constructor_rejects_floats_and_booleans(bps, vals):
+    with pytest.raises(FormatError):
+        PeriodicPWL(bps, vals)
 
 
 def test_eval_at_breakpoints_and_interiors():

@@ -10,7 +10,8 @@ from groupcut import (DomainError, PeriodicPWL, brute_force_subadditive,
                       check_genuinely_nd, check_minimal, check_nonnegative,
                       check_slope_census, check_subadditive, check_symmetry,
                       check_zero_set, equality_structure, gmi, phi_m, pi_k,
-                      subadditivity_vertex_pairs)
+                      pi_k_reflected, subadditivity_vertex_pairs)
+from groupcut.verification import _Lattice, _scan
 from conftest import bump_value, fraction_vertex_pairs
 
 
@@ -139,6 +140,53 @@ def test_lattice_scan_agrees_with_fraction_scan():
         got = (c.verdict, c.witness, c.checked_count)
         assert got == _reference_scan(f), f.to_json()
         verdicts.add(c.verdict)
+    assert verdicts == {"pass", "fail"}
+
+
+# equally spaced breakpoints: (w - u) mod 1 is a breakpoint for all u, w
+SIXTHS = PeriodicPWL([F(i, 6) for i in range(6)],
+                     [F(0), F(1, 2), F(1), F(1), F(1), F(1, 2)])
+
+
+def _scan_corpus():
+    """Passing and failing functions for the scan's counts: random ones,
+    pi_k up to k = 12, reflected pi_k and single-value mutants of them."""
+    rng = random.Random(20261018)
+    fns = []
+    for _ in range(30):
+        dens = rng.sample([2, 3, 4, 5, 6, 8, 9, 12], 3)
+        cands = sorted({F(rng.randint(1, d - 1), d) for d in dens for _ in range(2)})
+        bps = sorted([F(0)] + rng.sample(cands, rng.randint(0, len(cands))))
+        vals = [F(0)] + [F(rng.randint(0, 12), rng.choice([2, 3, 4, 8]))
+                         for _ in bps[1:]]
+        fns.append(PeriodicPWL(bps, vals))
+    fns.append(SIXTHS)
+    tops = [pi_k(k, b) for k, b in ((2, F(1, 2)), (3, F(1, 3)), (5, F(2, 5)),
+                                    (8, F(1, 2)), (12, F(1, 3)))]
+    tops += [pi_k_reflected(k, b) for k, b in ((3, F(1, 2)), (6, F(3, 5)))]
+    for f in tops:
+        fns.append(f)
+        for i in rng.sample(range(1, len(f.breakpoints)), min(2, len(f.breakpoints) - 1)):
+            fns.append(bump_value(f, i, F(rng.choice([-1, 1]), 10 ** rng.randint(2, 5))))
+    return fns
+
+
+def test_scan_counts_and_zeros_match_the_fraction_reference():
+    grid = SIXTHS.breakpoints
+    assert all((w - u) % 1 in grid for u in grid for w in grid)
+    verdicts = set()
+    for f in _scan_corpus():
+        lat = _Lattice(f)
+        cert, zeros = _scan(lat)
+        assert (cert.verdict, cert.witness, cert.checked_count) == _reference_scan(f)
+        if cert.passed:
+            assert cert.checked_count == len(subadditivity_vertex_pairs(f))
+            reference = [(x, y) for x, y in fraction_vertex_pairs(f)
+                         if x <= y and f.delta(x, y) == 0]
+            assert [(F(i, lat.q), F(k, lat.q)) for i, k in zeros] == reference
+        else:
+            assert zeros == []
+        verdicts.add(cert.verdict)
     assert verdicts == {"pass", "fail"}
 
 
