@@ -304,6 +304,28 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
     points are int numerators over Q and every row is scaled to ints.  The
     minimality gate is check_minimal's, run once on that lattice; a failure
     raises NotMinimal naming the check and its witness.
+
+    The symmetry identity is substituted, not solved.  The grid is closed
+    under x -> (b - x) mod 1, which pairs each grid index i with partner[i].
+    Only the larger index of each pair gets an unknown; the smaller one is
+    1 minus it, and a fixed point (i == partner[i]) is 1/2.  Every other
+    row is written in those unknowns, times 2 to stay in integers, with the
+    constants moved to the right-hand side.  This is x -> b - x acting on
+    the perturbations, as in Basu, Hildebrand and Koeppe, "Equivariant
+    perturbation in Gomory and Johnson's infinite group problem I" (Math.
+    Oper. Res. 2015).
+
+    The basis is the one the full system over all n grid values, symmetry
+    rows included, gives.  Its reduced row echelon form pivots on each
+    row's lowest column, so column c is free iff some homogeneous solution
+    has its last nonzero entry at c, and the basis vector of a free column
+    is the homogeneous solution that is 1 there and 0 at every other free
+    column.  A homogeneous solution has theta(small) = -theta(large) and 0
+    at a fixed point, so its last nonzero entry is at a larger index, where
+    it equals its reduced counterpart.  So the free columns of both systems
+    are the same larger indices, and each basis vector of the full system
+    is the reduced one lifted: v at each larger index, -v at its partner,
+    0 at each fixed point.
     """
     b = rat(b)
     d = refinement_denominator
@@ -319,6 +341,20 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
     pts |= {(B - t) % Q for t in pts}
     grid = sorted(pts)
     n = len(grid)
+    index = {t: i for i, t in enumerate(grid)}
+    partner = [index[(B - t) % Q] for t in grid]
+    large = [i for i in range(n) if partner[i] < i]
+    # 2 theta_i = 2 * sign * u[column] + const, u the reduced unknowns
+    subst = [(0, 0, 1)] * n
+    for c, i in enumerate(large):
+        subst[i], subst[partner[i]] = (c, 1, 0), (c, -1, 2)
+
+    # every constraint is a consequence of facts f itself satisfies; f's
+    # grid values are read off the lattice, scaled by lat.scale
+    fvec = [lat.value(t) for t in grid]
+    if any(fvec[i] + fvec[partner[i]] != lat.scale for i in range(n)):
+        raise RuntimeError("constraint generation bug: f violates its own "
+                           "equality structure")
 
     def piece(i):
         """The right end of grid piece i as (numerator, column); the last
@@ -341,24 +377,34 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
         t1, c1 = piece(i)
         return t1 - grid[i], ((i, -1), (c1, 1))
 
-    rows = []
+    rows = {}     # (row items, rhs) -> row, each distinct row once, in order
 
     def add_row(terms, rhs):
-        """sum(sign * (weighted sum) / L) = rhs, scaled to a primitive int row."""
+        """sum(sign * (weighted sum) / L) = rhs over the grid values, checked
+        against f, then substituted and scaled to a primitive int row."""
         m = math.lcm(*(L for _, (L, _) in terms))
         row = {}
         for sign, (L, weights) in terms:
             k = sign * (m // L)
             for c, w in weights:
                 row[c] = row.get(c, 0) + k * w
-        row = {c: v for c, v in row.items() if v}
-        if row:
-            rows.append(_primitive(row, rhs * m))
+        rhs *= m
+        if sum(v * fvec[c] for c, v in row.items()) != rhs * lat.scale:
+            raise RuntimeError("constraint generation bug: f violates its own "
+                               "equality structure")
+        reduced, rhs = {}, 2 * rhs
+        for c, v in row.items():
+            col, sign, const = subst[c]
+            rhs -= v * const
+            if sign:
+                reduced[col] = reduced.get(col, 0) + 2 * sign * v
+        reduced = {c: v for c, v in reduced.items() if v}
+        if reduced:
+            row, rhs = _primitive(reduced, rhs)
+            rows.setdefault((frozenset(row.items()), rhs), row)
 
     add_row([(1, interp(0))], 0)
     add_row([(1, interp(B))], 1)
-    for x in grid:
-        add_row([(1, interp(x)), (1, interp(B - x))], 1)
     for x, y in vertices:
         add_row([(1, interp(x)), (1, interp(y)), (-1, interp(x + y))], 0)
     for face in faces:
@@ -368,33 +414,25 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
         for pid in piece_ids[1:]:
             add_row([(1, slope(pid)), (-1, ref)], 0)
 
-    # every constraint is a consequence of facts f itself satisfies; f's
-    # grid values are read off the lattice, scaled by lat.scale
-    fvec = [lat.value(t) for t in grid]
-    for row, rhs in rows:
-        if sum(v * fvec[c] for c, v in row.items()) != rhs * lat.scale:
-            raise RuntimeError("constraint generation bug: f violates its own "
-                               "equality structure")
-
-    solver = _IntegerSolver(n)
-    seen = set()
-    for row, rhs in rows:
-        key = (frozenset(row.items()), rhs)
-        if key in seen:
-            continue
-        seen.add(key)
+    solver = _IntegerSolver(len(large))
+    for (_, rhs), row in rows.items():
         solver.add(row, rhs)
 
-    dim = n - solver.rank
+    dim = len(large) - solver.rank
     xs = [Fraction(t, Q) for t in grid]
-    basis = tuple(PeriodicPWL(xs, vec) for vec in solver.nullspace())
+    basis = []
+    for vec in solver.nullspace():
+        lifted = [Fraction(0)] * n
+        for c, i in enumerate(large):
+            lifted[i], lifted[partner[i]] = vec[c], -vec[c]
+        basis.append(PeriodicPWL(xs, lifted))
     if not faces:
         verdict = "inconclusive"
     elif dim == 0:
         verdict = "certified_unique"
     else:
         verdict = "not_unique"
-    return PerturbationTestResult(dimension=dim, basis_functions=basis,
+    return PerturbationTestResult(dimension=dim, basis_functions=tuple(basis),
                                   verdict=verdict)
 
 

@@ -22,12 +22,23 @@ def rat(x) -> Fraction:
 
     Decimal strings (anything containing '.') are rejected: a decimal on a
     boundary would silently contaminate exact computations.
+
+    A string of ASCII digits, with an optional leading '-' and an optional
+    '/digits', is read by int() without Fraction's regular expression;
+    every other string goes through Fraction(str).
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
+        num, slash, den = x.partition("/")
+        if (x.isascii() and num.removeprefix("-").isdigit()
+                and (den.isdigit() or not slash)):
+            try:
+                return Fraction(int(num), int(den or 1))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise FormatError(f"not a rational: {x!r}") from exc
         if "." in x or "e" in x.lower():
             raise FormatError(f"expected exact rational 'p/q', got {x!r}")
         try:

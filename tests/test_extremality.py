@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from groupcut import (DomainError, Interval, NotMinimal, PeriodicPWL,
                       check_symmetry, equality_structure, gmi, linear_combine,
                       pi_k, pi_k_reflected, rat, replay_pi_k_facet_proof,
                       restricted_facet_test, two_slope_shortcut)
+from groupcut import extremality
 from groupcut.extremality import (_IntegerSolver, _affine_slope_on,
                                   _face_pieces, _mod_segments,
                                   delta_zero_on_box)
@@ -284,6 +286,94 @@ def test_restricted_facet_test_requires_minimality():
     # the gate is check_minimal's, so its message has one prefix
     with pytest.raises(DomainError, match="^restricted facet test requires"):
         restricted_facet_test(dent, b, 8)
+
+
+def _full_grid_system(f, es, b, d):
+    """The facet test's system before the symmetry identity was substituted,
+    over Fractions, from f's equality structure es: one column per grid
+    value, the rows theta(0) = 0, theta(b) = 1, theta(x) + theta(b - x) = 1
+    at every grid point, one additivity row per additive vertex and the
+    face slope rows.  Returns the grid, the distinct rows and whether there
+    are faces."""
+    pts = {*f.breakpoints, b, *(F(i, d) for i in range(d))}
+    grid = sorted(pts | {(b - t) % 1 for t in pts})
+    n = len(grid)
+    ends = grid[1:] + [F(1)]
+
+    def value(x):
+        x %= 1
+        i = bisect_right(grid, x) - 1
+        t0, t1 = grid[i], ends[i]
+        if x == t0:
+            return {i: F(1)}
+        return {i: (t1 - x) / (t1 - t0), (i + 1) % n: (x - t0) / (t1 - t0)}
+
+    def slope(i):
+        w = 1 / (ends[i] - grid[i])
+        return {i: -w, (i + 1) % n: w}
+
+    def combine(*terms):
+        row = {}
+        for sign, part in terms:
+            for c, w in part.items():
+                row[c] = row.get(c, 0) + sign * w
+        return {c: w for c, w in row.items() if w}
+
+    rows = [(value(F(0)), 0), (value(b), 1)]
+    rows += [(combine((1, value(x)), (1, value(b - x))), 1) for x in grid]
+    rows += [(combine((1, value(x)), (1, value(y)), (-1, value(x + y))), 0)
+             for x, y in es.additive_vertices]
+    for p1, p2, p3 in es.additive_faces:
+        segs = [(p1.lo, p1.hi), (p2.lo, p2.hi)]
+        segs += [(max(p3.lo, m) - m, min(p3.hi, m + 1) - m) for m in (0, 1)
+                 if max(p3.lo, m) < min(p3.hi, m + 1)]
+        ids = sorted({i for lo, hi in segs for i in range(n)
+                      if grid[i] < hi and ends[i] > lo})
+        rows += [(combine((1, slope(i)), (-1, slope(ids[0]))), 0) for i in ids[1:]]
+    unique = {(tuple(sorted(row.items())), rhs) for row, rhs in rows if row}
+    return grid, [(dict(row), rhs) for row, rhs in sorted(unique)], bool(es.additive_faces)
+
+
+def test_facet_test_matches_the_full_grid_system():
+    cases = []
+    for b in (F(1, 7), F(1, 3), F(2, 5), F(1, 2)):
+        pis = [pi_k(k, b) for k in range(2, 7)]
+        cases += [(g, b) for g in [gmi(b), *pis]]
+    b = F(3, 5)
+    pis = [pi_k_reflected(k, b) for k in range(2, 7)]
+    cases += [(g, b) for g in [gmi(b), *pis]]
+    for b in (F(1, 7), F(1, 3), F(2, 5), F(1, 2), F(3, 5)):
+        ks = [pi_k(k, b) if b <= F(1, 2) else pi_k_reflected(k, b) for k in range(2, 6)]
+        cases.append((linear_combine(F(1, 2), gmi(b), F(1, 2), ks[1]), b))
+        cases += [(linear_combine(F(1, 2), g, F(1, 2), h), b) for g, h in zip(ks, ks[1:])]
+    verdicts = set()
+    for f, b in cases:
+        es = equality_structure(f)
+        for d in (1, 3, 8, 16):
+            grid, rows, has_faces = _full_grid_system(f, es, b, d)
+            consistent, _, basis = _gauss_jordan(rows, len(grid))
+            assert consistent
+            r = restricted_facet_test(f, b, d)
+            assert r.dimension == len(basis)
+            assert r.verdict == ("inconclusive" if not has_faces else
+                                 "not_unique" if basis else "certified_unique")
+            assert [list(g.values) for g in r.basis_functions] == basis
+            assert all(list(g.breakpoints) == grid for g in r.basis_functions)
+            verdicts.add(r.verdict)
+    assert verdicts == {"certified_unique", "not_unique"}
+
+
+def test_facet_test_self_check_catches_a_wrong_face_row(monkeypatch):
+    # gmi has slope 1/b on the first grid piece and -1/(1 - b) on the last;
+    # a face row that joins them is one f violates
+    face_pieces = extremality._face_pieces
+
+    def with_both_ends(grid, face, period):
+        return sorted({*face_pieces(grid, face, period), 0, len(grid) - 1})
+
+    monkeypatch.setattr(extremality, "_face_pieces", with_both_ends)
+    with pytest.raises(RuntimeError, match="^constraint generation bug"):
+        restricted_facet_test(gmi(F(1, 2)), F(1, 2), 8)
 
 
 def test_restricted_facet_test_rejects_refinement_below_one():

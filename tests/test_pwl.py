@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupcut import (DomainError, FormatError, Interval, PeriodicPWL,
@@ -30,6 +30,39 @@ def test_rat_rejects_non_rationals(bad):
 def test_rat_rejects_booleans(flag):
     with pytest.raises(FormatError):
         rat(flag)
+
+
+def _rat_by_regex(s):
+    """rat on a string as it reads every string through Fraction(str)."""
+    if "." in s or "e" in s.lower():
+        raise FormatError(f"expected exact rational 'p/q', got {s!r}")
+    try:
+        return F(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"not a rational: {s!r}") from exc
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789/-+_.e \u0663", max_size=9))
+@example("-0/007")
+@example("12/-5")
+@example("1/0")
+@example("--3")
+@example("-")
+@example("4/")
+@example("/4")
+@example("\u0663/4")
+@example("9" * 5000)
+def test_rat_reads_strings_as_fraction_does(s):
+    try:
+        want = _rat_by_regex(s)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            rat(s)
+        assert str(got.value) == str(exc)
+    else:
+        got = rat(s)
+        assert type(got) is F and got == want
 
 
 def test_rat_str_round_trips():
