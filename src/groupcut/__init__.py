@@ -10,8 +10,7 @@ from .constructions import (IntervalSystem, PiInfinityTruncation, gmi,
                             stabilization_index, truncation_bound)
 from .verification import (Certificate, brute_force_subadditive,
                            check_minimal, check_nonnegative, check_slope_census,
-                           check_subadditive, check_symmetry, check_zero_set,
-                           subadditivity_vertex_pairs)
+                           check_subadditive, check_symmetry, check_zero_set)
 from .extremality import (EqualityStructure, PerturbationTestResult,
                           equality_structure, replay_pi_k_facet_proof,
                           restricted_facet_test, two_slope_shortcut)
@@ -29,7 +28,7 @@ __all__ = [
     "pi_k_reflected", "stabilization_index", "truncation_bound",
     "Certificate", "brute_force_subadditive", "check_minimal",
     "check_nonnegative", "check_slope_census", "check_subadditive",
-    "check_symmetry", "check_zero_set", "subadditivity_vertex_pairs",
+    "check_symmetry", "check_zero_set",
     "EqualityStructure", "PerturbationTestResult", "equality_structure",
     "replay_pi_k_facet_proof", "restricted_facet_test", "two_slope_shortcut",
     "MergedFn", "check_genuinely_nd", "check_lift_nondecreasing",

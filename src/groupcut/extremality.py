@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .constructions import interval_system, pi_k, new_slope
+from .constructions import interval_system, pi_k
 from .errors import DomainError
 from .pwl import Interval, PeriodicPWL, pieces_meeting, points_in, rat, rat_str
 from .verification import Certificate, _Lattice, _require_minimal, _scan
@@ -51,16 +51,11 @@ class EqualityStructure:
         }
 
 
-def delta_zero_on_box(f: PeriodicPWL, U: Interval, V: Interval) -> bool:
-    """True iff the subadditivity slack vanishes identically on U x V."""
-    return _zero_on_box(_Lattice(f), U, V)
-
-
 def _zero_on_box(lat: _Lattice, U: Interval, V: Interval) -> bool:
-    """The box test on a lattice built once.  Box ends on (1/q)Z become int
-    numerators and ends off it stay exact rational ones; a degenerate side
-    [lo, lo] walks one segment.  A square (U == V) walks half its cells, as
-    `_cells` says."""
+    """True iff the subadditivity slack vanishes identically on U x V.  Box
+    ends on (1/q)Z become int numerators and ends off it stay exact rational
+    ones; a degenerate side [lo, lo] walks one segment.  A square (U == V)
+    walks half its cells, as `_cells` says."""
     q = lat.q
 
     def cuts(I):
@@ -115,6 +110,21 @@ def _cells(lat: _Lattice, xs: list, ys: list):
                                 for x, y in _cell_vertices(*cell))
 
 
+def _half_faces(lat: _Lattice):
+    """The zero cells of the walk over the half a1 <= b1 of the period
+    square, each as its walk key (a1, b1, wl) and its projection triple
+    (p1, p2, p3) of int pairs (lo, hi).  A cell (a1, a2, b1, b2, wl, wu)
+    projects to p1 = [max(a1, wl - b2), min(a2, wu - b1)], p2 likewise with
+    the axes swapped, and p3 = [wl, wu], since the walk's strips lie between
+    a1 + b1 and a2 + b2."""
+    P = lat.points + [lat.q]
+    for (a1, a2, b1, b2, wl, wu), zero in _cells(lat, P, P):
+        if zero:
+            p1 = (max(a1, wl - b2), min(a2, wu - b1))
+            p2 = (max(b1, wl - a2), min(b2, wu - a1))
+            yield (a1, b1, wl), (p1, p2, (wl, wu))
+
+
 def equality_structure(f: PeriodicPWL) -> EqualityStructure:
     """Enumerate additive vertices and additive faces exactly.
 
@@ -125,6 +135,14 @@ def equality_structure(f: PeriodicPWL) -> EqualityStructure:
 
     The vertices are those of `check_subadditive`'s scan, so the same pass
     decides subadditivity: a negative slack raises DomainError.
+
+    Both sets cover the whole square, in the order of a full walk, through
+    D(x, y) = D(y, x).  A vertex pair with x > y is additive iff its mirror
+    is, so the vertices are the scan's zero pairs x <= y and their mirrors,
+    sorted as the full scan would meet them.  `_half_faces` walks the half
+    a1 <= b1; each zero cell off the diagonal brings its mirror, whose
+    triple is (p2, p1, p3), and sorting the zero cells by (a1, b1, wl)
+    restores the order of the full walk.
     """
     lat = _Lattice(f)
     q = lat.q
@@ -132,45 +150,16 @@ def equality_structure(f: PeriodicPWL) -> EqualityStructure:
     if not cert.passed:
         raise DomainError("equality structure requires a subadditive function: "
                           f"subadditivity fails: {cert.witness}")
-    vertices, faces = _additive_sets(lat, zeros)
+    vertices = sorted({*zeros, *((k, i) for i, k in zeros)})
+    half = list(_half_faces(lat))
+    cells = sorted([*half, *(((b1, a1, wl), (p2, p1, p3))
+                             for (a1, b1, wl), (p1, p2, p3) in half if a1 != b1)])
     return EqualityStructure(
         additive_vertices=tuple((Fraction(x, q), Fraction(y, q))
                                 for x, y in vertices),
         additive_faces=tuple(tuple(Interval(Fraction(lo, q), Fraction(hi, q))
                                    for lo, hi in face)
-                             for face in faces))
-
-
-def _additive_sets(lat: _Lattice, zeros: list) -> tuple:
-    """`equality_structure` in lattice numerators, given the zero-slack pairs
-    (i, k), i <= k, of a passing `_scan`: the additive vertex pairs (i, k) of
-    ints, and the faces as projection triples (p1, p2, p3) of int pairs
-    (lo, hi), in the same order.
-
-    A zero cell (a1, a2, b1, b2, wl, wu) projects to
-    p1 = [max(a1, wl - b2), min(a2, wu - b1)], p2 likewise with the axes
-    swapped, and p3 = [wl, wu], since the walk's strips lie between a1 + b1
-    and a2 + b2.
-
-    Both sets use D(x, y) = D(y, x).  A vertex pair with x > y is additive
-    iff its mirror is, so the vertices are the zeros and their mirrors,
-    sorted as the full scan would meet them.  The cell walk covers the
-    half a1 <= b1 of the square; each zero cell off the diagonal brings its
-    mirror, whose triple is (p2, p1, p3), and sorting the zero cells by
-    (a1, b1, wl) restores the order of the full walk."""
-    q = lat.q
-    vertices = sorted({*zeros, *((k, i) for i, k in zeros)})
-    P = lat.points + [q]
-    zero_cells = []       # ((a1, b1, wl), (p1, p2, p3)) of each zero cell
-    for (a1, a2, b1, b2, wl, wu), zero in _cells(lat, P, P):
-        if zero:
-            p1 = (max(a1, wl - b2), min(a2, wu - b1))
-            p2 = (max(b1, wl - a2), min(b2, wu - a1))
-            zero_cells.append(((a1, b1, wl), (p1, p2, (wl, wu))))
-            if a1 != b1:
-                zero_cells.append(((b1, a1, wl), (p2, p1, (wl, wu))))
-    zero_cells.sort()
-    return vertices, [face for _, face in zero_cells]
+                             for _, face in cells))
 
 
 def _mod_segments(lo: int, hi: int, period: int) -> tuple:
@@ -251,6 +240,8 @@ class _IntegerSolver:
         self.pivots = {}       # col -> (row dict, rhs)
 
     def add(self, row: dict, rhs: int):
+        """Add any int row: zero entries are dropped, and a row that reduces
+        to zero adds nothing."""
         row = {c: v for c, v in row.items() if v}
         for col in [c for c in row if c in self.pivots]:
             # a pivot row is zero in every other pivot column, so this
@@ -326,6 +317,15 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
     are the same larger indices, and each basis vector of the full system
     is the reduced one lifted: v at each larger index, -v at its partner,
     0 at each fixed point.
+
+    The rows come from the half complex x <= y: the scan's zero pairs and
+    `_half_faces`.  The mirrors add no row.  The row of a vertex (y, x) is
+    that of (x, y), and a mirrored face (p2, p1, p3) meets the same grid
+    pieces as (p1, p2, p3).  Each row goes to the solver as it is built,
+    with no dedupe: the solver reduces a repeated or dependent row to zero,
+    whose right-hand side is 0 since f satisfies the row, and the reduced
+    row echelon form, so the basis, does not depend on the rows' order or
+    repeats.
     """
     b = rat(b)
     d = refinement_denominator
@@ -334,7 +334,7 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
     lat = _Lattice(f, math.lcm(d, b.denominator))
     Q = lat.q
     _, zeros = _require_minimal(f, lat, b, "restricted facet test")
-    vertices, faces = _additive_sets(lat, zeros)
+    faces = [face for _, face in _half_faces(lat)]
 
     B = lat.numerator(b) % Q
     pts = {*lat.points, B, *range(0, Q, Q // d)}
@@ -377,11 +377,11 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
         t1, c1 = piece(i)
         return t1 - grid[i], ((i, -1), (c1, 1))
 
-    rows = {}     # (row items, rhs) -> row, each distinct row once, in order
+    solver = _IntegerSolver(len(large))
 
     def add_row(terms, rhs):
         """sum(sign * (weighted sum) / L) = rhs over the grid values, checked
-        against f, then substituted and scaled to a primitive int row."""
+        against f, then substituted, scaled to ints and added to the solver."""
         m = math.lcm(*(L for _, (L, _) in terms))
         row = {}
         for sign, (L, weights) in terms:
@@ -398,14 +398,11 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
             rhs -= v * const
             if sign:
                 reduced[col] = reduced.get(col, 0) + 2 * sign * v
-        reduced = {c: v for c, v in reduced.items() if v}
-        if reduced:
-            row, rhs = _primitive(reduced, rhs)
-            rows.setdefault((frozenset(row.items()), rhs), row)
+        solver.add(reduced, rhs)
 
     add_row([(1, interp(0))], 0)
     add_row([(1, interp(B))], 1)
-    for x, y in vertices:
+    for x, y in zeros:
         add_row([(1, interp(x)), (1, interp(y)), (-1, interp(x + y))], 0)
     for face in faces:
         # the interval lemma on the face: one slope on p1, p2 and p3 mod Q
@@ -413,10 +410,6 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
         ref = slope(piece_ids[0])
         for pid in piece_ids[1:]:
             add_row([(1, slope(pid)), (-1, ref)], 0)
-
-    solver = _IntegerSolver(len(large))
-    for (_, rhs), row in rows.items():
-        solver.add(row, rhs)
 
     dim = len(large) - solver.rank
     xs = [Fraction(t, Q) for t in grid]
@@ -471,6 +464,7 @@ def replay_pi_k_facet_proof(k: int, b, f: Optional[PeriodicPWL] = None
     _require_minimal(f, lat, b, "facet-proof replay")
     num, value = lat.numerator, lat.value
     eighth = Fraction(1, 8)
+    systems = {m: interval_system(m, b) for m in range(3, k + 1)}
     checked = 0
 
     def fail(step, msg):
@@ -505,7 +499,7 @@ def replay_pi_k_facet_proof(k: int, b, f: Optional[PeriodicPWL] = None
         eps = b * eighth ** (j - 2)
         U = Interval(3 * eps / 2, 2 * eps)
         V = Interval(1 - eps / 2, Fraction(1))
-        i2 = interval_system(j, b).i2
+        i2 = systems[j].i2
         checked += 1
         if (U.lo + V.lo - 1, U.hi + V.hi - 1) != (i2.lo, i2.hi):
             return fail("c", f"j={j}: U+V does not reduce to I2 mod 1")
@@ -529,7 +523,7 @@ def replay_pi_k_facet_proof(k: int, b, f: Optional[PeriodicPWL] = None
         if not (U.hi == 4 * dl and istar == Interval(U.lo, eps)):
             return fail("d", f"j={j}: U and U+U do not tile I*")
         for m in range(j + 1, k + 1):
-            i3 = interval_system(m, b).i3
+            i3 = systems[m].i3
             checked += 1
             if not i3.contains_interval(istar):
                 return fail("d", f"j={j}: I* is not inside level-{m} I3")

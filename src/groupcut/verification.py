@@ -91,26 +91,6 @@ class _Lattice:
         return value(i) + value(k) - value(i + k)
 
 
-def subadditivity_vertex_pairs(f: PeriodicPWL) -> list:
-    """The finite vertex set on which the subadditivity slack attains its
-    minimum.
-
-    The slack D(x,y) = f(x)+f(y)-f(x+y) is piecewise linear on the
-    arrangement cut by the lines x in B+Z, y in B+Z, x+y in B+Z (B the
-    breakpoint set), so its minimum over the period square is attained at an
-    intersection of two such lines.  Those intersections project exactly to
-    the pairs enumerated here: (u, v), (u, w-u) and (w-u, u) for u, v, w in
-    B, reduced modulo 1 and sorted.
-    """
-    lat = _Lattice(f)
-    P, q = lat.points, lat.q
-    pairs = [(u, v) for u in P for v in P]
-    for u, d, _ in _cross_pairs(lat):
-        pairs += (u, d), (d, u)
-    pairs.sort()
-    return [(Fraction(i, q), Fraction(k, q)) for i, k in pairs]
-
-
 def _cross_pairs(lat: _Lattice):
     """The pairs (u, d, w) with u, w in P, d = (w - u) mod q not in P: the
     vertex pairs (u, d) outside P x P, each with the breakpoint w = u + d."""
@@ -134,10 +114,13 @@ def _scan(lat: _Lattice) -> tuple:
     """The vertex scan: `check_subadditive`'s certificate and, on a pass,
     the pairs (i, k), i <= k, of zero slack, sorted.
 
-    With P the breakpoint numerators, n = |P| and V[u] = value(u), the
-    vertex list of `subadditivity_vertex_pairs` is P x P together with
-    (u, d) and (d, u) for u, w in P, d = (w - u) mod q.  The scan walks
-    two generators and builds no list of the vertex pairs:
+    The slack D(x, y) = f(x) + f(y) - f(x + y) is piecewise linear on the
+    arrangement cut by the lines x, y, x + y in B + Z, B the breakpoints, so
+    its minimum over the period square is attained where two such lines
+    cross.  With P the breakpoint numerators, n = |P| and V[u] = value(u),
+    those crossings, reduced modulo 1, are the sorted vertex list: P x P
+    together with (u, d) and (d, u) for u, w in P, d = (w - u) mod q.  The
+    scan walks two generators and builds no list of the vertex pairs:
     A:  (u, v), u <= v in P, slack V[u] + V[v] - value(u + v);
     B': (u, d, w) of `_cross_pairs`, d not in P, slack
         V[u] + value(d) - V[w], since u + d = w mod q.

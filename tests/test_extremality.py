@@ -3,6 +3,7 @@ import math
 import random
 import re
 from bisect import bisect_right
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -16,8 +17,7 @@ from groupcut import (DomainError, Interval, NotMinimal, PeriodicPWL,
                       restricted_facet_test, two_slope_shortcut)
 from groupcut import extremality
 from groupcut.extremality import (_IntegerSolver, _affine_slope_on,
-                                  _face_pieces, _mod_segments,
-                                  delta_zero_on_box)
+                                  _face_pieces, _mod_segments, _zero_on_box)
 from groupcut.verification import _Lattice
 from conftest import bump_value, fraction_vertex_pairs
 
@@ -104,7 +104,7 @@ def test_equality_structure_faces_of_pi_3():
         (Interval(F(0), eps / 2), Interval(F(0), eps / 2)),
     ]
     for U, V in proof_boxes:
-        assert delta_zero_on_box(f, U, V)
+        assert _zero_on_box(_Lattice(f), U, V)
         assert any(_covers(face, U, V) for face in es.additive_faces), \
             (U.to_pair(), V.to_pair())
     _assert_faces_in_zero_set(f, es)
@@ -177,7 +177,7 @@ def _brute_zero_on_box(f, U, V):
     return all(f.delta(x, y) == 0 for x, y in pts)
 
 
-def test_delta_zero_on_box_matches_a_brute_enumeration():
+def test_zero_on_box_matches_a_brute_enumeration():
     rng = random.Random(4)
 
     def random_pwl():
@@ -215,7 +215,7 @@ def test_delta_zero_on_box_matches_a_brute_enumeration():
         drawn = [(side(f), side(f)) for _ in range(30)]
         boxes += drawn + [(S, S) for box in drawn for S in box]
         for U, V in boxes:
-            got = delta_zero_on_box(f, U, V)
+            got = _zero_on_box(_Lattice(f), U, V)
             assert got == _brute_zero_on_box(f, U, V), (f, U, V)
             seen.add((got, U.degenerate or V.degenerate, U.hi + V.hi > 1))
     # true and false answers, with and without a degenerate side or a sum past 1
@@ -334,8 +334,25 @@ def _full_grid_system(f, es, b, d):
     return grid, [(dict(row), rhs) for row, rhs in sorted(unique)], bool(es.additive_faces)
 
 
+# minimal at b = 1/5, with the diagonal additive vertices (2/5, 2/5) and
+# (3/5, 3/5) on no additive face: at refinement 1 the unknown theta(4/5) is
+# pinned to 2/3 only by the row 2 theta(2/5) = theta(4/5), with
+# theta(2/5) = 1 - theta(4/5)
+DIAGONAL = PeriodicPWL([F(i, 5) for i in range(5)],
+                       [F(0), F(1), F(1, 3), F(1, 2), F(2, 3)])
+
+
 def test_facet_test_matches_the_full_grid_system():
-    cases = []
+    b = F(1, 5)
+    es = equality_structure(DIAGONAL)
+    off_diagonal = replace(es, additive_vertices=tuple(
+        (x, y) for x, y in es.additive_vertices if x != y))
+    for d in (1, 2):
+        # the case guards the (x, x) rows: without them the basis grows
+        grids = [_full_grid_system(DIAGONAL, s, b, d) for s in (es, off_diagonal)]
+        full, no_diag = (_gauss_jordan(rows, len(grid))[2] for grid, rows, _ in grids)
+        assert len(no_diag) > len(full)
+    cases = [(DIAGONAL, b)]
     for b in (F(1, 7), F(1, 3), F(2, 5), F(1, 2)):
         pis = [pi_k(k, b) for k in range(2, 7)]
         cases += [(g, b) for g in [gmi(b), *pis]]

@@ -10,7 +10,7 @@ from groupcut import (DomainError, PeriodicPWL, brute_force_subadditive,
                       check_genuinely_nd, check_minimal, check_nonnegative,
                       check_slope_census, check_subadditive, check_symmetry,
                       check_zero_set, equality_structure, gmi, phi_m, pi_k,
-                      pi_k_reflected, subadditivity_vertex_pairs)
+                      pi_k_reflected)
 from groupcut.verification import _Lattice, _scan
 from conftest import bump_value, fraction_vertex_pairs
 
@@ -80,7 +80,7 @@ def test_subadditivity_witness_is_lex_smallest():
     assert not c.passed
     wx, wy = F(c.witness["x"]), F(c.witness["y"])
     # no violating vertex pair precedes the reported one
-    for x, y in subadditivity_vertex_pairs(bad):
+    for x, y in fraction_vertex_pairs(bad):
         if (x, y) < (wx, wy):
             assert bad.delta(x, y) >= 0
 
@@ -105,7 +105,6 @@ def test_vertex_scan_agrees_with_dense_grid():
 def _reference_scan(f):
     """The vertex scan spelled out over Fractions: (verdict, witness, checked)."""
     pairs = fraction_vertex_pairs(f)
-    assert subadditivity_vertex_pairs(f) == pairs
     for idx, (x, y) in enumerate(pairs):
         d = f.delta(x, y)
         if d < 0:
@@ -180,7 +179,7 @@ def test_scan_counts_and_zeros_match_the_fraction_reference():
         cert, zeros = _scan(lat)
         assert (cert.verdict, cert.witness, cert.checked_count) == _reference_scan(f)
         if cert.passed:
-            assert cert.checked_count == len(subadditivity_vertex_pairs(f))
+            assert cert.checked_count == len(fraction_vertex_pairs(f))
             reference = [(x, y) for x, y in fraction_vertex_pairs(f)
                          if x <= y and f.delta(x, y) == 0]
             assert [(F(i, lat.q), F(k, lat.q)) for i, k in zeros] == reference
