@@ -60,6 +60,12 @@ def _print_cert(cert) -> int:
     return 0 if cert.passed else 1
 
 
+def _print_not_minimal(exc: NotMinimal, **extra) -> int:
+    print(json.dumps({"verdict": "fail", "stage": "minimality", **extra,
+                      **exc.certificate.to_dict()}, indent=2))
+    return 1
+
+
 # ---------------------------------------------------------------------------
 # verbs
 # ---------------------------------------------------------------------------
@@ -159,9 +165,7 @@ def cmd_certify(args) -> int:
             return _print_cert(extremality.replay_pi_k_facet_proof(args.k, b, f))
         return _print_cert(extremality.two_slope_shortcut(f, b))
     except NotMinimal as exc:
-        print(json.dumps({"verdict": "fail", "stage": "minimality",
-                          **exc.certificate.to_dict()}, indent=2))
-        return 1
+        return _print_not_minimal(exc)
 
 
 def cmd_merge(args) -> int:
@@ -176,10 +180,7 @@ def cmd_merge(args) -> int:
     try:    # the outer at --b1 is f1, a plain inner at --b2 is f2
         F = seqmerge.MergedFn(((outer, args.b1),) + nodes)
     except NotMinimal as exc:   # "f<i> is not minimal at b<i> = <b>: <witness>"
-        print(json.dumps({"verdict": "fail", "stage": "minimality",
-                          "reason": str(exc).partition(": ")[0],
-                          **exc.certificate.to_dict()}, indent=2))
-        return 1
+        return _print_not_minimal(exc, reason=str(exc).partition(": ")[0])
     lift_ok = seqmerge.check_lift_nondecreasing(outer, args.b1)
     if not lift_ok.passed:
         print("warning: the outer lift is not nondecreasing; the merge is "

@@ -36,13 +36,6 @@ class IntervalSystem:
     def intervals(self):
         return (self.i1, self.i2, self.i3, self.i4, self.i5, self.i6)
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "b": str(self.b),
-            "intervals": [iv.to_pair() for iv in self.intervals],
-        }
-
 
 def interval_system(k: int, b) -> IntervalSystem:
     b = rat(b)

@@ -189,7 +189,7 @@ class PerturbationTestResult:
     dimension: int
     basis_functions: tuple
     verdict: str              # certified_unique | not_unique | inconclusive
-    note: str = PWL_CAVEAT
+    note = PWL_CAVEAT         # a class constant, not a field
 
     def to_dict(self) -> dict:
         return {"verdict": self.verdict, "dimension": self.dimension,
@@ -446,13 +446,76 @@ def _affine_slope_on(lat: _Lattice, I: Interval) -> Optional[Fraction]:
     return Fraction(rise * lat.q, (hi - lo) * lat.scale)
 
 
+def _replay_facts(lat: _Lattice, k: int, b: Fraction):
+    """Each fact of the facet argument for the level-k function, in order,
+    as (step, holds, reason) on f's lattice.  A fact is computed only when
+    it is asked for, so nothing after the first failure is.  eps_j, the
+    scale of level j, is the right end of its I1."""
+    num, value = lat.numerator, lat.value
+    systems = {m: interval_system(m, b) for m in range(3, k + 1)}
+
+    # (a) the I6 face: [(1+b)/2, 1] + [(1+b)/2, 1] covers I6 mod 1, additively
+    half = Interval((1 + b) / 2, Fraction(1))
+    yield ("a", (2 * half.lo - 1, 2 * half.hi - 1) == (b, Fraction(1)),
+           "sum interval does not reduce to [b, 1] mod 1")
+    yield "a", _zero_on_box(lat, half, half), "slack does not vanish on the I6 square"
+
+    # (b) the central face and the quarter-point values
+    U = Interval(b / 4, 3 * b / 8)
+    yield "b", _zero_on_box(lat, U, U), "slack does not vanish on the central square"
+    for x, v in ((b / 4, Fraction(1, 4)), (b / 2, Fraction(1, 2)),
+                 (3 * b / 4, Fraction(3, 4))):
+        fx = Fraction(value(num(x)), lat.scale)
+        yield "b", fx == v, f"value at {x} is {fx}, expected {v}"
+
+    # (c) per level j: U + V recovers I2 mod 1, additively, with one slope
+    for j in range(3, k + 1):
+        eps, i2 = systems[j].i1.hi, systems[j].i2
+        U = Interval(3 * eps / 2, 2 * eps)
+        V = Interval(1 - eps / 2, Fraction(1))
+        yield ("c", (U.lo + V.lo - 1, U.hi + V.hi - 1) == (i2.lo, i2.hi),
+               f"j={j}: U+V does not reduce to I2 mod 1")
+        yield "c", _zero_on_box(lat, U, V), f"j={j}: slack does not vanish on U x V"
+        s1, s2, s3 = (_affine_slope_on(lat, I) for I in (U, V, i2))
+        yield ("c", s1 == s2 == s3 == Fraction(-1) / (1 - b),
+               f"j={j}: slopes disagree on U, V, I2")
+
+    # (d) per level j: the doubling chain pins the inner stub of I1, with
+    # dl = eps_(j+1) = eps_j / 8
+    for j in range(3, k):
+        eps, dl = systems[j].i1.hi, systems[j + 1].i1.hi
+        istar = Interval(2 * dl, eps)
+        U = Interval(2 * dl, 4 * dl)
+        sums = (U.lo + U.lo, U.hi + U.hi) == (4 * dl, eps)
+        yield ("d", sums and U.hi == 4 * dl and istar == Interval(U.lo, eps),
+               f"j={j}: " + ("U and U+U do not tile I*" if sums
+                             else "U+U is not the upper half of I*"))
+        for m in range(j + 1, k + 1):
+            yield ("d", systems[m].i3.contains_interval(istar),
+                   f"j={j}: I* is not inside level-{m} I3")
+        x2, x4 = num(2 * dl), num(4 * dl)
+        for x in (x2, x4):
+            yield "d", lat.slack(x, x) == 0, f"j={j}: doubling additivities fail"
+        yield ("d", 4 * value(x2) == value(num(eps)),
+               f"j={j}: the 4x doubling chain breaks")
+        yield "d", _zero_on_box(lat, U, U), f"j={j}: slack does not vanish on U x U"
+
+    # (e) the outermost stub: U + U tiles I1 additively
+    eps = systems[k].i1.hi
+    U = Interval(Fraction(0), eps / 2)
+    yield "e", (U.lo, U.hi + U.hi) == (Fraction(0), eps), "U+U is not I1"
+    yield "e", _zero_on_box(lat, U, U), "slack does not vanish on the I1 square"
+
+
 def replay_pi_k_facet_proof(k: int, b, f: Optional[PeriodicPWL] = None
                             ) -> Certificate:
     """Verify, exactly, every numeric fact the facet argument for the
     level-k function rests on.  `f` defaults to the genuine construction;
     passing a mutant exercises the failure paths.  The argument assumes f
     minimal: check_minimal's gate runs once, after the checks on k and b, on
-    the lattice the replay reads, and a failure raises NotMinimal."""
+    the lattice the replay reads, and a failure raises NotMinimal.  The
+    facts run in `_replay_facts`'s order up to the first that fails, and
+    `checked` counts the facts checked, the failing one included."""
     b = rat(b)
     if k < 3:
         raise DomainError(f"k must be >= 3, got {k}")
@@ -462,91 +525,12 @@ def replay_pi_k_facet_proof(k: int, b, f: Optional[PeriodicPWL] = None
         f = pi_k(k, b)
     lat = _Lattice(f, b.denominator)
     _require_minimal(f, lat, b, "facet-proof replay")
-    num, value = lat.numerator, lat.value
-    eighth = Fraction(1, 8)
-    systems = {m: interval_system(m, b) for m in range(3, k + 1)}
     checked = 0
-
-    def fail(step, msg):
-        return Certificate("fail", witness={"kind": "replay-step", "step": step,
-                                            "reason": msg},
-                           checked_count=checked)
-
-    # (a) the I6 face: [(1+b)/2, 1] + [(1+b)/2, 1] covers I6 mod 1, additively
-    half = Interval((1 + b) / 2, Fraction(1))
-    lo, hi = half.lo + half.lo, half.hi + half.hi
-    checked += 1
-    if (lo - 1, hi - 1) != (b, Fraction(1)):
-        return fail("a", "sum interval does not reduce to [b, 1] mod 1")
-    if not _zero_on_box(lat, half, half):
-        return fail("a", "slack does not vanish on the I6 square")
-    checked += 1
-
-    # (b) the central face and the quarter-point values
-    U = Interval(b / 4, 3 * b / 8)
-    if not _zero_on_box(lat, U, U):
-        return fail("b", "slack does not vanish on the central square")
-    checked += 1
-    for x, v in ((b / 4, Fraction(1, 4)), (b / 2, Fraction(1, 2)),
-                 (3 * b / 4, Fraction(3, 4))):
+    for step, holds, reason in _replay_facts(lat, k, b):
         checked += 1
-        fx = Fraction(value(num(x)), lat.scale)
-        if fx != v:
-            return fail("b", f"value at {x} is {fx}, expected {v}")
-
-    # (c) per level j: U + V recovers I2 mod 1, additively, with one slope
-    for j in range(3, k + 1):
-        eps = b * eighth ** (j - 2)
-        U = Interval(3 * eps / 2, 2 * eps)
-        V = Interval(1 - eps / 2, Fraction(1))
-        i2 = systems[j].i2
-        checked += 1
-        if (U.lo + V.lo - 1, U.hi + V.hi - 1) != (i2.lo, i2.hi):
-            return fail("c", f"j={j}: U+V does not reduce to I2 mod 1")
-        if not _zero_on_box(lat, U, V):
-            return fail("c", f"j={j}: slack does not vanish on U x V")
-        checked += 1
-        s1, s2, s3 = (_affine_slope_on(lat, I) for I in (U, V, i2))
-        checked += 1
-        if not (s1 == s2 == s3 == Fraction(-1) / (1 - b)):
-            return fail("c", f"j={j}: slopes disagree on U, V, I2")
-
-    # (d) per level j: the doubling chain pins the inner stub of I1
-    for j in range(3, k):
-        dl = b * eighth ** (j - 1)
-        eps = b * eighth ** (j - 2)
-        istar = Interval(2 * dl, eps)
-        U = Interval(2 * dl, 4 * dl)
-        checked += 1
-        if (U.lo + U.lo, U.hi + U.hi) != (4 * dl, eps):
-            return fail("d", f"j={j}: U+U is not the upper half of I*")
-        if not (U.hi == 4 * dl and istar == Interval(U.lo, eps)):
-            return fail("d", f"j={j}: U and U+U do not tile I*")
-        for m in range(j + 1, k + 1):
-            i3 = systems[m].i3
-            checked += 1
-            if not i3.contains_interval(istar):
-                return fail("d", f"j={j}: I* is not inside level-{m} I3")
-        checked += 3
-        x2, x4 = num(2 * dl), num(4 * dl)
-        if lat.slack(x2, x2) != 0 or lat.slack(x4, x4) != 0:
-            return fail("d", f"j={j}: doubling additivities fail")
-        if 4 * value(x2) != value(num(eps)):
-            return fail("d", f"j={j}: the 4x doubling chain breaks")
-        if not _zero_on_box(lat, U, U):
-            return fail("d", f"j={j}: slack does not vanish on U x U")
-        checked += 1
-
-    # (e) the outermost stub: U + U tiles I1 additively
-    eps = b * eighth ** (k - 2)
-    U = Interval(Fraction(0), eps / 2)
-    checked += 1
-    if (U.lo, U.hi + U.hi) != (Fraction(0), eps):
-        return fail("e", "U+U is not I1")
-    if not _zero_on_box(lat, U, U):
-        return fail("e", "slack does not vanish on the I1 square")
-    checked += 1
-
+        if not holds:
+            return Certificate("fail", checked_count=checked, witness={
+                "kind": "replay-step", "step": step, "reason": reason})
     return Certificate("pass", checked_count=checked)
 
 

@@ -21,6 +21,7 @@ from .pwl import Interval, PeriodicPWL, rat, rat_str
 from .verification import Certificate, check_minimal
 
 Vector = Sequence[Fraction]
+_MAX_DENOMINATOR = 64   # the largest denominator of a sampled coordinate
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +245,8 @@ def region_gradients(n: int, k: int, b) -> list:
 # sampled structural checks
 # ---------------------------------------------------------------------------
 
-def _random_fraction(rng: random.Random, max_denominator: int) -> Fraction:
-    q = rng.randint(2, max_denominator)
+def _random_fraction(rng: random.Random) -> Fraction:
+    q = rng.randint(2, _MAX_DENOMINATOR)
     return Fraction(rng.randint(0, q - 1), q)
 
 
@@ -257,8 +258,7 @@ def _as_evaluator(F) -> tuple:
     return func, arity
 
 
-def check_genuinely_nd(F, trials: int, seed: int,
-                       max_denominator: int = 64) -> Certificate:
+def check_genuinely_nd(F, trials: int, seed: int) -> Certificate:
     """Sampled check that the zero set is exactly the integer lattice: zero
     at integer vectors, strictly positive at random non-integer rational
     vectors.  A pass is evidence, not proof ('consistent with genuinely
@@ -280,7 +280,7 @@ def check_genuinely_nd(F, trials: int, seed: int,
                                         "value": rat_str(func(pt))})
     done = 0
     while done < trials:
-        pt = [_random_fraction(rng, max_denominator) for _ in range(arity)]
+        pt = [_random_fraction(rng) for _ in range(arity)]
         if all(v == 0 for v in pt):
             continue
         done += 1
@@ -295,8 +295,7 @@ def check_genuinely_nd(F, trials: int, seed: int,
                               "(sampled; not a proof)")
 
 
-def sample_subadditivity_nd(F, trials: int, seed: int,
-                            max_denominator: int = 64) -> Certificate:
+def sample_subadditivity_nd(F, trials: int, seed: int) -> Certificate:
     """Falsification harness: look for F(x)+F(y) < F(x+y) at random rational
     pairs.  A pass means no violation was found, nothing more."""
     if trials < 1:
@@ -304,8 +303,8 @@ def sample_subadditivity_nd(F, trials: int, seed: int,
     func, arity = _as_evaluator(F)
     rng = random.Random(seed)
     for t in range(trials):
-        x = [_random_fraction(rng, max_denominator) for _ in range(arity)]
-        y = [_random_fraction(rng, max_denominator) for _ in range(arity)]
+        x = [_random_fraction(rng) for _ in range(arity)]
+        y = [_random_fraction(rng) for _ in range(arity)]
         s = [a + c for a, c in zip(x, y)]
         if func(x) + func(y) - func(s) < 0:
             return Certificate("fail", checked_count=t + 1,

@@ -429,6 +429,34 @@ def test_replay_names_a_failing_step_for_mutants():
     assert exc.value.certificate == check_minimal(broken, b)
 
 
+def test_replay_counts_every_fact_it_checks_the_failing_one_included(monkeypatch):
+    b, f = F(1, 2), pi_k(4, F(1, 2))
+    zero_on_box = extremality._zero_on_box
+
+    def fail_box(n):
+        """_zero_on_box, but False on its n-th call."""
+        calls = itertools.count(1)
+        return lambda *args: next(calls) != n and zero_on_box(*args)
+
+    # the six box facts of the level-4 replay, each made to fail in turn
+    for n, step, checked in zip(range(1, 7), "abccde", (2, 3, 8, 11, 18, 20)):
+        monkeypatch.setattr(extremality, "_zero_on_box", fail_box(n))
+        c = replay_pi_k_facet_proof(4, b, f)
+        assert (c.witness["step"], c.checked_count) == (step, checked), n
+    monkeypatch.setattr(extremality, "_zero_on_box", zero_on_box)
+    monkeypatch.setattr(extremality, "_affine_slope_on", lambda *args: None)
+    c = replay_pi_k_facet_proof(4, b, f)
+    assert (c.witness["step"], c.checked_count) == ("c", 9)
+    monkeypatch.undo()
+    for g, k, step, checked in ((gmi(b), 3, "c", 8), (f, 3, "e", 11)):
+        c = replay_pi_k_facet_proof(k, b, g)
+        assert (c.witness["step"], c.checked_count) == (step, checked)
+    for k in range(3, 25):
+        c = replay_pi_k_facet_proof(k, b)
+        assert c.passed
+        assert c.checked_count == 8 + 3 * (k - 2) + (k - 3) * (k - 2) // 2 + 5 * (k - 3)
+
+
 def test_replay_refuses_a_function_that_is_not_subadditive():
     # pi_3 with a breakpoint at 97/256 raised by 10^-6: every fact the replay
     # checks still holds, but the function is not subadditive
