@@ -180,6 +180,38 @@ def _face_pieces(grid: list, face: tuple, period: int) -> list:
                    for i in pieces_meeting(grid, lo, hi)})
 
 
+def _slope_classes(grid: list, faces, B: int, Q: int) -> list:
+    """The slope class of each grid piece, as a column number.
+
+    A union-find over the pieces joins the pieces each face meets, since by
+    the interval lemma a perturbation has one slope on the face's three
+    projections, and each piece with its mirror under x -> (B - x) mod Q, a
+    grid piece since the grid is closed under that map.  A class's root is
+    its last piece, and the columns number the classes in the order of
+    their last pieces."""
+    parent = list(range(len(grid)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def join(ids):
+        for i, j in zip(ids, ids[1:]):
+            i, j = sorted((find(i), find(j)))
+            parent[i] = j
+
+    index = {t: i for i, t in enumerate(grid)}
+    for i, t in enumerate([*grid[1:], Q]):
+        join((i, index[(B - t) % Q]))
+    for face in faces:
+        join(_face_pieces(grid, face, Q))
+    roots = [find(i) for i in range(len(grid))]
+    column = {r: c for c, r in enumerate(sorted(set(roots)))}
+    return [column[r] for r in roots]
+
+
 # ---------------------------------------------------------------------------
 # PWL-restricted facet test
 # ---------------------------------------------------------------------------
@@ -230,9 +262,9 @@ class _IntegerSolver:
     row in the reduced row echelon form over the rationals: it is zero in
     every other pivot column.  Elimination cross-multiplies and divides out
     the gcd, in the spirit of Bareiss's integer-preserving elimination
-    (Math. Comp. 1968), so no Fraction is built until the nullspace.  The
-    reduced form is unique, so rank, pivots and nullspace do not depend on
-    the order of the rows.
+    (Math. Comp. 1968), so no Fraction is built.  The reduced form is
+    unique, so rank, pivots and nullspace do not depend on the order of the
+    rows.
     """
 
     def __init__(self, ncols: int):
@@ -265,17 +297,17 @@ class _IntegerSolver:
         return len(self.pivots)
 
     def nullspace(self) -> list:
-        """One basis vector per free column fc: 1 at fc, and at each pivot
-        column minus the reduced row's entry at fc."""
-        free = [c for c in range(self.ncols) if c not in self.pivots]
+        """One basis vector per free column fc, in ints: m at fc, and at
+        each pivot column minus m times the reduced row's entry at fc, with
+        m > 0 the lcm of the lead entries that this divides."""
         basis = []
-        for fc in free:
-            vec = [Fraction(0)] * self.ncols
-            vec[fc] = Fraction(1)
-            for col, (prow, _) in self.pivots.items():
-                v = prow.get(fc)
-                if v:
-                    vec[col] = Fraction(-v, prow[col])
+        for fc in (c for c in range(self.ncols) if c not in self.pivots):
+            rows = [(col, prow) for col, (prow, _) in self.pivots.items() if fc in prow]
+            m = math.lcm(*(prow[col] for col, prow in rows))
+            vec = [0] * self.ncols
+            vec[fc] = m
+            for col, prow in rows:
+                vec[col] = -prow[fc] * (m // prow[col])
             basis.append(vec)
         return basis
 
@@ -285,10 +317,11 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
     """Solve, exactly, for all continuous PWL perturbations on the refinement
     that satisfy every constraint forced by the equality structure of f.
 
-    Constraints: theta(0)=0, theta(b)=1, the symmetry identity at every grid
-    point, additivity at every additive vertex, and the interval lemma on
-    each face's three projections: one slope on p1, p2 and p3, the last
-    reduced modulo 1.  `certified_unique` iff f is the only solution.
+    Constraints: theta(0)=0, theta(b)=1, the symmetry identity
+    theta(x) + theta(b - x) = 1, additivity at every additive vertex, and
+    the interval lemma on each face's three projections: one slope on p1,
+    p2 and p3, the last reduced modulo 1.  `certified_unique` iff f is the
+    only solution.
 
     Everything runs on one lattice (1/Q)Z, Q the lcm of f's breakpoint
     denominators, the refinement denominator d and b's denominator: grid
@@ -296,36 +329,36 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
     minimality gate is check_minimal's, run once on that lattice; a failure
     raises NotMinimal naming the check and its witness.
 
-    The symmetry identity is substituted, not solved.  The grid is closed
-    under x -> (b - x) mod 1, which pairs each grid index i with partner[i].
-    Only the larger index of each pair gets an unknown; the smaller one is
-    1 minus it, and a fixed point (i == partner[i]) is 1/2.  Every other
-    row is written in those unknowns, times 2 to stay in integers, with the
-    constants moved to the right-hand side.  This is x -> b - x acting on
+    The unknowns are slopes, one per class of `_slope_classes`.  The
+    interval lemma puts the pieces a face meets in one class; the faces are
+    the half walk's zero cells, since a mirrored face (p2, p1, p3) meets the
+    same pieces.  The symmetry identity puts each piece in its mirror's
+    class under x -> b - x, since theta(x) + theta(b - x) has slope 0.
+    Conversely, with closure, equal slopes on mirrored pieces make
+    theta(x) + theta(b - x) constant on the period, so equal to its value
+    theta(0) + theta(b) = theta(b) at 0: the mirror unions and the row
+    theta(b) = 1 are the symmetry identity.  This is x -> b - x acting on
     the perturbations, as in Basu, Hildebrand and Koeppe, "Equivariant
     perturbation in Gomory and Johnson's infinite group problem I" (Math.
-    Oper. Res. 2015).
+    Oper. Res. 2015).  theta at x is the sum, over the pieces before x, of
+    each piece's length times its class's slope, plus x's part of its own
+    piece, so theta(0) = 0 and every row is an int row.  The rows are
+    closure, theta(1) = theta(0); theta(b) = 1; and additivity at each zero
+    pair x <= y of the scan, since (y, x) gives the same row.  The faces
+    add no row.  Each row is checked against f's slopes, and a class on
+    which f has two slopes is refused, as a bug in generating constraints.
 
-    The basis is the one the full system over all n grid values, symmetry
-    rows included, gives.  Its reduced row echelon form pivots on each
-    row's lowest column, so column c is free iff some homogeneous solution
-    has its last nonzero entry at c, and the basis vector of a free column
-    is the homogeneous solution that is 1 there and 0 at every other free
-    column.  A homogeneous solution has theta(small) = -theta(large) and 0
-    at a fixed point, so its last nonzero entry is at a larger index, where
-    it equals its reduced counterpart.  So the free columns of both systems
-    are the same larger indices, and each basis vector of the full system
-    is the reduced one lifted: v at each larger index, -v at its partner,
-    0 at each fixed point.
-
-    The rows come from the half complex x <= y: the scan's zero pairs and
-    `_half_faces`.  The mirrors add no row.  The row of a vertex (y, x) is
-    that of (x, y), and a mirrored face (p2, p1, p3) meets the same grid
-    pieces as (p1, p2, p3).  Each row goes to the solver as it is built,
-    with no dedupe: the solver reduces a repeated or dependent row to zero,
-    whose right-hand side is 0 since f satisfies the row, and the reduced
-    row echelon form, so the basis, does not depend on the rows' order or
-    repeats.
+    The basis is the one the system over the n grid values gives.  Its
+    reduced row echelon form pivots on each row's lowest column, so its
+    basis is the one fixed by the solution space alone: each vector has its
+    last nonzero entry at its own pivot, 1 there and 0 at the other
+    vectors' pivots.  The running sum maps the solutions in slopes one to
+    one onto the solutions in grid values, since closure fixes the last
+    piece's slope.  So the mapped nullspace, reduced to that form
+    fraction-free on ints and divided once at the end, is that basis.  The
+    reduction keeps every vector reduced against every other, so it does
+    not depend on the order of the classes; ordering them by last piece
+    only keeps it short.
     """
     b = rat(b)
     d = refinement_denominator
@@ -341,84 +374,64 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
     pts |= {(B - t) % Q for t in pts}
     grid = sorted(pts)
     n = len(grid)
-    index = {t: i for i, t in enumerate(grid)}
-    partner = [index[(B - t) % Q] for t in grid]
-    large = [i for i in range(n) if partner[i] < i]
-    # 2 theta_i = 2 * sign * u[column] + const, u the reduced unknowns
-    subst = [(0, 0, 1)] * n
-    for c, i in enumerate(large):
-        subst[i], subst[partner[i]] = (c, 1, 0), (c, -1, 2)
+    lengths = [t1 - t0 for t0, t1 in zip(grid, [*grid[1:], Q])]
+    cls = _slope_classes(grid, faces, B, Q)
+    k = max(cls) + 1
 
     # every constraint is a consequence of facts f itself satisfies; f's
-    # grid values are read off the lattice, scaled by lat.scale
-    fvec = [lat.value(t) for t in grid]
-    if any(fvec[i] + fvec[partner[i]] != lat.scale for i in range(n)):
-        raise RuntimeError("constraint generation bug: f violates its own "
-                           "equality structure")
-
-    def piece(i):
-        """The right end of grid piece i as (numerator, column); the last
-        piece ends at Q, whose value is the value at 0."""
-        return (grid[i + 1] if i + 1 < n else Q), (i + 1) % n
-
-    def interp(x):
-        """The value at x/Q as (L, ((column, weight), ...)): the weighted sum
-        of the grid unknowns, divided by L."""
-        x %= Q
-        i = bisect_right(grid, x) - 1
-        t0 = grid[i]
-        if x == t0:
-            return 1, ((i, 1),)
-        t1, c1 = piece(i)
-        return t1 - t0, ((i, t1 - x), (c1, x - t0))
-
-    def slope(i):
-        """Q times the slope of piece i, in the same form."""
-        t1, c1 = piece(i)
-        return t1 - grid[i], ((i, -1), (c1, 1))
-
-    solver = _IntegerSolver(len(large))
-
-    def add_row(terms, rhs):
-        """sum(sign * (weighted sum) / L) = rhs over the grid values, checked
-        against f, then substituted, scaled to ints and added to the solver."""
-        m = math.lcm(*(L for _, (L, _) in terms))
-        row = {}
-        for sign, (L, weights) in terms:
-            k = sign * (m // L)
-            for c, w in weights:
-                row[c] = row.get(c, 0) + k * w
-        rhs *= m
-        if sum(v * fvec[c] for c, v in row.items()) != rhs * lat.scale:
+    # slope on each class is read off the lattice, scaled by lat.scale
+    fslope = [None] * k
+    for t, L, c in zip(grid, lengths, cls):
+        s = (lat.value(t + L) - lat.value(t)) // L
+        if fslope[c] not in (None, s):
             raise RuntimeError("constraint generation bug: f violates its own "
                                "equality structure")
-        reduced, rhs = {}, 2 * rhs
-        for c, v in row.items():
-            col, sign, const = subst[c]
-            rhs -= v * const
-            if sign:
-                reduced[col] = reduced.get(col, 0) + 2 * sign * v
-        solver.add(reduced, rhs)
+        fslope[c] = s
+    prefix = [[0] * k]             # theta at grid point i, as a row
+    for L, c in zip(lengths, cls):
+        prefix.append(prefix[-1][:])
+        prefix[-1][c] += L
 
-    add_row([(1, interp(0))], 0)
-    add_row([(1, interp(B))], 1)
+    def theta(x):
+        """theta(x/Q) as a row of int coefficients on the class slopes."""
+        x %= Q
+        i = bisect_right(grid, x) - 1
+        row = prefix[i][:]
+        row[cls[i]] += x - grid[i]
+        return row
+
+    solver = _IntegerSolver(k)
+
+    def add_row(row, rhs):
+        """Check the row against f's slopes and add it to the solver."""
+        if sum(v * s for v, s in zip(row, fslope)) != rhs * lat.scale:
+            raise RuntimeError("constraint generation bug: f violates its own "
+                               "equality structure")
+        solver.add(dict(enumerate(row)), rhs)
+
+    add_row(prefix[n], 0)          # closure: theta(1) = theta(0)
+    add_row(theta(B), 1)
     for x, y in zeros:
-        add_row([(1, interp(x)), (1, interp(y)), (-1, interp(x + y))], 0)
-    for face in faces:
-        # the interval lemma on the face: one slope on p1, p2 and p3 mod Q
-        piece_ids = _face_pieces(grid, face, Q)
-        ref = slope(piece_ids[0])
-        for pid in piece_ids[1:]:
-            add_row([(1, slope(pid)), (-1, ref)], 0)
+        add_row([u + v - w for u, v, w in zip(theta(x), theta(y), theta(x + y))], 0)
 
-    dim = len(large) - solver.rank
+    # map each solution to grid values, columns reversed so that the
+    # solver's lead entry is the last nonzero grid value
+    canon = _IntegerSolver(n)
+    for vec in solver.nullspace():
+        row, acc = {}, 0
+        for i, (L, c) in enumerate(zip(lengths, cls)):
+            row[n - 1 - i] = acc
+            acc += L * vec[c]
+        canon.add(row, 0)
     xs = [Fraction(t, Q) for t in grid]
     basis = []
-    for vec in solver.nullspace():
-        lifted = [Fraction(0)] * n
-        for c, i in enumerate(large):
-            lifted[i], lifted[partner[i]] = vec[c], -vec[c]
-        basis.append(PeriodicPWL(xs, lifted))
+    for col in sorted(canon.pivots, reverse=True):
+        row, _ = canon.pivots[col]
+        vals = [Fraction(0)] * n
+        for c, v in row.items():
+            vals[n - 1 - c] = Fraction(v, row[col])
+        basis.append(PeriodicPWL(xs, vals))
+    dim = len(basis)
     if not faces:
         verdict = "inconclusive"
     elif dim == 0:

@@ -17,7 +17,8 @@ from groupcut import (DomainError, Interval, NotMinimal, PeriodicPWL,
                       restricted_facet_test, two_slope_shortcut)
 from groupcut import extremality
 from groupcut.extremality import (_IntegerSolver, _affine_slope_on,
-                                  _face_pieces, _mod_segments, _zero_on_box)
+                                  _face_pieces, _half_faces, _mod_segments,
+                                  _slope_classes, _zero_on_box)
 from groupcut.verification import _Lattice
 from conftest import bump_value, fraction_vertex_pairs
 
@@ -242,6 +243,26 @@ def test_face_pieces_read_both_segments_of_a_straddling_p3():
     assert _face_pieces([0, 4, 8, 12], ((6, 7), (11, 12), (17, 19)), 16) == [0, 1, 2]
 
 
+def test_slope_classes_of_pi_k_are_its_k_slopes():
+    # at refinement 1 the grid is f's breakpoints and their mirrors; the
+    # classes are exactly the level sets of f's slope
+    for b in (F(1, 3), F(2, 5), F(1, 2)):
+        for f, k in [(gmi(b), 2), *((pi_k(k, b), k) for k in (2, 3, 4, 5, 6, 8))]:
+            lat = _Lattice(f, b.denominator)
+            Q, B = lat.q, lat.numerator(b) % lat.q
+            grid = sorted({*lat.points, B, *((B - t) % Q for t in lat.points)})
+            cls = _slope_classes(grid, [face for _, face in _half_faces(lat)], B, Q)
+            assert sorted(set(cls)) == list(range(k))
+            last = [max(i for i, c in enumerate(cls) if c == col) for col in range(k)]
+            assert last == sorted(last)
+            slopes = {}
+            for c, t0, t1 in zip(cls, grid, [*grid[1:], Q]):
+                x0, x1 = F(t0, Q), F(t1, Q)
+                slopes.setdefault(c, set()).add((f.eval(x1) - f.eval(x0)) / (x1 - x0))
+            assert all(len(s) == 1 for s in slopes.values())
+            assert len(set().union(*slopes.values())) == k
+
+
 def test_restricted_facet_test_certifies_true_functions():
     for f, b in ((gmi(F(1, 2)), F(1, 2)), (pi_k(3, F(1, 3)), F(1, 3))):
         r = restricted_facet_test(f, b, 8)
@@ -289,12 +310,11 @@ def test_restricted_facet_test_requires_minimality():
 
 
 def _full_grid_system(f, es, b, d):
-    """The facet test's system before the symmetry identity was substituted,
-    over Fractions, from f's equality structure es: one column per grid
-    value, the rows theta(0) = 0, theta(b) = 1, theta(x) + theta(b - x) = 1
-    at every grid point, one additivity row per additive vertex and the
-    face slope rows.  Returns the grid, the distinct rows and whether there
-    are faces."""
+    """The facet test's system over the grid values, in Fractions, from f's
+    equality structure es: one column per grid value, the rows
+    theta(0) = 0, theta(b) = 1, theta(x) + theta(b - x) = 1 at every grid
+    point, one additivity row per additive vertex and the face slope rows.
+    Returns the grid, the distinct rows and whether there are faces."""
     pts = {*f.breakpoints, b, *(F(i, d) for i in range(d))}
     grid = sorted(pts | {(b - t) % 1 for t in pts})
     n = len(grid)
@@ -363,10 +383,15 @@ def test_facet_test_matches_the_full_grid_system():
         ks = [pi_k(k, b) if b <= F(1, 2) else pi_k_reflected(k, b) for k in range(2, 6)]
         cases.append((linear_combine(F(1, 2), gmi(b), F(1, 2), ks[1]), b))
         cases += [(linear_combine(F(1, 2), g, F(1, 2), h), b) for g, h in zip(ks, ks[1:])]
-    verdicts = set()
-    for f, b in cases:
+    runs = [(f, b, (1, 3, 8, 16)) for f, b in cases]
+    # and the benchmark's sizes: the midpoint of gmi and pi_3 at b = 2/5
+    b = F(2, 5)
+    avg = linear_combine(F(1, 2), gmi(b), F(1, 2), pi_k(3, b))
+    runs.append((avg, b, (32, 64)))
+    verdicts, dims = set(), []
+    for f, b, ds in runs:
         es = equality_structure(f)
-        for d in (1, 3, 8, 16):
+        for d in ds:
             grid, rows, has_faces = _full_grid_system(f, es, b, d)
             consistent, _, basis = _gauss_jordan(rows, len(grid))
             assert consistent
@@ -377,12 +402,14 @@ def test_facet_test_matches_the_full_grid_system():
             assert [list(g.values) for g in r.basis_functions] == basis
             assert all(list(g.breakpoints) == grid for g in r.basis_functions)
             verdicts.add(r.verdict)
+            dims.append(r.dimension)
     assert verdicts == {"certified_unique", "not_unique"}
+    assert dims[-2:] == [5, 7]
 
 
 def test_facet_test_self_check_catches_a_wrong_face_row(monkeypatch):
     # gmi has slope 1/b on the first grid piece and -1/(1 - b) on the last;
-    # a face row that joins them is one f violates
+    # a face that joins them puts them in one class, which f violates
     face_pieces = extremality._face_pieces
 
     def with_both_ends(grid, face, period):
@@ -391,6 +418,40 @@ def test_facet_test_self_check_catches_a_wrong_face_row(monkeypatch):
     monkeypatch.setattr(extremality, "_face_pieces", with_both_ends)
     with pytest.raises(RuntimeError, match="^constraint generation bug"):
         restricted_facet_test(gmi(F(1, 2)), F(1, 2), 8)
+
+
+def test_facet_test_self_check_catches_a_wrong_slope_class(monkeypatch):
+    # gmi has slope 1/b on the first grid piece and -1/(1 - b) on the last;
+    # a class that holds both is one f violates
+    slope_classes = extremality._slope_classes
+
+    def joined(grid, faces, B, Q):
+        cls = slope_classes(grid, faces, B, Q)
+        return [cls[-1] if c == cls[0] else c for c in cls]
+
+    monkeypatch.setattr(extremality, "_slope_classes", joined)
+    with pytest.raises(RuntimeError, match="^constraint generation bug"):
+        restricted_facet_test(gmi(F(1, 2)), F(1, 2), 8)
+
+
+def test_facet_test_basis_does_not_depend_on_the_class_order(monkeypatch):
+    b = F(2, 5)
+    cases = [(linear_combine(F(1, 2), gmi(b), F(1, 2), pi_k(3, b)), d)
+             for d in (1, 8, 32)]
+    cases += [(linear_combine(F(1, 2), pi_k(3, b), F(1, 2), pi_k(4, b)), 16),
+              (pi_k(4, b), 8)]
+    want = [restricted_facet_test(f, b, d).to_dict() for f, d in cases]
+    assert {w["dimension"] for w in want} >= {0, 1, 5}
+    slope_classes = extremality._slope_classes
+
+    def by_first_piece(cls):
+        first = sorted(set(cls), key=cls.index)
+        return [first.index(c) for c in cls]
+
+    for order in (lambda cls: [max(cls) - c for c in cls], by_first_piece):
+        monkeypatch.setattr(extremality, "_slope_classes",
+                            lambda *args, order=order: order(slope_classes(*args)))
+        assert [restricted_facet_test(f, b, d).to_dict() for f, d in cases] == want
 
 
 def test_restricted_facet_test_rejects_refinement_below_one():
@@ -616,7 +677,13 @@ def test_integer_solver_matches_a_fraction_gauss_jordan(system):
     for row, rhs in rows:
         solver.add(dict(row), rhs)
     assert solver.rank == len(rref)
-    assert solver.nullspace() == basis
+    # each nullspace vector is an int multiple, positive at its free column,
+    # of the Fraction basis vector
+    free = [c for c in range(ncols) if c not in rref]
+    null = solver.nullspace()
+    assert all(type(v) is int for vec in null for v in vec)
+    assert all(vec[fc] > 0 for fc, vec in zip(free, null))
+    assert [[F(v, vec[fc]) for v in vec] for fc, vec in zip(free, null)] == basis
     # each pivot row is the primitive integer multiple, lead positive, of
     # its reduced row
     assert set(solver.pivots) == set(rref)
