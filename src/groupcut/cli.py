@@ -285,8 +285,10 @@ def _positive_int(text: str, cap: int) -> int:
 # pi_k has about 4k breakpoints of about 3k bits each, so its size grows as
 # k^2 bits and k = 10^5 would need tens of GB.  At 64 every verb ends within a
 # second: on a 2-core Xeon, `python -m groupcut.cli` takes 0.17 s for verify
-# minimal on pi_64(1/3), 0.25 s for certify --mode replay --k 64 and 0.24 s
-# for eval of the pi-n-k --n 64 --k 64 file (median of three runs)
+# minimal on pi_64(1/3) and 0.25 s for certify --mode replay --k 64 (median
+# of three runs), and 0.30 s for eval of the pi-n-k --n 64 --k 64 --b 2/3
+# file (median of five), of which the evaluation itself is 0.2 ms and
+# loading the file, with its minimality check, 0.1 s
 MAX_LEVEL = 64
 # the facet test's grid has about 2d points: on a 2-core Xeon, certify of
 # pi_8(1/2) takes 0.15 s at --refine 1024 and 1.4 s at 4096

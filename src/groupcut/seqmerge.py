@@ -5,20 +5,22 @@ for the resulting n-dimensional functions.
 
 n-dimensional functions are never materialized as polyhedral complexes;
 they exist only as checked chains of 1-D functions with two independent
-evaluation paths (the closed formula and the definitional nested-lift
-route) that must agree exactly.
+evaluation paths that must agree exactly: the closed formula
+`eval_merged`, which runs on integers through the lattice each node's
+minimality check built, and the definitional nested lifts (`psi_eval`,
+`eval_definitional`), which run on `PeriodicPWL.eval`.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .constructions import gmi, pi_k_reflected
 from .errors import DomainError, FormatError, NotMinimal
 from .pwl import Interval, PeriodicPWL, rat, rat_str
-from .verification import Certificate, check_minimal
+from .verification import Certificate, _Lattice, _minimal
 
 Vector = Sequence[Fraction]
 _MAX_DENOMINATOR = 64   # the largest denominator of a sampled coordinate
@@ -58,25 +60,33 @@ class MergedFn:
     tree is always right-nested, so the chain is all of it.  Building one
     checks that every b_i lies in (0, 1) and every f_i is minimal at b_i,
     which is what makes the merge periodic modulo the integer lattice.  A
-    node repeated within the chain is checked once."""
+    node repeated within the chain is checked once, on one lattice that
+    `eval_merged` then reads for every copy of the node."""
 
     nodes: tuple                   # ((PeriodicPWL, Fraction), ...)
+    _lattices: tuple = field(init=False, repr=False, compare=False)
+    _mass: Fraction = field(init=False, repr=False, compare=False)  # b_1 + ... + b_n
 
     def __post_init__(self):
         if not self.nodes:
             raise DomainError("a merged function needs at least one node")
-        checked = set()    # the stored tuples: __hash__ would canonicalize
+        checked = {}       # the stored tuples: __hash__ would canonicalize
+        lattices = []
         for i, (f, b) in enumerate(self.nodes, 1):
             if not 0 < b < 1:      # b_1 + ... + b_n = 0 would divide by 0
                 raise DomainError(f"b{i} must lie in (0, 1), got {b}")
             key = (f.breakpoints, f.values, b)
-            if key in checked:
-                continue
-            cert = check_minimal(f, b)
-            if not cert.passed:
-                raise NotMinimal(f"f{i} is not minimal at b{i} = {b}: "
-                                 f"{cert.witness}", cert)
-            checked.add(key)
+            lat = checked.get(key)
+            if lat is None:
+                lat = _Lattice(f, b.denominator)
+                cert = _minimal(f, lat, b)[0]
+                if not cert.passed:
+                    raise NotMinimal(f"f{i} is not minimal at b{i} = {b}: "
+                                     f"{cert.witness}", cert)
+                checked[key] = lat
+            lattices.append(lat)
+        object.__setattr__(self, "_lattices", tuple(lattices))
+        object.__setattr__(self, "_mass", sum(b for _, b in self.nodes))
 
     @property
     def arity(self) -> int:
@@ -141,19 +151,22 @@ def _coerce_vector(F: MergedFn, x) -> list:
 
 
 def eval_merged(F: MergedFn, x) -> Fraction:
-    """Closed formula, from the last node out: with the value g and the
-    parameter mass B of the nodes after f_i, and s the sum of their
-    coordinates plus x_i, the merge up to f_i evaluates to
-    (B*g + b_i*f_i(s - B*g)) / (b_i + B)."""
+    """Closed formula on integers, from the last node out.  With g the value
+    and B the parameter mass of the nodes after f_i, s the sum of their
+    coordinates plus x_i and h = B*g, the merge up to f_i has
+    h <- h + b_i*f_i(s - h), and F(x) is h over the total mass.  s and h are
+    kept as S/D and H/D over one unreduced int D, and f_i(s - h) is
+    lat.scaled_at(S - H, D) / (scale*D) on f_i's lattice."""
     x = _coerce_vector(F, x)
-    (f, B), *outers = reversed(F.nodes)
-    s = x[-1]
-    g = f.eval(s)
-    for (f, b), xi in zip(outers, reversed(x[:-1])):
-        s += xi
-        g = (B * g + b * f.eval(s - B * g)) / (b + B)
-        B += b
-    return g
+    S, H, D = 0, 0, 1
+    for (_, b), lat, xi in zip(reversed(F.nodes), reversed(F._lattices), reversed(x)):
+        xd = xi.denominator
+        S, H, D = S * xd + xi.numerator * D, H * xd, D * xd
+        v = lat.scaled_at(S - H, D)
+        m = b.denominator * lat.scale
+        S, H, D = S * m, H * m + b.numerator * v, D * m
+    M = F._mass
+    return Fraction(H * M.denominator, D * M.numerator)
 
 
 def psi_eval(F: MergedFn, x) -> Fraction:
@@ -273,11 +286,12 @@ def check_genuinely_nd(F, trials: int, seed: int) -> Certificate:
         zero_pts.append([Fraction(rng.randint(-3, 3)) for _ in range(arity)])
     for pt in zero_pts:
         checked += 1
-        if func(pt) != 0:
+        value = func(pt)
+        if value != 0:
             return Certificate("fail", checked_count=checked,
                                witness={"kind": "nonzero-at-integer",
                                         "point": [rat_str(v) for v in pt],
-                                        "value": rat_str(func(pt))})
+                                        "value": rat_str(value)})
     done = 0
     while done < trials:
         pt = [_random_fraction(rng) for _ in range(arity)]
@@ -285,11 +299,12 @@ def check_genuinely_nd(F, trials: int, seed: int) -> Certificate:
             continue
         done += 1
         checked += 1
-        if func(pt) <= 0:
+        value = func(pt)
+        if value <= 0:
             return Certificate("fail", checked_count=checked,
                                witness={"kind": "nonpositive-off-lattice",
                                         "point": [rat_str(v) for v in pt],
-                                        "value": rat_str(func(pt))})
+                                        "value": rat_str(value)})
     return Certificate("pass", checked_count=checked,
                        detail="consistent with genuinely n-dimensional "
                               "(sampled; not a proof)")
@@ -306,10 +321,12 @@ def sample_subadditivity_nd(F, trials: int, seed: int) -> Certificate:
         x = [_random_fraction(rng) for _ in range(arity)]
         y = [_random_fraction(rng) for _ in range(arity)]
         s = [a + c for a, c in zip(x, y)]
-        if func(x) + func(y) - func(s) < 0:
+        delta = func(x) + func(y) - func(s)
+        if delta < 0:
             return Certificate("fail", checked_count=t + 1,
                                witness={"kind": "subadditivity-nd",
                                         "x": [rat_str(v) for v in x],
-                                        "y": [rat_str(v) for v in y]})
+                                        "y": [rat_str(v) for v in y],
+                                        "delta": rat_str(delta)})
     return Certificate("pass", checked_count=trials,
                        detail="no violation found (sampled; not a proof)")

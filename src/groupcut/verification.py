@@ -85,6 +85,14 @@ class _Lattice:
             v = self._memo[i] = self._a[j] * i + self._c[j]
         return v
 
+    def scaled_at(self, n: int, d: int) -> int:
+        """scale*d*f(n/d) for ints n and d > 0, n/d not necessarily reduced.
+        p = n*q mod q*d is q*d times n/d mod 1, so the piece j that holds
+        p/d is the one that holds floor(p/d), and the value is a_j*p + c_j*d."""
+        p = n * self.q % (self.q * d)
+        j = bisect_right(self.points, p // d) - 1
+        return self._a[j] * p + self._c[j] * d
+
     def slack(self, i: int, k: int) -> int:
         """scale times f(x) + f(y) - f(x+y) at x = i/q, y = k/q."""
         value = self.value

@@ -9,6 +9,8 @@ from groupcut import (DomainError, FormatError, MergedFn, NotMinimal,
                       group_space_eval, leaf, lift_eval, phi_m, pi_k,
                       pi_k_reflected, pi_n_k, psi_eval, region_gradients,
                       sample_subadditivity_nd, seq_merge, seqmerge)
+from groupcut.cli import MAX_LEVEL
+from groupcut.verification import _Lattice
 
 
 def rand_fracs(rng, n, maxq=60):
@@ -94,6 +96,59 @@ def test_closed_formula_matches_definitional_path():
             assert eval_merged(Fn, x) == eval_definitional(Fn, x)
 
 
+def test_closed_formula_at_integers_and_breakpoints():
+    rng = random.Random(19)
+    for Fn in (phi_m(3, F(2, 3)), pi_n_k(3, 5, F(1, 2)), pi_n_k(4, 3, F(3, 5))):
+        for _ in range(10):
+            z = [F(rng.randint(-3, 3)) for _ in range(Fn.arity)]
+            assert eval_merged(Fn, z) == 0 == eval_definitional(Fn, z)
+        # x_i is chosen from the last node out so that s - h, the argument
+        # of f_i, is a breakpoint of f_i shifted by an integer
+        for _ in range(10):
+            x = []
+            for i in reversed(range(Fn.arity)):
+                f, _ = Fn.nodes[i]
+                h = 0
+                if x:
+                    inner = MergedFn(Fn.nodes[i + 1:])
+                    h = sum(inner.b_vector) * eval_definitional(inner, x)
+                t = rng.choice(f.breakpoints) + rng.randint(-2, 2)
+                x.insert(0, t - sum(x) + h)
+            assert eval_merged(Fn, x) == eval_definitional(Fn, x)
+
+
+def test_closed_formula_at_the_cli_caps():
+    P = pi_n_k(MAX_LEVEL, MAX_LEVEL, F(2, 3))
+    rng = random.Random(64)
+    for _ in range(5):
+        x = rand_fracs(rng, P.arity, maxq=64)
+        assert eval_merged(P, x) == eval_definitional(P, x)
+
+
+def test_scaled_at_matches_pwl_eval():
+    rng = random.Random(23)
+    for f, b in ((gmi(F(3, 5)), F(3, 5)), (pi_k(4, F(1, 3)), F(1, 3)),
+                 (pi_k_reflected(5, F(2, 3)), F(2, 3))):
+        lat = _Lattice(f, b.denominator)
+        q = lat.q
+
+        def agrees(n, d):
+            return lat.scaled_at(n, d) == lat.scale * d * f.eval(F(n, d))
+
+        for p in lat.points:
+            for d in (1, 7, 1000 * q):
+                for shift in (-2, 0, 1):        # shift < 0: negative n
+                    # the breakpoint (p + shift*q)/q, written as n/(q*d),
+                    # and 1/(q*d) to either side of it
+                    n = (p + shift * q) * d
+                    assert all(agrees(n + e, q * d) for e in (-1, 0, 1))
+        for _ in range(200):
+            d = rng.choice((2, 9, q, 97 * q ** 2))
+            n = rng.randint(-5 * d, 5 * d)
+            g = rng.randint(2, 6)               # gcd(g*n, g*d) > 1
+            assert agrees(n, d) and agrees(g * n, g * d)
+
+
 def test_evaluation_paths_are_independent(monkeypatch):
     # the closed formula and the nested lifts agree on every chain, so only
     # a fault planted in one path shows that neither calls the other
@@ -103,6 +158,19 @@ def test_evaluation_paths_are_independent(monkeypatch):
     monkeypatch.setattr(seqmerge, "psi_eval", lambda Fn, v: psi_eval(Fn, v) + 1)
     assert eval_merged(P, x) == closed
     assert eval_definitional(P, x) == definitional - F(1) / sum(P.b_vector)
+
+
+def test_the_nested_lifts_do_not_read_the_lattice(monkeypatch):
+    # the other direction: a fault planted in the integer kernel moves the
+    # closed formula and leaves the definitional path alone
+    P = pi_n_k(3, 3, F(1, 2))
+    x = [F(1, 5), F(2, 7), F(-3, 4)]
+    closed, definitional = eval_merged(P, x), eval_definitional(P, x)
+    scaled_at = _Lattice.scaled_at
+    monkeypatch.setattr(_Lattice, "scaled_at",
+                        lambda lat, n, d: scaled_at(lat, n, d) + 1)
+    assert eval_merged(P, x) != closed
+    assert eval_definitional(P, x) == definitional
 
 
 def test_merged_function_is_lattice_periodic():
@@ -153,13 +221,14 @@ def test_every_node_of_a_chain_is_checked():
 
 def test_a_repeated_node_is_checked_once_per_construction(monkeypatch):
     calls = []
-    check = seqmerge.check_minimal
-    monkeypatch.setattr(seqmerge, "check_minimal",
-                        lambda f, b: calls.append((f, b)) or check(f, b))
+    check = seqmerge._minimal
+    monkeypatch.setattr(seqmerge, "_minimal",
+                        lambda f, lat, b: calls.append((f, b)) or check(f, lat, b))
     for _ in range(2):       # no memory across constructions
         calls.clear()
-        phi_m(8, F(1, 2))
+        P = phi_m(8, F(1, 2))
         assert calls == [(gmi(F(1, 2)), F(1, 2))]
+        assert [id(lat) for lat in P._lattices] == [id(P._lattices[0])] * 8
     # the key is the stored tuples: an equal function with an extra
     # breakpoint, or the same function at another b, is checked again
     g = gmi(F(1, 2))
@@ -224,6 +293,7 @@ def test_genuinely_nd_sampler():
     c = check_genuinely_nd(trivial, 100, seed=0)
     assert not c.passed
     assert c.witness["kind"] == "nonpositive-off-lattice"
+    assert F(c.witness["value"]) == p3.eval(F(c.witness["point"][0]))
 
 
 def test_subadditivity_sampler():
@@ -243,6 +313,9 @@ def test_subadditivity_sampler():
     assert M([F(0), F(1, 8)]) + M([F(0), F(1, 2)]) < M([F(0), F(5, 8)])
     c = sample_subadditivity_nd((M, 2), 500, seed=0)
     assert not c.passed and c.witness["kind"] == "subadditivity-nd"
+    x, y = ([F(v) for v in c.witness[key]] for key in ("x", "y"))
+    delta = M(x) + M(y) - M([u + v for u, v in zip(x, y)])
+    assert delta == F(c.witness["delta"]) < 0
 
 
 def test_merged_json_round_trip():
