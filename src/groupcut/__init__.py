@@ -4,15 +4,14 @@ piecewise-linear cut-generating functions, all over rational arithmetic."""
 from .errors import DomainError, FormatError, NotMinimal
 from .pwl import (Interval, PeriodicPWL, common_refinement, linear_combine,
                   rat, rat_str)
-from .constructions import (IntervalSystem, PiInfinityTruncation, gmi,
-                            interval_system, new_slope, pi_infinity_truncation,
-                            pi_infinity_value, pi_k, pi_k_reflected,
-                            stabilization_index, truncation_bound)
+from .constructions import (gmi, interval_system, new_slope,
+                            pi_infinity_truncation, pi_infinity_value, pi_k,
+                            pi_k_reflected, stabilization_index,
+                            truncation_bound)
 from .verification import (Certificate, brute_force_subadditive,
                            check_minimal, check_nonnegative, check_slope_census,
                            check_subadditive, check_symmetry, check_zero_set)
-from .extremality import (EqualityStructure, PerturbationTestResult,
-                          equality_structure, replay_pi_k_facet_proof,
+from .extremality import (equality_structure, replay_pi_k_facet_proof,
                           restricted_facet_test, two_slope_shortcut)
 from .seqmerge import (MergedFn, check_genuinely_nd, check_lift_nondecreasing,
                        eval_definitional, eval_merged, group_space_eval, leaf,
@@ -23,14 +22,14 @@ __all__ = [
     "DomainError", "FormatError", "NotMinimal",
     "Interval", "PeriodicPWL", "common_refinement", "linear_combine", "rat",
     "rat_str",
-    "IntervalSystem", "PiInfinityTruncation", "gmi", "interval_system",
-    "new_slope", "pi_infinity_truncation", "pi_infinity_value", "pi_k",
-    "pi_k_reflected", "stabilization_index", "truncation_bound",
+    "gmi", "interval_system", "new_slope", "pi_infinity_truncation",
+    "pi_infinity_value", "pi_k", "pi_k_reflected", "stabilization_index",
+    "truncation_bound",
     "Certificate", "brute_force_subadditive", "check_minimal",
     "check_nonnegative", "check_slope_census", "check_subadditive",
     "check_symmetry", "check_zero_set",
-    "EqualityStructure", "PerturbationTestResult", "equality_structure",
-    "replay_pi_k_facet_proof", "restricted_facet_test", "two_slope_shortcut",
+    "equality_structure", "replay_pi_k_facet_proof", "restricted_facet_test",
+    "two_slope_shortcut",
     "MergedFn", "check_genuinely_nd", "check_lift_nondecreasing",
     "eval_definitional", "eval_merged", "group_space_eval", "leaf",
     "lift_eval", "phi_m", "pi_n_k", "psi_eval", "region_gradients",

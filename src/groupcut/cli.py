@@ -60,6 +60,11 @@ def _print_cert(cert) -> int:
     return 0 if cert.passed else 1
 
 
+def _print_arity(F: seqmerge.MergedFn) -> None:
+    print(f"arity {F.arity}, b-vector "
+          f"[{', '.join(rat_str(v) for v in F.b_vector)}]")
+
+
 def _print_not_minimal(exc: NotMinimal, **extra) -> int:
     print(json.dumps({"verdict": "fail", "stage": "minimality", **extra,
                       **exc.certificate.to_dict()}, indent=2))
@@ -92,15 +97,13 @@ def cmd_construct(args) -> int:
             raise _UsageError("construct phi-m requires --m")
         F = seqmerge.phi_m(args.m, args.b)
         out_obj, summary = F.to_dict(), None
-        print(f"arity {F.arity}, b-vector "
-              f"[{', '.join(rat_str(v) for v in F.b_vector)}]")
+        _print_arity(F)
     elif kind == "pi-n-k":
         if args.n is None or args.k is None:
             raise _UsageError("construct pi-n-k requires --n and --k")
         F = seqmerge.pi_n_k(args.n, args.k, args.b)
         out_obj, summary = F.to_dict(), None
-        print(f"arity {F.arity}, b-vector "
-              f"[{', '.join(rat_str(v) for v in F.b_vector)}]")
+        _print_arity(F)
     else:  # pragma: no cover - argparse restricts choices
         raise _UsageError(f"unknown construction {kind}")
     if summary is not None:
@@ -187,8 +190,7 @@ def cmd_merge(args) -> int:
               "defined but the minimality theorem's hypothesis fails",
               file=sys.stderr)
     _write_json(args.out, F.to_dict())
-    print(f"arity {F.arity}, b-vector "
-          f"[{', '.join(rat_str(v) for v in F.b_vector)}]")
+    _print_arity(F)
     print(f"wrote {args.out}")
     return 0
 

@@ -52,77 +52,59 @@ class EqualityStructure:
 
 
 def _zero_on_box(lat: _Lattice, U: Interval, V: Interval) -> bool:
-    """True iff the subadditivity slack vanishes identically on U x V.  Box
-    ends on (1/q)Z become int numerators and ends off it stay exact rational
-    ones; a degenerate side [lo, lo] walks one segment.  A square (U == V)
-    walks half its cells, as `_cells` says."""
-    q = lat.q
+    """True iff the subadditivity slack D(x, y) = f(x) + f(y) - f(x + y)
+    vanishes identically on U x V, for nondegenerate U and V; a degenerate
+    side raises DomainError.
 
-    def cuts(I):
-        lo, hi = lat.numerator(I.lo), lat.numerator(I.hi)
-        return [lo, *(p for p in points_in(lat.points, q, lo, hi)
-                      if lo < p < hi), hi]
-
-    return all(zero for _, zero in _cells(lat, cuts(U), cuts(V)))
-
-
-def _cell_vertices(a1, a2, b1, b2, wl, wu):
-    """Vertices of the convex cell {box} intersect {wl <= x+y <= wu}: first
-    the box corners inside the strip, then the diagonals' crossings of the
-    box edges.  A vertex may come twice (a corner on a diagonal is also a
-    crossing); the callers only ask whether the slack vanishes at all of
-    them, and stop at the first one where it does not."""
-    for x in (a1, a2):
-        for y in (b1, b2):
-            if wl <= x + y <= wu:
-                yield x, y
-    for w in (wl, wu):
-        for x in (a1, a2):
-            if b1 <= w - x <= b2:
-                yield x, w - x
-        for y in (b1, b2):
-            if a1 <= w - y <= a2:
-                yield w - y, y
-
-
-def _cells(lat: _Lattice, xs: list, ys: list):
-    """Walk the cells of the slack's complex on [xs[0], xs[-1]] x
-    [ys[0], ys[-1]] in lattice numerators, xs and ys sorted and holding every
-    breakpoint between their ends.  Yields each cell (a1, a2, b1, b2, wl, wu)
-    with whether the slack, affine on it, vanishes at all its vertices.  A
-    point box is one cell with wl == wu.
-
-    Given the same cuts on both axes (xs == ys), it walks only the cells
-    with a1 <= b1.  The mirror (b1, b2, a1, a2, wl, wu) of a cell is a cell
-    of the full walk, and since D(x, y) = D(y, x) the slack vanishes on one
-    iff it vanishes on the other.  A caller that needs every cell adds the
-    mirrors of the cells off the diagonal."""
-    q, slack = lat.q, lat.slack
-    ysegs = list(zip(ys, ys[1:]))
-    half = xs == ys
-    for n, (a1, a2) in enumerate(zip(xs, xs[1:])):
-        for b1, b2 in ysegs[n:] if half else ysegs:
-            ws = sorted({a1 + b1, a2 + b2,
-                         *points_in(lat.points, q, a1 + b1, a2 + b2)})
-            for wl, wu in zip(ws, ws[1:] or ws):
-                cell = (a1, a2, b1, b2, wl, wu)
-                yield cell, all(slack(x, y) == 0
-                                for x, y in _cell_vertices(*cell))
+    This is the Gomory-Johnson interval lemma for a continuous PWL f: D
+    vanishes on U x V iff f is affine with one slope on U, on V and on
+    U + V, and D is 0 at one point, here (U.lo, V.lo).  If f has slope s
+    on all three, D(x, y) = D(U.lo, V.lo) on the box.  Conversely, the lines
+    x, y and x + y through breakpoints cut the box into cells; on a 2-D
+    cell, where f has slopes s1, s2, s3 at x, y, x + y, D is affine with
+    gradient (s1 - s3, s2 - s3), so D = 0 there forces s1 = s2 = s3.  Every
+    x-segment of U meets every y-segment of V in a 2-D cell, and every
+    segment of U + V meets the open box in one, so one slope holds on all
+    three.  Box ends off the lattice stay exact rational numerators."""
+    if U.degenerate or V.degenerate:
+        raise DomainError(f"box sides must be nondegenerate, got "
+                          f"[{U.lo}, {U.hi}] x [{V.lo}, {V.hi}]")
+    s1, s2, s3 = (_affine_slope_on(lat, I)
+                  for I in (U, V, Interval(U.lo + V.lo, U.hi + V.hi)))
+    return (s1 is not None and s1 == s2 == s3
+            and lat.slack(lat.numerator(U.lo), lat.numerator(V.lo)) == 0)
 
 
 def _half_faces(lat: _Lattice):
-    """The zero cells of the walk over the half a1 <= b1 of the period
-    square, each as its walk key (a1, b1, wl) and its projection triple
-    (p1, p2, p3) of int pairs (lo, hi).  A cell (a1, a2, b1, b2, wl, wu)
-    projects to p1 = [max(a1, wl - b2), min(a2, wu - b1)], p2 likewise with
-    the axes swapped, and p3 = [wl, wu], since the walk's strips lie between
-    a1 + b1 and a2 + b2."""
-    P = lat.points + [lat.q]
-    for (a1, a2, b1, b2, wl, wu), zero in _cells(lat, P, P):
-        if zero:
-            p1 = (max(a1, wl - b2), min(a2, wu - b1))
-            p2 = (max(b1, wl - a2), min(b2, wu - a1))
-            yield (a1, b1, wl), (p1, p2, (wl, wu))
+    """The zero cells of the slack's complex over the half a1 <= b1 of the
+    period square, each as its walk key (a1, b1, wl) and its projection
+    triple (p1, p2, p3) of int pairs (lo, hi).
+
+    The box [a1, a2] x [b1, b2] of pieces i <= j is cut by the breakpoints
+    between a1 + b1 and a2 + b2 into strip cells wl <= x + y <= wu, each a
+    2-D cell with one piece of f on its sums, the piece of wl mod q.  On it
+    the slack is affine with gradient (s1 - s3, s2 - s3), s1, s2, s3 f's
+    steps on pieces i and j and on the strip, so it vanishes iff
+    s1 = s2 = s3 and it is 0 at one vertex, here (p1's lo, wl - p1's lo).
+    A box with s1 != s2 has no zero cell.  The cell projects to
+    p1 = [max(a1, wl - b2), min(a2, wu - b1)], p2 likewise with the axes
+    swapped, and p3 = [wl, wu].  The mirror (b1, b2, a1, a2, wl, wu) of a
+    cell is a cell of the full square, and since D(x, y) = D(y, x) it is
+    zero iff the cell is."""
+    P, q, steps = lat.points, lat.q, lat.steps
+    ends = [*P[1:], q]
+    for n, (a1, a2, s) in enumerate(zip(P, ends, steps)):
+        for b1, b2, t in zip(P[n:], ends[n:], steps[n:]):
+            if s != t:
+                continue
+            ws = sorted({a1 + b1, a2 + b2, *points_in(P, q, a1 + b1, a2 + b2)})
+            for wl, wu in zip(ws, ws[1:]):
+                x = max(a1, wl - b2)
+                if (steps[bisect_right(P, wl % q) - 1] == s
+                        and lat.slack(x, wl - x) == 0):
+                    p1 = (x, min(a2, wu - b1))
+                    p2 = (max(b1, wl - a2), min(b2, wu - a1))
+                    yield (a1, b1, wl), (p1, p2, (wl, wu))
 
 
 def equality_structure(f: PeriodicPWL) -> EqualityStructure:

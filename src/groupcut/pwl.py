@@ -277,8 +277,9 @@ def points_in(points, period, lo, hi) -> list:
     """The points p + m*period inside [lo, hi], ascending, for p in the
     sorted sequence `points` (all in [0, period)) and m an integer.
 
-    Works alike over ints and Fractions: breakpoints with period 1, or the
-    lattice numerators of a function with period q.
+    The library passes the int lattice numerators of a function's
+    breakpoints with period q; lo and hi are numerators too, ints or exact
+    rationals for ends off the lattice.
     """
     out = []
     for m in range(lo // period, hi // period + 1):

@@ -50,12 +50,14 @@ class _Lattice:
     lattice, such as a refinement grid.
     On piece j, scale*f(i/q) = a_j*i + c_j with integers a_j, c_j, so the
     slack at (i/q, k/q) is the integer value(i) + value(k) - value(i + k),
-    which is scale times the exact slack.  This is the finite-group
-    restriction of Basu, Hildebrand and Koeppe (Equivariant perturbation in
-    Gomory and Johnson's infinite group problem I, Math. Oper. Res. 2015).
+    which is scale times the exact slack.  a_j is `steps[j]`, f's lattice
+    step on piece j: two pieces have equal steps iff f's slopes on them are
+    equal.  This is the finite-group restriction of Basu, Hildebrand and
+    Koeppe (Equivariant perturbation in Gomory and Johnson's infinite group
+    problem I, Math. Oper. Res. 2015).
     """
 
-    __slots__ = ("q", "scale", "points", "_a", "_c", "_memo")
+    __slots__ = ("q", "scale", "points", "steps", "_c", "_memo")
 
     def __init__(self, f: PeriodicPWL, denominator: int = 1):
         bps, vals = f.breakpoints, f.values
@@ -65,9 +67,9 @@ class _Lattice:
                          *(s.denominator for s in steps))
         self.q, self.scale = q, scale
         self.points = [t.numerator * (q // t.denominator) for t in bps]
-        self._a = [s.numerator * (scale // s.denominator) for s in steps]
+        self.steps = [s.numerator * (scale // s.denominator) for s in steps]
         self._c = [v.numerator * (scale // v.denominator) - a * p
-                   for v, a, p in zip(vals, self._a, self.points)]
+                   for v, a, p in zip(vals, self.steps, self.points)]
         self._memo = {}
 
     def numerator(self, t):
@@ -82,7 +84,7 @@ class _Lattice:
         v = self._memo.get(i)
         if v is None:
             j = bisect_right(self.points, i) - 1
-            v = self._memo[i] = self._a[j] * i + self._c[j]
+            v = self._memo[i] = self.steps[j] * i + self._c[j]
         return v
 
     def scaled_at(self, n: int, d: int) -> int:
@@ -91,7 +93,7 @@ class _Lattice:
         p/d is the one that holds floor(p/d), and the value is a_j*p + c_j*d."""
         p = n * self.q % (self.q * d)
         j = bisect_right(self.points, p // d) - 1
-        return self._a[j] * p + self._c[j] * d
+        return self.steps[j] * p + self._c[j] * d
 
     def slack(self, i: int, k: int) -> int:
         """scale times f(x) + f(y) - f(x+y) at x = i/q, y = k/q."""
@@ -144,7 +146,7 @@ def _scan(lat: _Lattice) -> tuple:
     the witness, and `checked` is its position in the list, counted by
     `_rank`.  A failing scan returns no zeros.
     """
-    P, q, A, C = lat.points, lat.q, lat._a, lat._c
+    P, q, A, C = lat.points, lat.q, lat.steps, lat._c
     # value(x) = A[j]*x + C[j] on piece j, without value's memo: the sums
     # and differences met here are nearly all distinct, so it would cost
     # more than it saves

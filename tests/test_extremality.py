@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from groupcut import (DomainError, Interval, NotMinimal, PeriodicPWL,
                       check_minimal, check_nonnegative, check_subadditive,
-                      check_symmetry, equality_structure, gmi, linear_combine,
-                      pi_k, pi_k_reflected, rat, replay_pi_k_facet_proof,
-                      restricted_facet_test, two_slope_shortcut)
+                      check_symmetry, equality_structure, gmi, interval_system,
+                      linear_combine, pi_k, pi_k_reflected, rat,
+                      replay_pi_k_facet_proof, restricted_facet_test,
+                      two_slope_shortcut)
 from groupcut import extremality
 from groupcut.extremality import (_IntegerSolver, _affine_slope_on,
                                   _face_pieces, _half_faces, _mod_segments,
@@ -152,6 +153,11 @@ def test_equality_structure_matches_a_full_square_walk():
         fns += [gmi(b)] + [pi_k(k, b) for k in range(2, 7)]
     fns += [pi_k_reflected(k, F(3, 5)) for k in (3, 4, 5)]
     fns.append(linear_combine(F(1, 2), gmi(F(1, 2)), F(1, 2), pi_k(3, F(1, 2))))
+    # pieces split at collinear breakpoints, and a flat piece
+    cuts = [F(97, 256), F(3, 5), *(F(i, 16) for i in range(1, 16))]
+    fns += [g.refine_to(cuts) for g in (pi_k(3, F(1, 2)), gmi(F(1, 3)))]
+    fns.append(PeriodicPWL([F(0), F(1, 4), F(1, 2), F(3, 4)],
+                           [F(0), F(1, 2), F(1, 2), F(1)]))
     for f in fns:
         assert equality_structure(f).to_dict() == _full_square_walk(f), f.to_json()
     # a subadditivity mutant: the same message, witness included
@@ -188,7 +194,8 @@ def test_zero_on_box_matches_a_brute_enumeration():
                                          for _ in bps[1:]])
 
     fns = [gmi(F(1, 2)), gmi(F(2, 5)), pi_k(4, F(1, 3)), pi_k(5, F(1, 2)),
-           bump_value(pi_k(4, F(1, 2)), 2, F(1, 1000))]
+           bump_value(pi_k(4, F(1, 2)), 2, F(1, 1000)),
+           pi_k(3, F(1, 2)).refine_to([F(97, 256), *(F(i, 16) for i in range(16))])]
     fns += [random_pwl() for _ in range(20)]
 
     def end(f):
@@ -207,21 +214,24 @@ def test_zero_on_box_matches_a_brute_enumeration():
             return Interval(max(F(0), lo - w), min(F(1), lo + w))
         return Interval(lo, hi)
 
-    seen = set()
+    seen, degenerate = set(), 0
     for f in fns:
         # squares anchored at the origin, up to the whole period, then random
-        # boxes, then the square on each side drawn for them: a square walks
-        # half its cells
+        # boxes, then the square on each side drawn for them
         boxes = [(Interval(F(0), t), Interval(F(0), t)) for t in f.breakpoints[1:] + (F(1),)]
         drawn = [(side(f), side(f)) for _ in range(30)]
         boxes += drawn + [(S, S) for box in drawn for S in box]
         for U, V in boxes:
+            if U.degenerate or V.degenerate:
+                degenerate += 1
+                with pytest.raises(DomainError):
+                    _zero_on_box(_Lattice(f), U, V)
+                continue
             got = _zero_on_box(_Lattice(f), U, V)
             assert got == _brute_zero_on_box(f, U, V), (f, U, V)
-            seen.add((got, U.degenerate or V.degenerate, U.hi + V.hi > 1))
-    # true and false answers, with and without a degenerate side or a sum past 1
-    assert seen == {(z, d, p) for z in (True, False) for d in (True, False)
-                    for p in (True, False)}
+            seen.add((got, U.hi + V.hi > 1))
+    # true and false answers, with and without a sum past 1
+    assert degenerate and seen == {(z, p) for z in (True, False) for p in (True, False)}
 
 
 def test_mod_segments_splits_p3_at_the_period():
@@ -505,7 +515,10 @@ def test_replay_counts_every_fact_it_checks_the_failing_one_included(monkeypatch
         c = replay_pi_k_facet_proof(4, b, f)
         assert (c.witness["step"], c.checked_count) == (step, checked), n
     monkeypatch.setattr(extremality, "_zero_on_box", zero_on_box)
-    monkeypatch.setattr(extremality, "_affine_slope_on", lambda *args: None)
+    # no slope on level 3's I2 only: the boxes read slopes too
+    slope_on, i2 = extremality._affine_slope_on, interval_system(3, b).i2
+    monkeypatch.setattr(extremality, "_affine_slope_on",
+                        lambda lat, I: None if I == i2 else slope_on(lat, I))
     c = replay_pi_k_facet_proof(4, b, f)
     assert (c.witness["step"], c.checked_count) == ("c", 9)
     monkeypatch.undo()
