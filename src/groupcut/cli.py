@@ -287,8 +287,8 @@ def _positive_int(text: str, cap: int) -> int:
 # pi_k has about 4k breakpoints of about 3k bits each, so its size grows as
 # k^2 bits and k = 10^5 would need tens of GB.  At 64 every verb ends within a
 # second: on a 2-core Xeon, `python -m groupcut.cli` takes 0.17 s for verify
-# minimal on pi_64(1/3) and 0.25 s for certify --mode replay --k 64 (median
-# of three runs), and 0.30 s for eval of the pi-n-k --n 64 --k 64 --b 2/3
+# minimal on pi_64(1/3) and 0.27 s for certify --mode replay --k 64 (median
+# of eleven runs), and 0.30 s for eval of the pi-n-k --n 64 --k 64 --b 2/3
 # file (median of five), of which the evaluation itself is 0.2 ms and
 # loading the file, with its minimality check, 0.1 s
 MAX_LEVEL = 64

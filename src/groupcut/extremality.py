@@ -1,6 +1,6 @@
 """Equality structure of the subadditivity slack, extremality
 certification within the piecewise-linear perturbation class, and an exact
-replay of the numeric facts behind the facet argument for the k-slope
+replay of the additive boxes behind the facet argument for the k-slope
 family.
 
 The perturbation certificates are deliberately scoped: `certified_unique`
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .constructions import interval_system, pi_k
+from .constructions import pi_k
 from .errors import DomainError
 from .pwl import Interval, PeriodicPWL, pieces_meeting, points_in, rat, rat_str
 from .verification import Certificate, _Lattice, _require_minimal, _scan
@@ -425,7 +425,7 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
 
 
 # ---------------------------------------------------------------------------
-# exact replay of the facet-proof facts
+# exact replay of the facet-proof boxes
 # ---------------------------------------------------------------------------
 
 def _affine_slope_on(lat: _Lattice, I: Interval) -> Optional[Fraction]:
@@ -441,76 +441,60 @@ def _affine_slope_on(lat: _Lattice, I: Interval) -> Optional[Fraction]:
     return Fraction(rise * lat.q, (hi - lo) * lat.scale)
 
 
-def _replay_facts(lat: _Lattice, k: int, b: Fraction):
-    """Each fact of the facet argument for the level-k function, in order,
-    as (step, holds, reason) on f's lattice.  A fact is computed only when
-    it is asked for, so nothing after the first failure is.  eps_j, the
-    scale of level j, is the right end of its I1."""
-    num, value = lat.numerator, lat.value
-    systems = {m: interval_system(m, b) for m in range(3, k + 1)}
+def _replay_boxes(k: int, b: Fraction):
+    """The additive boxes of the facet argument for the level-k function,
+    in order, as (step, U, V, reason): the slack must vanish on U x V.
+    They depend on k and b only, with eps_j = b/8^(j-2) from its recurrence
+    eps_2 = b, eps_(j+1) = eps_j/8.
 
-    # (a) the I6 face: [(1+b)/2, 1] + [(1+b)/2, 1] covers I6 mod 1, additively
+    Each box stands for the facts the argument reads off it.  They follow
+    from what `_zero_on_box` checks, one slope on U, V and U + V and slack
+    0 at (U.lo, V.lo), and from the gate: f(0) = 0, so f(1) = 0, and
+    f(x) + f(b - x) = 1, so f(b) = 1.  The identities hold for every
+    j >= 3 and b in (0, 1/2].
+    (a) U = V = [(1+b)/2, 1]: U + V = [1+b, 2] is I6 = [b, 1] mod 1, so f
+        has one slope on [b, 1], and it is (f(1) - f(b))/(1 - b) = -1/(1 - b).
+    (b) U = V = [b/4, 3b/8]: 2f(b/4) = f(b/2), and symmetry at b/2 and at
+        b/4 gives f(b/2) = 1/2, f(b/4) = 1/4 and f(3b/4) = 3/4.
+    (c) level j = 3..k, U = [3eps_j/2, 2eps_j], V = [1 - eps_j/2, 1]:
+        U + V = [1 + eps_j, 1 + 2eps_j] is level j's I2 mod 1, and V lies in
+        [b, 1] since 1 - eps_j/2 >= 1 - b/16 > b.  So after (a) the box puts
+        the slope -1/(1 - b) on U, on V and on I2.
+    (d) level j = 3..k-1, d = eps_(j+1) = eps_j/8, U = V = [2d, 4d]:
+        U + U = [4d, eps_j], so U and U + U tile I* = [2d, eps_j].  With one
+        slope on U and on U + U the slack is 2f(2d) - f(4d) on the whole box,
+        so it is 0 at (2d, 2d) and at (4d, 4d): f(eps_j) = 2f(4d) = 4f(2d).
+        I* lies in I3 = [2eps_m, b - 2eps_m] of every level m in (j, k],
+        since 2eps_m <= 2d and eps_j <= b/8 < b - b/32 <= b - 2eps_m.
+    (e) U = V = [0, eps_k/2]: U + U = [0, eps_k] is level k's I1."""
+    eps = [b / 8]                       # eps_3, ..., eps_k
+    while len(eps) < k - 2:
+        eps.append(eps[-1] / 8)
     half = Interval((1 + b) / 2, Fraction(1))
-    yield ("a", (2 * half.lo - 1, 2 * half.hi - 1) == (b, Fraction(1)),
-           "sum interval does not reduce to [b, 1] mod 1")
-    yield "a", _zero_on_box(lat, half, half), "slack does not vanish on the I6 square"
-
-    # (b) the central face and the quarter-point values
+    yield "a", half, half, "slack does not vanish on the I6 square"
     U = Interval(b / 4, 3 * b / 8)
-    yield "b", _zero_on_box(lat, U, U), "slack does not vanish on the central square"
-    for x, v in ((b / 4, Fraction(1, 4)), (b / 2, Fraction(1, 2)),
-                 (3 * b / 4, Fraction(3, 4))):
-        fx = Fraction(value(num(x)), lat.scale)
-        yield "b", fx == v, f"value at {x} is {fx}, expected {v}"
-
-    # (c) per level j: U + V recovers I2 mod 1, additively, with one slope
-    for j in range(3, k + 1):
-        eps, i2 = systems[j].i1.hi, systems[j].i2
-        U = Interval(3 * eps / 2, 2 * eps)
-        V = Interval(1 - eps / 2, Fraction(1))
-        yield ("c", (U.lo + V.lo - 1, U.hi + V.hi - 1) == (i2.lo, i2.hi),
-               f"j={j}: U+V does not reduce to I2 mod 1")
-        yield "c", _zero_on_box(lat, U, V), f"j={j}: slack does not vanish on U x V"
-        s1, s2, s3 = (_affine_slope_on(lat, I) for I in (U, V, i2))
-        yield ("c", s1 == s2 == s3 == Fraction(-1) / (1 - b),
-               f"j={j}: slopes disagree on U, V, I2")
-
-    # (d) per level j: the doubling chain pins the inner stub of I1, with
-    # dl = eps_(j+1) = eps_j / 8
-    for j in range(3, k):
-        eps, dl = systems[j].i1.hi, systems[j + 1].i1.hi
-        istar = Interval(2 * dl, eps)
-        U = Interval(2 * dl, 4 * dl)
-        sums = (U.lo + U.lo, U.hi + U.hi) == (4 * dl, eps)
-        yield ("d", sums and U.hi == 4 * dl and istar == Interval(U.lo, eps),
-               f"j={j}: " + ("U and U+U do not tile I*" if sums
-                             else "U+U is not the upper half of I*"))
-        for m in range(j + 1, k + 1):
-            yield ("d", systems[m].i3.contains_interval(istar),
-                   f"j={j}: I* is not inside level-{m} I3")
-        x2, x4 = num(2 * dl), num(4 * dl)
-        for x in (x2, x4):
-            yield "d", lat.slack(x, x) == 0, f"j={j}: doubling additivities fail"
-        yield ("d", 4 * value(x2) == value(num(eps)),
-               f"j={j}: the 4x doubling chain breaks")
-        yield "d", _zero_on_box(lat, U, U), f"j={j}: slack does not vanish on U x U"
-
-    # (e) the outermost stub: U + U tiles I1 additively
-    eps = systems[k].i1.hi
-    U = Interval(Fraction(0), eps / 2)
-    yield "e", (U.lo, U.hi + U.hi) == (Fraction(0), eps), "U+U is not I1"
-    yield "e", _zero_on_box(lat, U, U), "slack does not vanish on the I1 square"
+    yield "b", U, U, "slack does not vanish on the central square"
+    for j, e in enumerate(eps, 3):
+        yield ("c", Interval(3 * e / 2, 2 * e), Interval(1 - e / 2, Fraction(1)),
+               f"j={j}: slack does not vanish on U x V")
+    for j, d in enumerate(eps[1:], 3):
+        U = Interval(2 * d, 4 * d)
+        yield "d", U, U, f"j={j}: slack does not vanish on U x U"
+    U = Interval(Fraction(0), eps[-1] / 2)
+    yield "e", U, U, "slack does not vanish on the I1 square"
 
 
 def replay_pi_k_facet_proof(k: int, b, f: Optional[PeriodicPWL] = None
                             ) -> Certificate:
-    """Verify, exactly, every numeric fact the facet argument for the
-    level-k function rests on.  `f` defaults to the genuine construction;
-    passing a mutant exercises the failure paths.  The argument assumes f
-    minimal: check_minimal's gate runs once, after the checks on k and b, on
-    the lattice the replay reads, and a failure raises NotMinimal.  The
-    facts run in `_replay_facts`'s order up to the first that fails, and
-    `checked` counts the facts checked, the failing one included."""
+    """Check, exactly, the additive boxes the facet argument for the
+    level-k function rests on; the values, slopes and doubling chains it
+    reads follow from them and the gate, as `_replay_boxes` proves.  `f`
+    defaults to the genuine construction; passing a mutant exercises the
+    failure paths.  The argument assumes f minimal: check_minimal's gate
+    runs once, after the checks on k and b, on the lattice the replay
+    reads, and a failure raises NotMinimal.  The 2k - 2 boxes run in order
+    up to the first on which the slack does not vanish, and `checked`
+    counts the boxes checked, the failing one included."""
     b = rat(b)
     if k < 3:
         raise DomainError(f"k must be >= 3, got {k}")
@@ -520,10 +504,8 @@ def replay_pi_k_facet_proof(k: int, b, f: Optional[PeriodicPWL] = None
         f = pi_k(k, b)
     lat = _Lattice(f, b.denominator)
     _require_minimal(f, lat, b, "facet-proof replay")
-    checked = 0
-    for step, holds, reason in _replay_facts(lat, k, b):
-        checked += 1
-        if not holds:
+    for checked, (step, U, V, reason) in enumerate(_replay_boxes(k, b), 1):
+        if not _zero_on_box(lat, U, V):
             return Certificate("fail", checked_count=checked, witness={
                 "kind": "replay-step", "step": step, "reason": reason})
     return Certificate("pass", checked_count=checked)

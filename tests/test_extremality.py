@@ -3,11 +3,12 @@ import math
 import random
 import re
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupcut import (DomainError, Interval, NotMinimal, PeriodicPWL,
@@ -19,8 +20,8 @@ from groupcut import (DomainError, Interval, NotMinimal, PeriodicPWL,
 from groupcut import extremality
 from groupcut.extremality import (_IntegerSolver, _affine_slope_on,
                                   _face_pieces, _half_faces, _mod_segments,
-                                  _slope_classes, _zero_on_box)
-from groupcut.verification import _Lattice
+                                  _replay_boxes, _slope_classes, _zero_on_box)
+from groupcut.verification import _Lattice, _require_minimal
 from conftest import bump_value, fraction_vertex_pairs
 
 
@@ -509,26 +510,91 @@ def test_replay_counts_every_fact_it_checks_the_failing_one_included(monkeypatch
         calls = itertools.count(1)
         return lambda *args: next(calls) != n and zero_on_box(*args)
 
-    # the six box facts of the level-4 replay, each made to fail in turn
-    for n, step, checked in zip(range(1, 7), "abccde", (2, 3, 8, 11, 18, 20)):
+    # the six boxes of the level-4 replay, each made to fail in turn
+    for n, step in zip(range(1, 7), "abccde"):
         monkeypatch.setattr(extremality, "_zero_on_box", fail_box(n))
         c = replay_pi_k_facet_proof(4, b, f)
-        assert (c.witness["step"], c.checked_count) == (step, checked), n
+        assert (c.witness["step"], c.checked_count) == (step, n), n
     monkeypatch.setattr(extremality, "_zero_on_box", zero_on_box)
-    # no slope on level 3's I2 only: the boxes read slopes too
-    slope_on, i2 = extremality._affine_slope_on, interval_system(3, b).i2
+    # no slope on level 3's U + V only: the box reads the slope there
+    slope_on, eps = extremality._affine_slope_on, b / 8
+    uv = Interval(1 + eps, 1 + 2 * eps)
     monkeypatch.setattr(extremality, "_affine_slope_on",
-                        lambda lat, I: None if I == i2 else slope_on(lat, I))
+                        lambda lat, I: None if I == uv else slope_on(lat, I))
     c = replay_pi_k_facet_proof(4, b, f)
-    assert (c.witness["step"], c.checked_count) == ("c", 9)
+    assert (c.witness["step"], c.checked_count) == ("c", 3)
     monkeypatch.undo()
-    for g, k, step, checked in ((gmi(b), 3, "c", 8), (f, 3, "e", 11)):
+    for g, k, step, checked in ((gmi(b), 3, "c", 3), (f, 3, "e", 4)):
         c = replay_pi_k_facet_proof(k, b, g)
         assert (c.witness["step"], c.checked_count) == (step, checked)
     for k in range(3, 25):
         c = replay_pi_k_facet_proof(k, b)
         assert c.passed
-        assert c.checked_count == 8 + 3 * (k - 2) + (k - 3) * (k - 2) // 2 + 5 * (k - 3)
+        assert c.checked_count == 2 * k - 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 64),
+       st.fractions(0, F(1, 2), max_denominator=10**4).filter(bool))
+@example(64, F(1, 2))
+def test_replay_boxes_carry_the_identities_of_the_interval_systems(k, b):
+    """The interval identities the replay no longer checks hold on the
+    boxes it yields, at a drawn b and at b = 1/2."""
+    for b in (b, F(1, 2)):
+        lv = {m: interval_system(m, b) for m in range(3, k + 1)}
+        boxes = list(_replay_boxes(k, b))
+        assert "".join(s for s, *_ in boxes) == "ab" + "c" * (k - 2) + "d" * (k - 3) + "e"
+        sums = [(U, V, U.lo + V.lo, U.hi + V.hi) for _, U, V, _ in boxes]
+        (_, _, lo, hi), (Ue, Ve, elo, ehi) = sums[0], sums[-1]
+        assert Interval(lo - 1, hi - 1) == lv[3].i6 == Interval(b, F(1))
+        for j, (U, V, lo, hi) in enumerate(sums[2:k], 3):
+            assert Interval(lo - 1, hi - 1) == lv[j].i2
+            assert lv[j].i6.contains_interval(V)
+        for j, (U, V, lo, hi) in enumerate(sums[k:-1], 3):
+            istar = Interval(2 * lv[j + 1].i1.hi, lv[j].i1.hi)
+            assert U == V and (U.lo, U.hi, hi) == (istar.lo, lo, istar.hi)
+            assert all(lv[m].i3.contains_interval(istar) for m in range(j + 1, k + 1))
+        assert Ue == Ve and Interval(elo, ehi) == lv[k].i1
+
+
+def test_replay_boxes_imply_the_facts_they_replace():
+    """Wherever a box passes after the gate, the facts about f that
+    `_replay_boxes` derives from it hold."""
+    seen = Counter()
+    for b in (F(1, 2), F(1, 3), F(2, 5)):
+        fns = [pi_k(j, b) for j in range(2, 9)]
+        fns += [linear_combine(F(1, 2), f, F(1, 2), g)
+                for f, g in itertools.combinations(fns, 2)]
+        slope = -1 / (1 - b)
+        for f in fns:
+            lat = _Lattice(f, b.denominator)
+            _require_minimal(f, lat, b, "the replay")
+
+            def value(x):
+                return F(lat.value(lat.numerator(x)), lat.scale)
+
+            for k in range(3, 9):
+                level = Counter()
+                for step, U, V, _ in _replay_boxes(k, b):
+                    if not _zero_on_box(lat, U, V):
+                        break
+                    level[step] += 1
+                    j = level[step] + 2
+                    if step == "a":
+                        assert _affine_slope_on(lat, Interval(b, F(1))) == slope
+                    elif step == "b":
+                        assert [value(c * b) for c in (F(1, 4), F(1, 2), F(3, 4))] \
+                            == [F(1, 4), F(1, 2), F(3, 4)]
+                    elif step == "c":
+                        assert all(_affine_slope_on(lat, I) == slope
+                                   for I in (U, V, interval_system(j, b).i2))
+                    elif step == "d":
+                        x2, x4 = lat.numerator(U.lo), lat.numerator(U.hi)
+                        assert lat.slack(x2, x2) == lat.slack(x4, x4) == 0
+                        assert 4 * value(U.lo) == value(interval_system(j, b).i1.hi)
+                    seen[step] += 1
+    # every step passed somewhere, so each implication was exercised
+    assert set(seen) == set("abcde"), seen
 
 
 def test_replay_refuses_a_function_that_is_not_subadditive():
