@@ -78,7 +78,10 @@ def pi_k(k: int, b) -> PeriodicPWL:
 
     the ends of I2 and I4 of `interval_system(j, b)`.  Since
     2 eps_j < eps_{j-1}, listing the I2 points of the levels from k down to
-    3 and the I4 points from 3 up to k gives them in ascending order."""
+    3 and the I4 points from 3 up to k gives them in ascending order.  They
+    are canonical as listed: the piece slopes alternate between some
+    s_j > 0 (2^(j-2) >= 1 > b) and -1/(1 - b), the wrap included, so no two
+    adjacent pieces merge."""
     b = rat(b)
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
@@ -96,8 +99,8 @@ def pi_k(k: int, b) -> PeriodicPWL:
         lows += [(two_eps, (four_pow - two_eps) / one_minus_b), (eps, slope * eps)]
         highs += [(b - two_eps, (1 - four_pow - (b - two_eps)) / one_minus_b),
                   (b - eps, (1 - two_pow) / one_minus_b + slope * (b - eps))]
-    return PeriodicPWL.from_points([(Fraction(0), Fraction(0)), *reversed(lows),
-                                    *highs, (b, Fraction(1))])
+    points = [(Fraction(0), Fraction(0)), *reversed(lows), *highs, (b, Fraction(1))]
+    return PeriodicPWL([t for t, _ in points], [v for _, v in points])
 
 
 def pi_k_reflected(k: int, b) -> PeriodicPWL:

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .constructions import pi_k
 from .errors import DomainError
-from .pwl import Interval, PeriodicPWL, pieces_meeting, points_in, rat, rat_str
+from .pwl import Interval, PeriodicPWL, pieces_in, rat, rat_str
 from .verification import Certificate, _Lattice, _require_minimal, _scan
 
 PWL_CAVEAT = ("certified within the continuous piecewise-linear perturbation "
@@ -64,15 +64,15 @@ def _zero_on_box(lat: _Lattice, U: Interval, V: Interval) -> bool:
     cell, where f has slopes s1, s2, s3 at x, y, x + y, D is affine with
     gradient (s1 - s3, s2 - s3), so D = 0 there forces s1 = s2 = s3.  Every
     x-segment of U meets every y-segment of V in a 2-D cell, and every
-    segment of U + V meets the open box in one, so one slope holds on all
-    three.  Box ends off the lattice stay exact rational numerators."""
+    segment of U + V meets the open box in one, so the pieces of f that
+    meet U, V and U + V have one lattice step between them.  Box ends off
+    the lattice stay exact rational numerators."""
     if U.degenerate or V.degenerate:
         raise DomainError(f"box sides must be nondegenerate, got "
                           f"[{U.lo}, {U.hi}] x [{V.lo}, {V.hi}]")
-    s1, s2, s3 = (_affine_slope_on(lat, I)
-                  for I in (U, V, Interval(U.lo + V.lo, U.hi + V.hi)))
-    return (s1 is not None and s1 == s2 == s3
-            and lat.slack(lat.numerator(U.lo), lat.numerator(V.lo)) == 0)
+    (u1, u2), (v1, v2) = ((lat.numerator(I.lo), lat.numerator(I.hi)) for I in (U, V))
+    steps = lat.steps_on(u1, u2) | lat.steps_on(v1, v2) | lat.steps_on(u1 + v1, u2 + v2)
+    return len(steps) == 1 and lat.slack(u1, v1) == 0
 
 
 def _half_faces(lat: _Lattice):
@@ -81,10 +81,10 @@ def _half_faces(lat: _Lattice):
     triple (p1, p2, p3) of int pairs (lo, hi).
 
     The box [a1, a2] x [b1, b2] of pieces i <= j is cut by the breakpoints
-    between a1 + b1 and a2 + b2 into strip cells wl <= x + y <= wu, each a
-    2-D cell with one piece of f on its sums, the piece of wl mod q.  On it
+    between a1 + b1 and a2 + b2 into strip cells wl <= x + y <= wu, one per
+    piece of f that `pieces_in` meets there, and each is a 2-D cell.  On it
     the slack is affine with gradient (s1 - s3, s2 - s3), s1, s2, s3 f's
-    steps on pieces i and j and on the strip, so it vanishes iff
+    steps on pieces i and j and on the strip's piece, so it vanishes iff
     s1 = s2 = s3 and it is 0 at one vertex, here (p1's lo, wl - p1's lo).
     A box with s1 != s2 has no zero cell.  The cell projects to
     p1 = [max(a1, wl - b2), min(a2, wu - b1)], p2 likewise with the axes
@@ -97,11 +97,9 @@ def _half_faces(lat: _Lattice):
         for b1, b2, t in zip(P[n:], ends[n:], steps[n:]):
             if s != t:
                 continue
-            ws = sorted({a1 + b1, a2 + b2, *points_in(P, q, a1 + b1, a2 + b2)})
-            for wl, wu in zip(ws, ws[1:]):
+            for j, wl, wu in pieces_in(P, q, a1 + b1, a2 + b2):
                 x = max(a1, wl - b2)
-                if (steps[bisect_right(P, wl % q) - 1] == s
-                        and lat.slack(x, wl - x) == 0):
+                if steps[j] == s and lat.slack(x, wl - x) == 0:
                     p1 = (x, min(a2, wu - b1))
                     p2 = (max(b1, wl - a2), min(b2, wu - a1))
                     yield (a1, b1, wl), (p1, p2, (wl, wu))
@@ -144,22 +142,10 @@ def equality_structure(f: PeriodicPWL) -> EqualityStructure:
                              for _, face in cells))
 
 
-def _mod_segments(lo: int, hi: int, period: int) -> tuple:
-    """[lo, hi], inside [0, 2*period], reduced modulo the period: one
-    segment (lo, hi), or two when it straddles the period."""
-    if hi <= period:
-        return ((lo, hi),)
-    if lo >= period:
-        return ((lo - period, hi - period),)
-    return ((lo, period), (0, hi - period))
-
-
 def _face_pieces(grid: list, face: tuple, period: int) -> list:
     """The sorted ids of the grid pieces that a face's projections p1, p2
-    and p3, the last reduced modulo the period, meet."""
-    p1, p2, (wl, wu) = face
-    return sorted({i for lo, hi in (p1, p2, *_mod_segments(wl, wu, period))
-                   for i in pieces_meeting(grid, lo, hi)})
+    and p3 meet, p3 read modulo the period."""
+    return sorted({j for lo, hi in face for j, _, _ in pieces_in(grid, period, lo, hi)})
 
 
 def _slope_classes(grid: list, faces, B: int, Q: int) -> list:
@@ -427,19 +413,6 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
 # ---------------------------------------------------------------------------
 # exact replay of the facet-proof boxes
 # ---------------------------------------------------------------------------
-
-def _affine_slope_on(lat: _Lattice, I: Interval) -> Optional[Fraction]:
-    """The single slope of f on I as a Fraction, or None if f is not affine
-    there: every breakpoint in I must lie on the chord."""
-    if I.degenerate:
-        return None
-    lo, hi = lat.numerator(I.lo), lat.numerator(I.hi)
-    v0, rise = lat.value(lo), lat.value(hi) - lat.value(lo)
-    for t in points_in(lat.points, lat.q, lo, hi):
-        if (lat.value(t) - v0) * (hi - lo) != rise * (t - lo):
-            return None
-    return Fraction(rise * lat.q, (hi - lo) * lat.scale)
-
 
 def _replay_boxes(k: int, b: Fraction):
     """The additive boxes of the facet argument for the level-k function,

@@ -7,7 +7,7 @@ present, so continuity is structural.  All arithmetic is over
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -273,26 +273,22 @@ def linear_combine(c1, f: PeriodicPWL, c2, g: PeriodicPWL) -> PeriodicPWL:
     return PeriodicPWL(rf.breakpoints, vals).canonical()
 
 
-def points_in(points, period, lo, hi) -> list:
-    """The points p + m*period inside [lo, hi], ascending, for p in the
-    sorted sequence `points` (all in [0, period)) and m an integer.
-
-    The library passes the int lattice numerators of a function's
-    breakpoints with period q; lo and hi are numerators too, ints or exact
-    rationals for ends off the lattice.
-    """
-    out = []
-    for m in range(lo // period, hi // period + 1):
-        base = m * period
-        out.extend(p + base for p in points[bisect_left(points, lo - base):
-                                            bisect_right(points, hi - base)])
-    return out
-
-
-def pieces_meeting(breakpoints, lo, hi) -> range:
-    """Indices of the pieces [t_i, t_{i+1}] (the last one ending at the
-    period) whose interior meets (lo, hi), for 0 <= lo <= hi <= the period:
-    1 for breakpoints, q for lattice numerators."""
-    if lo >= hi:
-        return range(0)
-    return range(bisect_right(breakpoints, lo) - 1, bisect_left(breakpoints, hi))
+def pieces_in(points, period, lo, hi):
+    """Yield (j, a, c), ascending, for each piece j = [points[j],
+    points[j + 1]] (the last one ending at the period), shifted by a
+    multiple of the period, that meets (lo, hi), clipped: lo <= a < c <= hi.
+    `points` is sorted in [0, period) and starts with 0 (breakpoints with
+    period 1, or int numerators with period q); lo and hi are ints or exact
+    rationals anywhere on the line, and lo >= hi yields nothing."""
+    m, r = divmod(lo, period)
+    j, base, n = bisect_right(points, r) - 1, m * period, len(points)
+    a = lo
+    while a < hi:
+        k = j + 1
+        c = base + (points[k] if k < n else period)
+        if c > hi:
+            c = hi
+        yield j, a, c
+        a, j = c, k
+        if j == n:
+            j, base = 0, base + period

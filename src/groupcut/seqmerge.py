@@ -238,7 +238,7 @@ def region_gradients(n: int, k: int, b) -> list:
     b = _require_b_upper(b)
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
-    f = pi_k_reflected(k, b).canonical()
+    f = pi_k_reflected(k, b)
     tail = [1 / (b * n)] * (n - 1)
     box = tuple(Interval(Fraction(0), b) for _ in range(n - 1))
     out = []

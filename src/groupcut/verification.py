@@ -11,7 +11,7 @@ from typing import Optional
 
 from .constructions import interval_system, new_slope
 from .errors import DomainError, NotMinimal
-from .pwl import PeriodicPWL, pieces_meeting, rat, rat_str
+from .pwl import PeriodicPWL, pieces_in, rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,11 @@ class _Lattice:
     On piece j, scale*f(i/q) = a_j*i + c_j with integers a_j, c_j, so the
     slack at (i/q, k/q) is the integer value(i) + value(k) - value(i + k),
     which is scale times the exact slack.  a_j is `steps[j]`, f's lattice
-    step on piece j: two pieces have equal steps iff f's slopes on them are
-    equal.  This is the finite-group restriction of Basu, Hildebrand and
-    Koeppe (Equivariant perturbation in Gomory and Johnson's infinite group
-    problem I, Math. Oper. Res. 2015).
+    step on piece j, scale/q times its slope: two pieces have equal steps
+    iff f's slopes on them are equal, and `steps_on` collects the steps of
+    the pieces that meet an interval.  This is the finite-group restriction
+    of Basu, Hildebrand and Koeppe (Equivariant perturbation in Gomory and
+    Johnson's infinite group problem I, Math. Oper. Res. 2015).
     """
 
     __slots__ = ("q", "scale", "points", "steps", "_c", "_memo")
@@ -94,6 +95,11 @@ class _Lattice:
         p = n * self.q % (self.q * d)
         j = bisect_right(self.points, p // d) - 1
         return self.steps[j] * p + self._c[j] * d
+
+    def steps_on(self, lo, hi) -> set:
+        """f's steps on the pieces that meet (lo/q, hi/q), lo and hi ints or
+        exact rationals anywhere on the line: one step iff f is affine there."""
+        return {self.steps[j] for j, _, _ in pieces_in(self.points, self.q, lo, hi)}
 
     def slack(self, i: int, k: int) -> int:
         """scale times f(x) + f(y) - f(x+y) at x = i/q, y = k/q."""
@@ -301,8 +307,8 @@ def check_slope_census(f: PeriodicPWL, k: int, b) -> Certificate:
     checked = len(expected)
     if k >= 3:
         sysk = interval_system(k, b)
-        on_i3, on_i6 = (frozenset(f.piece_slope(i)
-                                  for i in pieces_meeting(f.breakpoints, I.lo, I.hi))
+        on_i3, on_i6 = (frozenset(f.piece_slope(j)
+                                  for j, _, _ in pieces_in(f.breakpoints, 1, I.lo, I.hi))
                         for I in (sysk.i3, sysk.i6))
         want_i3 = frozenset(news[:-1])
         # the central band carries every intermediate new slope; the inherited

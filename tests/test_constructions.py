@@ -154,6 +154,15 @@ def test_pi_k_matches_the_level_recursion():
     assert levels >= set(range(3, 9))
 
 
+def test_pi_k_is_canonical_as_built():
+    # pi_k hands its points to PeriodicPWL without canonical()
+    for b in (F(1, 2), F(1, 3), F(2, 5), F(1, 97)):
+        for k in range(2, 65):
+            f = pi_k(k, b)
+            c = f.canonical()
+            assert (c.breakpoints, c.values) == (f.breakpoints, f.values), (k, b)
+
+
 def test_pi_k_symmetry_about_b():
     for b in (F(2, 5), F(1, 2)):
         p = pi_k(5, b)

@@ -18,8 +18,7 @@ from groupcut import (DomainError, Interval, NotMinimal, PeriodicPWL,
                       replay_pi_k_facet_proof, restricted_facet_test,
                       two_slope_shortcut)
 from groupcut import extremality
-from groupcut.extremality import (_IntegerSolver, _affine_slope_on,
-                                  _face_pieces, _half_faces, _mod_segments,
+from groupcut.extremality import (_IntegerSolver, _face_pieces, _half_faces,
                                   _replay_boxes, _slope_classes, _zero_on_box)
 from groupcut.verification import _Lattice, _require_minimal
 from conftest import bump_value, fraction_vertex_pairs
@@ -233,15 +232,6 @@ def test_zero_on_box_matches_a_brute_enumeration():
             seen.add((got, U.hi + V.hi > 1))
     # true and false answers, with and without a sum past 1
     assert degenerate and seen == {(z, p) for z in (True, False) for p in (True, False)}
-
-
-def test_mod_segments_splits_p3_at_the_period():
-    # numerators over Q = 16: [0, 1/8] + [0, 1/8] stays inside the period
-    assert _mod_segments(0, 4, 16) == ((0, 4),)
-    # [7/8, 1] + [7/8, 1] lands wholly past 1: one shifted segment
-    assert _mod_segments(28, 32, 16) == ((12, 16),)
-    # [7/8, 1] + [1/16, 3/16] straddles 1: two segments
-    assert _mod_segments(15, 19, 16) == ((15, 16), (0, 3))
 
 
 def test_face_pieces_read_both_segments_of_a_straddling_p3():
@@ -516,11 +506,14 @@ def test_replay_counts_every_fact_it_checks_the_failing_one_included(monkeypatch
         c = replay_pi_k_facet_proof(4, b, f)
         assert (c.witness["step"], c.checked_count) == (step, n), n
     monkeypatch.setattr(extremality, "_zero_on_box", zero_on_box)
-    # no slope on level 3's U + V only: the box reads the slope there
-    slope_on, eps = extremality._affine_slope_on, b / 8
-    uv = Interval(1 + eps, 1 + 2 * eps)
-    monkeypatch.setattr(extremality, "_affine_slope_on",
-                        lambda lat, I: None if I == uv else slope_on(lat, I))
+    # a second step on level 3's U + V only: the box reads the steps there
+    steps_on, eps = _Lattice.steps_on, b / 8
+
+    def bent_on_uv(lat, lo, hi):
+        bent = (lo, hi) == (lat.numerator(1 + eps), lat.numerator(1 + 2 * eps))
+        return steps_on(lat, lo, hi) | ({None} if bent else set())
+
+    monkeypatch.setattr(_Lattice, "steps_on", bent_on_uv)
     c = replay_pi_k_facet_proof(4, b, f)
     assert (c.witness["step"], c.checked_count) == ("c", 3)
     monkeypatch.undo()
@@ -557,6 +550,12 @@ def test_replay_boxes_carry_the_identities_of_the_interval_systems(k, b):
         assert Ue == Ve and Interval(elo, ehi) == lv[k].i1
 
 
+def _slope_on(lat, I):
+    """f's slope on I, read from its one lattice step there, or None."""
+    steps = lat.steps_on(lat.numerator(I.lo), lat.numerator(I.hi))
+    return F(steps.pop() * lat.q, lat.scale) if len(steps) == 1 else None
+
+
 def test_replay_boxes_imply_the_facts_they_replace():
     """Wherever a box passes after the gate, the facts about f that
     `_replay_boxes` derives from it hold."""
@@ -581,12 +580,12 @@ def test_replay_boxes_imply_the_facts_they_replace():
                     level[step] += 1
                     j = level[step] + 2
                     if step == "a":
-                        assert _affine_slope_on(lat, Interval(b, F(1))) == slope
+                        assert _slope_on(lat, Interval(b, F(1))) == slope
                     elif step == "b":
                         assert [value(c * b) for c in (F(1, 4), F(1, 2), F(3, 4))] \
                             == [F(1, 4), F(1, 2), F(3, 4)]
                     elif step == "c":
-                        assert all(_affine_slope_on(lat, I) == slope
+                        assert all(_slope_on(lat, I) == slope
                                    for I in (U, V, interval_system(j, b).i2))
                     elif step == "d":
                         x2, x4 = lat.numerator(U.lo), lat.numerator(U.hi)
@@ -657,28 +656,30 @@ def _slope_queries(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_slope_queries())
-def test_affine_slope_on_matches_a_fraction_chord(query):
+def test_steps_on_matches_a_fraction_chord(query):
     f, I = query
-    got = _affine_slope_on(_Lattice(f), I)
-    assert got == _reference_slope(f, I)
-    assert got is None or type(got) is F
+    lat = _Lattice(f)
+    steps = lat.steps_on(lat.numerator(I.lo), lat.numerator(I.hi))
+    slope = _reference_slope(f, I)
+    assert (len(steps) == 1) == (slope is not None)
+    if slope is not None:
+        assert steps == {slope * lat.scale / lat.q}
+    assert all(type(s) is int for s in steps)
 
 
-def test_affine_slope_on_fixed_cases():
+def test_steps_on_fixed_cases():
     b = F(1, 2)
     f = pi_k(4, b)
     lat = _Lattice(f)
     eps = b / 64
+    down = -1 / (1 - b) * lat.scale / lat.q
     for I in (Interval(1 - eps / 2, F(1)), Interval(3 * eps / 2, 2 * eps)):
-        s = _affine_slope_on(lat, I)
-        assert type(s) is F and s == -1 / (1 - b)
-    # an all-int function still has a Fraction slope
-    ramp = PeriodicPWL([0], [0])
-    s = _affine_slope_on(_Lattice(ramp), Interval(F(0), F(1, 3)))
-    assert type(s) is F and s == 0
-    # a bending breakpoint strictly inside, and one at an end
-    assert _affine_slope_on(lat, Interval(F(0), b)) is None
-    assert _affine_slope_on(lat, Interval(F(1, 4), F(1, 4))) is None
+        assert lat.steps_on(lat.numerator(I.lo), lat.numerator(I.hi)) == {down}
+    # an all-int function, on an end off its lattice
+    assert _Lattice(PeriodicPWL([0], [0])).steps_on(0, F(1, 3)) == {0}
+    # a bending breakpoint strictly inside, and a degenerate window
+    assert len(lat.steps_on(0, lat.numerator(b))) > 1
+    assert lat.steps_on(lat.q // 4, lat.q // 4) == set()
 
 
 def test_two_slope_shortcut():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from groupcut import (DomainError, FormatError, Interval, PeriodicPWL,
                       check_slope_census, common_refinement, gmi,
                       linear_combine, pi_k, pi_k_reflected, rat, rat_str)
-from groupcut.pwl import pieces_meeting, points_in
+from groupcut.pwl import pieces_in
 
 ZIGZAG = PeriodicPWL([F(0), F(1, 4), F(1, 2)], [F(0), F(1), F(1, 2)])
 
@@ -269,11 +269,15 @@ FRACTION_POINTS = _sorted_points(
 @st.composite
 def periodic_windows(draw):
     """(points, period, lo, hi) with lo, hi in [-3, 4] periods: windows that
-    start below 0, end past one period, are degenerate or even reversed."""
+    start below 0, end past one period, are degenerate or even reversed.
+    Int points get int ends or rational ones off the lattice."""
     if draw(st.booleans()):
         period = draw(st.integers(min_value=1, max_value=40))
         points = draw(_sorted_points(st.integers(0, period - 1), 0))
         coord = st.integers(-3 * period, 4 * period)
+        if draw(st.booleans()):
+            coord = st.one_of(coord, st.fractions(-3 * period, 4 * period,
+                                                  max_denominator=7))
     else:
         period = 1
         points = draw(FRACTION_POINTS)
@@ -285,29 +289,32 @@ def periodic_windows(draw):
     return points, period, lo, hi
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(periodic_windows())
-def test_breakpoints_in_periodic_window(window):
-    assert points_in(ZIGZAG.breakpoints, 1, F(3, 8), F(5, 4)) == [
-        F(1, 2), F(1), F(5, 4)]
+def test_pieces_in_matches_a_walk_over_shifted_pieces(window):
+    assert list(pieces_in(ZIGZAG.breakpoints, 1, F(3, 8), F(5, 4))) == [
+        (1, F(3, 8), F(1, 2)), (2, F(1, 2), F(1)), (0, F(1), F(5, 4))]
     points, period, lo, hi = window
-    want = sorted({p + m * period for p in points for m in range(-4, 6)
-                   if lo <= p + m * period <= hi})
-    got = points_in(points, period, lo, hi)
-    assert got == want
-    assert all(type(s) is type(points[0]) for s in got)
+    ends = [*points[1:], period]
+    want = sorted((max(a, lo), j, min(c, hi))
+                  for m in range(-4, 6)
+                  for j, (a, c) in enumerate(zip(points, ends))
+                  for a, c in [(a + m * period, c + m * period)]
+                  if max(a, lo) < min(c, hi))
+    got = list(pieces_in(points, period, lo, hi))
+    assert got == [(j, a, c) for a, j, c in want]
+    if all(type(t) is int for t in (*points, lo, hi)):
+        assert all(type(a) is type(c) is int for _, a, c in got)
 
 
-@settings(max_examples=100, deadline=None)
-@given(FRACTION_POINTS, st.fractions(0, 1, max_denominator=24),
-       st.fractions(0, 1, max_denominator=24), st.booleans())
-def test_pieces_meeting_matches_a_walk_over_pieces(bps, a, c, degenerate):
-    lo, hi = min(a, c), max(a, c)
-    if degenerate:
-        hi = lo
-    ends = bps[1:] + [F(1)]
-    want = [i for i in range(len(bps)) if max(bps[i], lo) < min(ends[i], hi)]
-    assert list(pieces_meeting(bps, lo, hi)) == want
+def test_pieces_in_splits_a_sum_window_at_the_period():
+    # lattice pieces [0, 4], [4, 8], [8, 12], [12, 16] with period 16, the
+    # sums of two windows in [0, 16]: inside the period, wholly past it,
+    # and straddling it
+    grid = [0, 4, 8, 12]
+    assert list(pieces_in(grid, 16, 0, 4)) == [(0, 0, 4)]
+    assert list(pieces_in(grid, 16, 28, 32)) == [(3, 28, 32)]
+    assert list(pieces_in(grid, 16, 15, 19)) == [(3, 15, 16), (0, 16, 19)]
 
 
 def test_json_round_trip_and_schema_errors():
