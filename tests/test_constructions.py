@@ -1,12 +1,15 @@
+import functools
 import random
 from fractions import Fraction as F
 from itertools import islice
 
 import pytest
 
-from groupcut import (DomainError, PeriodicPWL, gmi, interval_system, new_slope,
-                      pi_infinity_truncation, pi_infinity_value, pi_k,
-                      pi_k_reflected, stabilization_index, truncation_bound)
+from groupcut import (DomainError, PeriodicPWL, constructions, gmi,
+                      interval_system, new_slope, pi_infinity_truncation,
+                      pi_infinity_value, pi_k, pi_k_reflected,
+                      stabilization_index, truncation_bound)
+from groupcut.pwl import common_refinement
 
 
 def test_gmi_shape_and_values():
@@ -197,15 +200,87 @@ def test_stabilization_index():
             stabilization_index(x, b)
 
 
+@pytest.mark.parametrize("b", [F(0), F(3, 4), F(2)])
+def test_limit_functions_check_b_first(b):
+    # x = 0 and x = b answered 0 and 1 before b was checked
+    for x in (F(0), b, F(1, 5)):
+        with pytest.raises(DomainError, match="b must lie in"):
+            pi_infinity_value(x, b)
+        with pytest.raises(DomainError, match="b must lie in"):
+            stabilization_index(x, b)
+
+
+def _reference_level(x, b):
+    """The stabilization level by its definition: 3 right of b, else the
+    least n with x in interval_system(n, b).i3."""
+    x = x % 1
+    if x > b:
+        return 3
+    n = 3
+    while not interval_system(n, b).i3.contains(x):
+        n += 1
+    return n
+
+
+LIMIT_B = [F(1, 2), F(1, 3), F(2, 5), F(1, 7), F(1, 97), F(49, 100)]
+
+
 def test_pi_infinity_pointwise_matches_stabilized_level():
-    b = F(1, 2)
-    assert pi_infinity_value(F(0), b) == 0
-    assert pi_infinity_value(b, b) == 1
-    for x in (F(1, 4), F(1, 100), F(9, 10)):
-        n = stabilization_index(x, b)
-        assert pi_infinity_value(x, b) == pi_k(n, b).eval(x)
-        # stabilized: deeper levels agree
-        assert pi_infinity_value(x, b) == pi_k(n + 2, b).eval(x)
+    assert pi_infinity_value(F(0), F(1, 2)) == 0
+    assert pi_infinity_value(F(1, 2), F(1, 2)) == 1
+    rng = random.Random(23)
+    level = functools.cache(pi_k)
+    seen_levels, seen_cases = set(), set()
+    for b in LIMIT_B:
+        for n in range(3, 31):
+            eps = b / 8 ** (n - 2)
+            xs = [2 * eps, b - 2 * eps, b - 2 * eps * (1 + F(rng.randint(0, 63), 64)),
+                  b + (1 - b) * F(rng.randint(1, 99), 100)]
+            if n > 3:   # eps_(N-1) and the band [2 eps_N, 2 eps_(N-1))
+                xs += [8 * eps, 2 * eps * (1 + F(7 * rng.randint(0, 63), 64))]
+            xs += [x + rng.choice((-3, -1, 1, 2)) for x in xs]
+            for x in xs:
+                N = _reference_level(x, b)
+                seen_levels.add(N)
+                seen_cases.add((x % 1 == 2 * eps, x % 1 > b, b / 2 < x % 1 < b))
+                assert stabilization_index(x, b) == N, (x, b)
+                assert (pi_infinity_value(x, b) == level(N, b).eval(x)
+                        == level(N + 2, b).eval(x)), (x, b)
+    assert seen_levels == set(range(3, 31))
+    assert seen_cases >= {(True, False, False), (False, True, False), (False, False, True)}
+
+
+def test_pi_infinity_value_builds_no_level(monkeypatch):
+    b = F(2, 5)
+    points = []
+    for n in range(3, 61):
+        eps = b / 8 ** (n - 2)
+        points += [(n, x) for x in (2 * eps, 3 * eps, b - 2 * eps, 1 - eps)]
+    expected = [(stabilization_index(x, b), pi_infinity_value(x, b)) for _, x in points]
+
+    def no_build(*args):
+        raise AssertionError("pi_infinity_value must not build a level")
+
+    monkeypatch.setattr(constructions, "pi_k", no_build)
+    monkeypatch.setattr(constructions, "interval_system", no_build)
+    got = [(stabilization_index(x, b), pi_infinity_value(x, b)) for _, x in points]
+    assert got == expected
+    assert [N for N, _ in got] == [3 if x > b else n for n, x in points]
+
+
+def test_consecutive_levels_differ_by_the_closed_form_gap():
+    # sup |pi_(j+1) - pi_j| = 2^(1-2j) / (1 - b), attained at a breakpoint
+    for b in (F(1, 2), F(1, 3), F(2, 5), F(1, 7)):
+        for j in range(3, 16):
+            f, g = common_refinement(pi_k(j + 1, b), pi_k(j, b))
+            gap = max(abs(u - v) for u, v in zip(f.values, g.values))
+            assert gap == F(2) ** (1 - 2 * j) / (1 - b), (j, b)
+
+
+def test_telescoped_tail_is_within_the_truncation_bound():
+    for b in (F(1, 2), F(1, 3), F(2, 5), F(1, 7), F(1, 97), F(49, 100)):
+        for K in range(2, 65):
+            assert F(2) ** (3 - 2 * K) / (3 * (1 - b)) <= truncation_bound(K, b), (K, b)
 
 
 def test_truncation_bound_closed_form():
