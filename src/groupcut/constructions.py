@@ -81,15 +81,19 @@ def pi_k(k: int, b) -> PeriodicPWL:
     3 and the I4 points from 3 up to k gives them in ascending order.  They
     are canonical as listed: the piece slopes alternate between some
     s_j > 0 (2^(j-2) >= 1 > b) and -1/(1 - b), the wrap included, so no two
-    adjacent pieces merge."""
+    adjacent pieces merge.  From 0 they run s_k, -1/(1 - b), ..., s_3,
+    -1/(1 - b), then 1/b = s_2 on I3 of level 3, then -1/(1 - b), s_3, ...,
+    -1/(1 - b), s_k and -1/(1 - b) on [b, 1]; the function is built with
+    them, so it computes no slope."""
     b = rat(b)
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     if not (0 < b <= Fraction(1, 2)):
         raise DomainError(f"b must lie in (0, 1/2], got {b}")
     one_minus_b, b_minus_b2 = 1 - b, b - b * b
+    neg = -1 / one_minus_b
     eps, two_pow, four_pow = b, 1, Fraction(1)
-    lows, highs = [], []
+    lows, highs, ups = [], [], []
     for _ in range(3, k + 1):
         eps /= 8
         two_pow *= 2
@@ -99,8 +103,10 @@ def pi_k(k: int, b) -> PeriodicPWL:
         lows += [(two_eps, (four_pow - two_eps) / one_minus_b), (eps, slope * eps)]
         highs += [(b - two_eps, (1 - four_pow - (b - two_eps)) / one_minus_b),
                   (b - eps, (1 - two_pow) / one_minus_b + slope * (b - eps))]
+        ups += [neg, slope]
     points = [(Fraction(0), Fraction(0)), *reversed(lows), *highs, (b, Fraction(1))]
-    return PeriodicPWL([t for t, _ in points], [v for _, v in points])
+    return PeriodicPWL._with_slopes([t for t, _ in points], [v for _, v in points],
+                                    [*reversed(ups), 1 / b, *ups, neg])
 
 
 def pi_k_reflected(k: int, b) -> PeriodicPWL:

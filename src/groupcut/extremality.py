@@ -490,8 +490,9 @@ def two_slope_shortcut(f: PeriodicPWL, b) -> Certificate:
     computation needed.  The minimality hypothesis is check_minimal's gate;
     a failure raises NotMinimal."""
     b = rat(b)
-    cm, _ = _require_minimal(f, _Lattice(f, b.denominator), b, "two-slope shortcut")
-    ns = len(f.slopes())
+    lat = _Lattice(f, b.denominator)
+    cm, _ = _require_minimal(f, lat, b, "two-slope shortcut")
+    ns = len(set(lat.steps))      # equal steps iff equal slopes
     if ns != 2:
         return Certificate("fail", witness={"kind": "slope-count", "count": ns},
                            checked_count=cm.checked_count + 1,

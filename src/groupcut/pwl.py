@@ -148,9 +148,16 @@ class PeriodicPWL:
         slopes = self._piece_slopes()
         keep = [0] + [i for i in range(1, len(slopes))
                       if slopes[i - 1] != slopes[i]]
-        out = PeriodicPWL([self.breakpoints[i] for i in keep],
-                          [self.values[i] for i in keep])
-        object.__setattr__(out, "_slopes", [slopes[i] for i in keep])
+        return PeriodicPWL._with_slopes([self.breakpoints[i] for i in keep],
+                                        [self.values[i] for i in keep],
+                                        [slopes[i] for i in keep])
+
+    @classmethod
+    def _with_slopes(cls, breakpoints, values, slopes: list) -> "PeriodicPWL":
+        """The function with these points whose piece slopes are `slopes`,
+        by index; the caller has proved them, and nothing checks them."""
+        out = cls(breakpoints, values)
+        object.__setattr__(out, "_slopes", slopes)
         return out
 
     # -- evaluation -------------------------------------------------------

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .constructions import interval_system, new_slope
+from .constructions import interval_system
 from .errors import DomainError, NotMinimal
 from .pwl import PeriodicPWL, pieces_in, rat, rat_str
 
@@ -56,6 +56,13 @@ class _Lattice:
     the pieces that meet an interval.  This is the finite-group restriction
     of Basu, Hildebrand and Koeppe (Equivariant perturbation in Gomory and
     Johnson's infinite group problem I, Math. Oper. Res. 2015).
+
+    The build reads no slope and makes no Fraction per piece.  With D the
+    lcm of the value denominators, W_j = D*v_j and P_j = q*t_j are ints,
+    and piece j's slope over q is dW_j / (D*dP_j), reduced by one gcd to
+    n_j/d_j.  scale is the lcm of D and the d_j, as it is of the value and
+    step denominators, and a_j = n_j*(scale/d_j), c_j = W_j*(scale/D) -
+    a_j*P_j.
     """
 
     __slots__ = ("q", "scale", "points", "steps", "_c", "_memo")
@@ -63,14 +70,18 @@ class _Lattice:
     def __init__(self, f: PeriodicPWL, denominator: int = 1):
         bps, vals = f.breakpoints, f.values
         q = math.lcm(denominator, *(t.denominator for t in bps))
-        steps = [f.piece_slope(j) / q for j in range(len(bps))]
-        scale = math.lcm(*(v.denominator for v in vals),
-                         *(s.denominator for s in steps))
-        self.q, self.scale = q, scale
-        self.points = [t.numerator * (q // t.denominator) for t in bps]
-        self.steps = [s.numerator * (scale // s.denominator) for s in steps]
-        self._c = [v.numerator * (scale // v.denominator) - a * p
-                   for v, a, p in zip(vals, self.steps, self.points)]
+        D = math.lcm(*(v.denominator for v in vals))
+        P = [t.numerator * (q // t.denominator) for t in bps]
+        W = [v.numerator * (D // v.denominator) for v in vals]
+        steps = []                    # (n_j, d_j); the last piece ends at (q, W_0)
+        for w0, w1, p0, p1 in zip(W, [*W[1:], W[0]], P, [*P[1:], q]):
+            dW, den = w1 - w0, D * (p1 - p0)
+            g = math.gcd(dW, den)
+            steps.append((dW // g, den // g))
+        scale = math.lcm(D, *(d for _, d in steps))
+        self.q, self.scale, self.points = q, scale, P
+        self.steps = [n * (scale // d) for n, d in steps]
+        self._c = [w * (scale // D) - a * p for w, a, p in zip(W, self.steps, P)]
         self._memo = {}
 
     def numerator(self, t):
@@ -289,39 +300,56 @@ def check_zero_set(f: PeriodicPWL) -> Certificate:
 
 def check_slope_census(f: PeriodicPWL, k: int, b) -> Certificate:
     """Exact comparison of the slope set against the level-k census, plus the
-    placement facts: intermediate slopes on I3, the negative slope on I6."""
+    placement facts: intermediate slopes on I3, the negative slope on I6.
+    b lies in (0, 1) at k = 2 and in (0, 1/2], where the intervals exist,
+    at k >= 3.
+
+    f is read through one `_Lattice` that holds b, whose steps are
+    scale/q times f's slopes: the census slopes are mapped to steps, I3 and
+    I6 are read by `steps_on` in numerators over q, and steps become slopes
+    again only for a witness."""
     b = rat(b)
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    if not 0 < b < 1:
+    if k == 2 and not 0 < b < 1:
         raise DomainError(f"b must lie in (0, 1), got {b}")
-    neg = Fraction(-1) / (1 - b)
-    news = [new_slope(i, b) for i in range(2, k + 1)]
-    expected = frozenset([neg, *news])
-    actual = f.slopes()
-    if actual != expected:
+    if k >= 3 and not 0 < b <= Fraction(1, 2):
+        raise DomainError(f"b must lie in (0, 1/2], got {b}")
+    lat = _Lattice(f, b.denominator)
+    q, scale = lat.q, lat.scale
+
+    def slopes(steps):
+        return sorted(rat_str(Fraction(a * q, scale)) for a in steps)
+
+    b_b2 = b - b * b
+    # -1/(1 - b) and the new slopes s_2..s_k of `new_slope`, all distinct
+    census = [Fraction(-1) / (1 - b),
+              *((2 ** (i - 2) - b) / b_b2 for i in range(2, k + 1))]
+    to_step = Fraction(scale, q)
+    neg, *news = (s * to_step for s in census)
+    actual = set(lat.steps)
+    if actual != {neg, *news}:
         return Certificate("fail", witness={
             "kind": "slope-set",
-            "expected": sorted(map(rat_str, expected)),
-            "actual": sorted(map(rat_str, actual))})
-    checked = len(expected)
+            "expected": sorted(map(rat_str, census)),
+            "actual": slopes(actual)})
+    checked = k
     if k >= 3:
         sysk = interval_system(k, b)
-        on_i3, on_i6 = (frozenset(f.piece_slope(j)
-                                  for j, _, _ in pieces_in(f.breakpoints, 1, I.lo, I.hi))
+        on_i3, on_i6 = (lat.steps_on(lat.numerator(I.lo), lat.numerator(I.hi))
                         for I in (sysk.i3, sysk.i6))
-        want_i3 = frozenset(news[:-1])
+        want_i3 = set(news[:-1])
         # the central band carries every intermediate new slope; the inherited
         # down-slope may appear there too, but the level-k new slope must not
         if not (want_i3 <= on_i3 <= want_i3 | {neg}):
             return Certificate("fail", witness={
                 "kind": "slope-set", "where": "I3",
-                "required": sorted(map(rat_str, want_i3)),
-                "actual": sorted(map(rat_str, on_i3))}, checked_count=checked)
-        if on_i6 != frozenset({neg}):
+                "required": sorted(map(rat_str, census[1:-1])),
+                "actual": slopes(on_i3)}, checked_count=checked)
+        if on_i6 != {neg}:
             return Certificate("fail", witness={
                 "kind": "slope-set", "where": "I6",
-                "actual": sorted(map(rat_str, on_i6))}, checked_count=checked)
+                "actual": slopes(on_i6)}, checked_count=checked)
         checked += len(on_i3) + 1
     return Certificate("pass", checked_count=checked)
 

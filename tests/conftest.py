@@ -21,6 +21,13 @@ def bump_value(f: PeriodicPWL, index: int, amount: Fraction) -> PeriodicPWL:
     return PeriodicPWL(f.breakpoints, vals)
 
 
+def formula_slope(f: PeriodicPWL, i: int) -> Fraction:
+    """(v1 - v0) / (t1 - t0) on piece i, the last piece ending at (1, v_0)."""
+    n = len(f.breakpoints)
+    t1 = f.breakpoints[i + 1] if i + 1 < n else 1
+    return (f.values[(i + 1) % n] - f.values[i]) / (t1 - f.breakpoints[i])
+
+
 def fraction_vertex_pairs(f: PeriodicPWL) -> list:
     """The slack's vertex pairs spelled out over Fractions, sorted: (u, v),
     (u, w - u) and (w - u, u) mod 1 for breakpoints u, v, w."""

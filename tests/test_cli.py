@@ -107,6 +107,23 @@ def test_verify_slopes_rejects_b_outside_the_unit_interval(tmp_path, capsys, b):
     assert code == 2 and stdout == "" and _one_error_line(err) and "b must" in err
 
 
+# slopes 6, -3, 3/2: the k = 3 census at b = 2/3, where no interval system exists
+CENSUS_3_AT_TWO_THIRDS = PeriodicPWL([0, F(1, 9), F(2, 9), F(2, 3)], [0, F(2, 3), F(1, 3), 1])
+
+
+@pytest.mark.parametrize("f, code_at_k_2", [(CENSUS_3_AT_TWO_THIRDS, 1), (gmi(F(2, 3)), 0)])
+def test_verify_slopes_refuses_b_above_one_half_for_k_3(tmp_path, capsys, f, code_at_k_2):
+    # the refusal depends on (k, b) only, not on f's slopes
+    p = tmp_path / "f.json"
+    p.write_text(f.to_json())
+    code, stdout, err = run(capsys, "verify", "slopes", str(p), "--k", "3", "--b", "2/3")
+    assert code == 2 and stdout == "" and _one_error_line(err)
+    assert "b must lie in (0, 1/2], got 2/3" in err
+    code, stdout, _ = run(capsys, "verify", "slopes", str(p), "--k", "2", "--b", "2/3")
+    assert code == code_at_k_2
+    assert json.loads(stdout)["verdict"] == ("pass" if code == 0 else "fail")
+
+
 @pytest.mark.parametrize("b", ["0", "1", "3/2", "-1/2"])
 @pytest.mark.parametrize("verb", [
     ["verify", "minimal", "{f}", "--b={b}"],

@@ -10,6 +10,7 @@ from groupcut import (DomainError, PeriodicPWL, constructions, gmi,
                       pi_infinity_value, pi_k, pi_k_reflected,
                       stabilization_index, truncation_bound)
 from groupcut.pwl import common_refinement
+from conftest import formula_slope
 
 
 def test_gmi_shape_and_values():
@@ -166,6 +167,15 @@ def test_pi_k_is_canonical_as_built():
             assert (c.breakpoints, c.values) == (f.breakpoints, f.values), (k, b)
 
 
+def test_pi_k_hands_over_its_formula_slopes():
+    # pi_k's slopes come from its docstring's sequence, not from its points
+    for b in (F(1, 2), F(1, 3), F(2, 5), F(1, 97)):
+        for k in range(2, 65):
+            f = pi_k(k, b)
+            assert None not in f._slopes, (k, b)
+            assert f._slopes == [formula_slope(f, i) for i in range(len(f.breakpoints))]
+
+
 def test_pi_k_symmetry_about_b():
     for b in (F(2, 5), F(1, 2)):
         p = pi_k(5, b)
@@ -269,9 +279,10 @@ def test_pi_infinity_value_builds_no_level(monkeypatch):
 
 
 def test_consecutive_levels_differ_by_the_closed_form_gap():
-    # sup |pi_(j+1) - pi_j| = 2^(1-2j) / (1 - b), attained at a breakpoint
+    # sup |pi_(j+1) - pi_j| = 2^(1-2j) / (1 - b), attained at a breakpoint;
+    # up to the level cap 64 at two b, to keep the run short
     for b in (F(1, 2), F(1, 3), F(2, 5), F(1, 7)):
-        for j in range(3, 16):
+        for j in range(3, 64 if b in (F(1, 2), F(1, 3)) else 16):
             f, g = common_refinement(pi_k(j + 1, b), pi_k(j, b))
             gap = max(abs(u - v) for u, v in zip(f.values, g.values))
             assert gap == F(2) ** (1 - 2 * j) / (1 - b), (j, b)

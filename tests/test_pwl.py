@@ -9,6 +9,7 @@ from groupcut import (DomainError, FormatError, Interval, PeriodicPWL,
                       check_slope_census, common_refinement, gmi,
                       linear_combine, pi_k, pi_k_reflected, rat, rat_str)
 from groupcut.pwl import pieces_in
+from conftest import formula_slope
 
 ZIGZAG = PeriodicPWL([F(0), F(1, 4), F(1, 2)], [F(0), F(1), F(1, 2)])
 
@@ -138,7 +139,7 @@ def test_piece_slope_rejects_indices_outside_the_pieces(f):
     for i in (-1, -n, n):
         with pytest.raises(IndexError):
             f.piece_slope(i)
-    assert f.piece_slope(n - 1) == _formula_slope(f, n - 1)
+    assert f.piece_slope(n - 1) == formula_slope(f, n - 1)
 
 
 def test_wrap_piece_slope_is_not_the_chord_from_0():
@@ -147,13 +148,6 @@ def test_wrap_piece_slope_is_not_the_chord_from_0():
         p.piece_slope(-1)      # was 2, the chord from 0 to the last breakpoint
     assert p.piece_slope(len(p.breakpoints) - 1) == -2     # -1/(1 - b)
     assert p.eval(F(3, 4)) == F(1, 2)
-
-
-def _formula_slope(f, i):
-    """(v1 - v0) / (t1 - t0) on piece i, the last piece ending at (1, v_0)."""
-    n = len(f.breakpoints)
-    t1 = f.breakpoints[i + 1] if i + 1 < n else 1
-    return (f.values[(i + 1) % n] - f.values[i]) / (t1 - f.breakpoints[i])
 
 
 def _random_pwl(rng):
@@ -178,7 +172,7 @@ SLOPE_CASES = [
 def test_piece_slope_memo_matches_the_formula(f):
     bps, vals = f.breakpoints, f.values
     ends = [*bps[1:], 1]
-    want = [_formula_slope(f, i) for i in range(len(bps))]
+    want = [formula_slope(f, i) for i in range(len(bps))]
 
     def check_eval(g):
         for i, (t, v, s) in enumerate(zip(bps, vals, want)):
@@ -193,7 +187,7 @@ def test_piece_slope_memo_matches_the_formula(f):
     for g in (eval_first, slopes_first, f.canonical(),
               PeriodicPWL.from_points(zip(bps, vals))):
         assert [g.piece_slope(i) for i in range(len(g.breakpoints))] == [
-            _formula_slope(g, i) for i in range(len(g.breakpoints))]
+            formula_slope(g, i) for i in range(len(g.breakpoints))]
         assert g == f and hash(g) == hash(f)
         for name in ("breakpoints", "_slopes"):
             with pytest.raises(AttributeError):

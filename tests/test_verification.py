@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from groupcut import (DomainError, PeriodicPWL, brute_force_subadditive,
                       check_genuinely_nd, check_minimal, check_nonnegative,
                       check_slope_census, check_subadditive, check_symmetry,
-                      check_zero_set, equality_structure, gmi, phi_m, pi_k,
-                      pi_k_reflected)
+                      check_zero_set, equality_structure, gmi, interval_system,
+                      new_slope, phi_m, pi_k, pi_k_reflected)
+from groupcut.extremality import two_slope_shortcut
 from groupcut.verification import _Lattice, _scan
-from conftest import bump_value, fraction_vertex_pairs
+from conftest import bump_value, formula_slope, fraction_vertex_pairs
 
 
 def test_certificate_shape():
@@ -231,6 +232,137 @@ def test_slope_census_pass_and_fail():
     assert check_slope_census(pi_k(5, b), 5, b).passed
     c = check_slope_census(pi_k(5, b), 4, b)
     assert not c.passed and c.witness["kind"] == "slope-set"
+
+
+def _reference_census(f, k, b):
+    """check_slope_census's certificate spelled out over Fractions: f's
+    piece slopes, and those of the pieces that meet I3 and I6."""
+    n, ends = len(f.breakpoints), [*f.breakpoints[1:], 1]
+    neg, news = F(-1) / (1 - b), [new_slope(i, b) for i in range(2, k + 1)]
+    actual = {f.piece_slope(j) for j in range(n)}
+    if actual != {neg, *news}:
+        return {"verdict": "fail", "checked": 0, "detail": "", "witness": {
+            "kind": "slope-set", "expected": sorted(map(str, {neg, *news})),
+            "actual": sorted(map(str, actual))}}
+    if k == 2:
+        return {"verdict": "pass", "witness": None, "checked": 2, "detail": ""}
+    s = interval_system(k, b)
+    on_i3, on_i6 = ({f.piece_slope(j) for j in range(n)
+                     if f.breakpoints[j] < I.hi and ends[j] > I.lo} for I in (s.i3, s.i6))
+    if not set(news[:-1]) <= on_i3 <= {neg, *news[:-1]}:
+        return {"verdict": "fail", "checked": k, "detail": "", "witness": {
+            "kind": "slope-set", "where": "I3", "required": sorted(map(str, news[:-1])),
+            "actual": sorted(map(str, on_i3))}}
+    if on_i6 != {neg}:
+        return {"verdict": "fail", "checked": k, "detail": "", "witness": {
+            "kind": "slope-set", "where": "I6", "actual": sorted(map(str, on_i6))}}
+    return {"verdict": "pass", "witness": None, "checked": k + len(on_i3) + 1, "detail": ""}
+
+
+# the k = 3 census at b = 1/3 is {-3/2, 3, 15/2}, with I3 = [1/12, 1/4] and
+# I6 = [1/3, 1]: here s_3 = 15/2 lies on I3, on [1/12, 1/6]
+S3_ON_I3 = PeriodicPWL([0, F(1, 12), F(1, 6), F(1, 4)], [0, F(1, 4), F(7, 8), F(9, 8)])
+# and here s_2 = 3 lies on I6, on [1/3, 5/12]
+S2_ON_I6 = PeriodicPWL([0, F(1, 24), F(1, 12), F(1, 4), F(1, 3), F(5, 12)],
+                       [0, F(5, 16), F(1, 4), F(3, 4), F(5, 8), F(7, 8)])
+
+
+def _census_shaped(rng, k, b):
+    """A function with exactly the level-k census slopes, in random places:
+    random pieces carry every census slope, and a last piece of slope
+    -1/(1 - b) closes the period; the lengths are then scaled to sum to 1."""
+    neg, news = F(-1) / (1 - b), [new_slope(i, b) for i in range(2, k + 1)]
+    pieces = [(rng.randint(1, 6), s) for s in rng.sample([neg, *news] * 2, 2 * k)]
+    mass = sum(n * s for n, s in pieces)
+    while mass <= 0:
+        pieces.append((rng.randint(1, 6), rng.choice(news)))
+        mass += pieces[-1][0] * pieces[-1][1]
+    pieces.append((mass / -neg, neg))
+    total = sum(n for n, _ in pieces)
+    bps, vals = [F(0)], [F(0)]
+    for n, s in pieces[:-1]:
+        bps.append(bps[-1] + n / total)
+        vals.append(vals[-1] + s * n / total)
+    return PeriodicPWL(bps, vals)
+
+
+def _census_corpus():
+    """(f, k, b) triples: pi_k for k <= 12 with refined copies and seeded
+    mutants, random functions, census-shaped functions and the two above."""
+    rng = random.Random(20261019)
+    out = [(S3_ON_I3, 3, F(1, 3)), (S2_ON_I6, 3, F(1, 3))]
+    for b in (F(1, 2), F(1, 3), F(2, 5)):
+        for k in range(2, 13):
+            f = pi_k(k, b)
+            grid = [F(i, 7 * f.breakpoints[1].denominator) for i in range(7)]
+            mutant = bump_value(f, rng.randrange(len(f.breakpoints)),
+                                F(rng.choice([-1, 1]), 997))
+            out += [(g, m, b) for g in (f, f.refine_to(grid), mutant)
+                    for m in {2, max(2, k - 1), k, k + 1}]
+        for k in range(3, 7):
+            out += [(_census_shaped(rng, k, b), k, b) for _ in range(15)]
+    for _ in range(40):
+        bps = sorted({F(0)} | {F(rng.randint(1, 23), 24) for _ in range(rng.randint(0, 6))})
+        vals = [F(0)] + [F(rng.randint(-4, 12), rng.choice([1, 2, 3, 8])) for _ in bps[1:]]
+        out.append((PeriodicPWL(bps, vals), rng.randint(2, 4), rng.choice([F(1, 2), F(1, 3)])))
+    return out
+
+
+def test_slope_census_matches_the_fraction_reference():
+    outcomes = set()
+    for f, k, b in _census_corpus():
+        fresh = PeriodicPWL.from_dict(f.to_dict())
+        cert = check_slope_census(fresh, k, b).to_dict()
+        assert cert == _reference_census(fresh, k, b), (f.to_json(), k, b)
+        outcomes.add((cert["verdict"], (cert["witness"] or {}).get("where")))
+    assert outcomes == {("pass", None), ("fail", None), ("fail", "I3"), ("fail", "I6")}
+    for f, where in ((S3_ON_I3, "I3"), (S2_ON_I6, "I6")):
+        assert f.slopes() == {F(-3, 2), F(3), F(15, 2)}
+        assert check_slope_census(f, 3, F(1, 3)).witness["where"] == where
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.fractions(0, 1, max_denominator=30).filter(lambda t: t < 1), max_size=6),
+       st.data(), st.integers(1, 12))
+def test_lattice_fields_match_the_fraction_formula(inner, data, denominator):
+    bps = sorted({F(0), *inner})
+    vals = data.draw(st.lists(st.fractions(-5, 5, max_denominator=40),
+                              min_size=len(bps), max_size=len(bps)))
+    f = PeriodicPWL(bps, vals)
+    q = lcm(denominator, *(t.denominator for t in bps))
+    steps = [formula_slope(f, j) / q for j in range(len(bps))]
+    scale = lcm(*(v.denominator for v in (*vals, *steps)))
+    lat = _Lattice(f, denominator)
+    assert (lat.q, lat.scale) == (q, scale)
+    assert lat.points == [t * q for t in bps]
+    assert lat.steps == [s * scale for s in steps]
+    assert lat._c == [v * scale - s * scale * t * q for v, s, t in zip(vals, steps, bps)]
+
+
+def test_slope_questions_read_no_piece_slope(monkeypatch):
+    cases = [(pi_k(6, F(1, 3)), 6, F(1, 3)), (gmi(F(2, 5)), 2, F(2, 5)),
+             (S2_ON_I6, 3, F(1, 3))]
+    files = [(f.to_dict(), k, b) for f, k, b in cases]
+
+    def answers():
+        # each question gets a function fresh from its file, no slope known
+        out = []
+        for d, k, b in files:
+            lat = _Lattice(PeriodicPWL.from_dict(d), b.denominator)
+            out.append((lat.q, lat.scale, lat.steps, lat._c,
+                        check_slope_census(PeriodicPWL.from_dict(d), k, b).to_dict()))
+        return out + [two_slope_shortcut(PeriodicPWL.from_dict(d), b).to_dict()
+                      for d, _, b in files[:2]]
+    expected = answers()
+
+    def no_slope(*args):
+        raise AssertionError("a slope question read a Fraction slope")
+
+    monkeypatch.setattr(PeriodicPWL, "piece_slope", no_slope)
+    monkeypatch.setattr(PeriodicPWL, "slopes", no_slope)
+    assert answers() == expected
+    assert [c[-1]["verdict"] for c in expected[:3]] == ["pass", "pass", "fail"]
+    assert [c["verdict"] for c in expected[3:]] == ["fail", "pass"]
 
 
 def test_brute_force_cap_validation():
