@@ -5,9 +5,8 @@ from .errors import DomainError, FormatError, NotMinimal
 from .pwl import (Interval, PeriodicPWL, common_refinement, linear_combine,
                   rat, rat_str)
 from .constructions import (gmi, interval_system, new_slope,
-                            pi_infinity_truncation, pi_infinity_value, pi_k,
-                            pi_k_reflected, stabilization_index,
-                            truncation_bound)
+                            pi_infinity_value, pi_k, pi_k_reflected,
+                            stabilization_index, truncation_bound)
 from .verification import (Certificate, brute_force_subadditive,
                            check_minimal, check_nonnegative, check_slope_census,
                            check_subadditive, check_symmetry, check_zero_set)
@@ -22,9 +21,8 @@ __all__ = [
     "DomainError", "FormatError", "NotMinimal",
     "Interval", "PeriodicPWL", "common_refinement", "linear_combine", "rat",
     "rat_str",
-    "gmi", "interval_system", "new_slope", "pi_infinity_truncation",
-    "pi_infinity_value", "pi_k", "pi_k_reflected", "stabilization_index",
-    "truncation_bound",
+    "gmi", "interval_system", "new_slope", "pi_infinity_value", "pi_k",
+    "pi_k_reflected", "stabilization_index", "truncation_bound",
     "Certificate", "brute_force_subadditive", "check_minimal",
     "check_nonnegative", "check_slope_census", "check_subadditive",
     "check_symmetry", "check_zero_set",

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import sys
 from fractions import Fraction
@@ -88,24 +89,22 @@ def cmd_construct(args) -> int:
     elif kind == "pi-inf":
         if args.K is None:
             raise _UsageError("construct pi-inf requires --K (truncation level)")
-        tr = constructions.pi_infinity_truncation(args.b, args.K)
-        out_obj, summary = tr.fn.to_dict(), tr.fn
+        f = constructions.pi_k(args.K, args.b)
+        out_obj, summary = f.to_dict(), f
         print(f"truncation level {args.K}, uniform error bound "
-              f"{rat_str(tr.sup_error_bound)}")
+              f"{rat_str(constructions.truncation_bound(args.K, args.b))}")
     elif kind == "phi-m":
         if args.m is None:
             raise _UsageError("construct phi-m requires --m")
         F = seqmerge.phi_m(args.m, args.b)
         out_obj, summary = F.to_dict(), None
         _print_arity(F)
-    elif kind == "pi-n-k":
+    else:   # pi-n-k, the last of argparse's choices
         if args.n is None or args.k is None:
             raise _UsageError("construct pi-n-k requires --n and --k")
         F = seqmerge.pi_n_k(args.n, args.k, args.b)
         out_obj, summary = F.to_dict(), None
         _print_arity(F)
-    else:  # pragma: no cover - argparse restricts choices
-        raise _UsageError(f"unknown construction {kind}")
     if summary is not None:
         slopes = sorted(summary.slopes())
         print(f"breakpoints: {len(summary.breakpoints)}")
@@ -147,10 +146,8 @@ def cmd_verify(args) -> int:
         if args.k is None or args.b is None:
             raise _UsageError("verify slopes requires --k and --b")
         cert = verification.check_slope_census(f, args.k, args.b)
-    elif check == "zero-set":
+    else:   # zero-set, the last of argparse's choices
         cert = verification.check_zero_set(f)
-    else:  # pragma: no cover
-        raise _UsageError(f"unknown check {check}")
     return _print_cert(cert)
 
 
@@ -228,19 +225,23 @@ def cmd_plot(args) -> int:
     suffix = Path(out).suffix.lower()
     if suffix not in (".csv", ".svg"):
         raise _UsageError("plot output must end in .csv or .svg")
-    try:
+    try:    # every float is computed before --out is opened
         if suffix == ".svg":
-            Path(out).write_text(_svg(f))
+            text = _svg(f)
         else:
-            with open(out, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["x", "value", "kind"])
-                for x, v in zip(f.breakpoints, f.values):
-                    w.writerow([rat_str(x), rat_str(v), "breakpoint"])
-                n = args.samples
-                for i in range(n + 1):
-                    x = Fraction(i, n)
-                    w.writerow([float(x), float(f.eval(x)), "sample"])
+            buf = io.StringIO()
+            w = csv.writer(buf)
+            w.writerow(["x", "value", "kind"])
+            w.writerows([rat_str(x), rat_str(v), "breakpoint"]
+                        for x, v in zip(f.breakpoints, f.values))
+            xs = [Fraction(i, args.samples) for i in range(args.samples + 1)]
+            w.writerows([float(x), float(f.eval(x)), "sample"] for x in xs)
+            text = buf.getvalue()
+    except OverflowError:
+        raise _UsageError(f"cannot plot {args.path}: a value is outside "
+                          "the float range") from None
+    try:
+        Path(out).write_text(text, newline="")
     except OSError as exc:
         raise _UsageError(f"cannot write {out}: {exc}") from exc
     print(f"wrote {out}")
@@ -286,11 +287,12 @@ def _positive_int(text: str, cap: int) -> int:
 
 # pi_k has about 4k breakpoints of about 3k bits each, so its size grows as
 # k^2 bits and k = 10^5 would need tens of GB.  At 64 every verb ends within a
-# second: on a 2-core Xeon, `python -m groupcut.cli` takes 0.17 s for verify
-# minimal on pi_64(1/3) and 0.27 s for certify --mode replay --k 64 (median
-# of eleven runs), and 0.30 s for eval of the pi-n-k --n 64 --k 64 --b 2/3
-# file (median of five), of which the evaluation itself is 0.2 ms and
-# loading the file, with its minimality check, 0.1 s
+# second: on a shared 2-core Xeon, `python -m groupcut.cli` takes 0.22 s for
+# verify minimal on pi_64(1/3), 0.25 s for certify --mode replay --k 64 and
+# 0.25 s for eval of the pi-n-k --n 64 --k 64 --b 2/3 file (medians of 21
+# interleaved runs, the fastest 0.17-0.18 s; start-up alone is 0.11 s), of
+# which the evaluation itself is 0.2 ms and loading the file, with its
+# minimality check, 0.13 s
 MAX_LEVEL = 64
 # the facet test's grid has about 2d points: on a 2-core Xeon, certify of
 # pi_8(1/2) takes 0.15 s at --refine 1024 and 1.4 s at 4096

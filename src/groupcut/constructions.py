@@ -164,28 +164,9 @@ def pi_infinity_value(x, b) -> Fraction:
     return value if y == x else 1 - value
 
 
-@dataclass(frozen=True)
-class PiInfinityTruncation:
-    """A finite truncation of the limit function, with a uniform error bound."""
-
-    fn: PeriodicPWL
-    K: int
-    sup_error_bound: Fraction
-
-
 def truncation_bound(K: int, b: Fraction) -> Fraction:
     """The paper's bound on sup |pi_inf - pi_K|.  pi_(j+1) - pi_j is 0 off
     [0, 2 eps_(j+1)] and [b - 2 eps_(j+1), b] and peaks at eps_(j+1) with
     (s_(j+1) - s_j) eps_(j+1) = 2^(1-2j) / (1 - b), so the sup gap telescopes
     to at most 2^(3-2K) / (3 (1 - b)), which is below this bound for K >= 2."""
     return Fraction(2) ** (4 - 3 * K) * (Fraction(2) ** K - 4 * b) / (1 - b)
-
-
-def pi_infinity_truncation(b, K: int) -> PiInfinityTruncation:
-    """Level-K truncation; the limit differs from it by at most the bound,
-    uniformly."""
-    b = rat(b)
-    if K < 2:
-        raise DomainError(f"K must be >= 2, got {K}")
-    fn = pi_k(K, b)
-    return PiInfinityTruncation(fn=fn, K=K, sup_error_bound=truncation_bound(K, b))

@@ -188,7 +188,7 @@ def _slope_classes(grid: list, faces, B: int, Q: int) -> list:
 class PerturbationTestResult:
     dimension: int
     basis_functions: tuple
-    verdict: str              # certified_unique | not_unique | inconclusive
+    verdict: str              # certified_unique | not_unique
     note = PWL_CAVEAT         # a class constant, not a field
 
     def to_dict(self) -> dict:
@@ -289,7 +289,12 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
     theta(x) + theta(b - x) = 1, additivity at every additive vertex, and
     the interval lemma on each face's three projections: one slope on p1,
     p2 and p3, the last reduced modulo 1.  `certified_unique` iff f is the
-    only solution.
+    only solution, else `not_unique` with a basis of the solutions.
+
+    There is always a face: the gate proves f(0) = 0, and f is linear on
+    its first piece [0, t1], so the slack vanishes on the cell x, y >= 0,
+    x + y <= t1.  `_half_faces` yields it from its first box (both pieces
+    0, the first strip, slack(0, 0) = f(0) = 0).
 
     Everything runs on one lattice (1/Q)Z, Q the lcm of f's breakpoint
     denominators, the refinement denominator d and b's denominator: grid
@@ -399,15 +404,9 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
         for c, v in row.items():
             vals[n - 1 - c] = Fraction(v, row[col])
         basis.append(PeriodicPWL(xs, vals))
-    dim = len(basis)
-    if not faces:
-        verdict = "inconclusive"
-    elif dim == 0:
-        verdict = "certified_unique"
-    else:
-        verdict = "not_unique"
-    return PerturbationTestResult(dimension=dim, basis_functions=tuple(basis),
-                                  verdict=verdict)
+    return PerturbationTestResult(
+        dimension=len(basis), basis_functions=tuple(basis),
+        verdict="not_unique" if basis else "certified_unique")
 
 
 # ---------------------------------------------------------------------------

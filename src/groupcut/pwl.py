@@ -93,6 +93,8 @@ class PeriodicPWL:
     piece wraps: on [breakpoints[-1], 1] the function runs linearly to
     ``values[0]`` at abscissa 1.  Both are read through `rat`: an int
     becomes a Fraction, and a float or bool raises FormatError.
+    ``__init__`` is the only validator of a function: 0 first, strict
+    increase and a last breakpoint below 1 put every breakpoint in [0, 1).
 
     Each piece's slope is computed on first use and kept in a private slot,
     so an object computes it at most once.
@@ -111,7 +113,7 @@ class PeriodicPWL:
             if bps[i] <= bps[i - 1]:
                 raise FormatError("breakpoints must be strictly increasing")
         if bps[-1] >= 1:
-            raise FormatError("breakpoints must lie in [0, 1)")
+            raise FormatError(f"breakpoint {bps[-1]} outside [0, 1)")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_slopes", [None] * len(bps))
@@ -135,8 +137,6 @@ class PeriodicPWL:
             if x in seen and seen[x] != v:
                 raise DomainError(f"conflicting values at breakpoint {x}")
             seen[x] = v
-        if 0 not in seen:
-            raise FormatError("breakpoint 0 must be present")
         bps = sorted(seen)
         return cls(bps, [seen[t] for t in bps]).canonical()
 
@@ -245,17 +245,12 @@ class PeriodicPWL:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PeriodicPWL":
+        """Check the JSON shape; `__init__` validates the function."""
         if not isinstance(d, dict) or set(d) != {"breakpoints", "values"}:
             raise FormatError("expected object with 'breakpoints' and 'values'")
         if not (isinstance(d["breakpoints"], list) and isinstance(d["values"], list)):
             raise FormatError("'breakpoints' and 'values' must be JSON lists")
-        bps = [rat(t) for t in d["breakpoints"]]
-        vals = [rat(v) for v in d["values"]]
-        for t in bps:
-            if not (0 <= t < 1):
-                raise FormatError(f"breakpoint {t} outside [0, 1)")
-        # __init__ enforces monotonicity and the presence of 0
-        return cls(bps, vals)
+        return cls(d["breakpoints"], d["values"])
 
     @classmethod
     def from_json(cls, text: str) -> "PeriodicPWL":

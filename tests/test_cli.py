@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupcut import PeriodicPWL, gmi, phi_m, pi_k, rat, verification
+from groupcut import PeriodicPWL, gmi, phi_m, pi_k, pi_n_k, rat, verification
 from groupcut.cli import MAX_REFINE, MAX_SAMPLES, main
 from conftest import bump_value
 
@@ -61,6 +61,15 @@ def test_construct_pi_inf_prints_bound(tmp_path, capsys):
     assert "7/64" in stdout
 
 
+def test_construct_pi_n_k(tmp_path, capsys):
+    out = tmp_path / "F.json"
+    code, stdout, _ = run(capsys, "construct", "pi-n-k", "--n", "3", "--k", "3",
+                          "--b", "2/3", "--out", str(out))
+    assert code == 0
+    assert stdout.splitlines() == ["arity 3, b-vector [2/3, 2/3, 2/3]", f"wrote {out}"]
+    assert json.loads(out.read_text()) == pi_n_k(3, 3, F(2, 3)).to_dict()
+
+
 def test_eval_1d_and_merged(tmp_path, capsys):
     f = tmp_path / "f.json"
     run(capsys, "construct", "gmi", "--b", "1/2", "--out", str(f))
@@ -84,6 +93,33 @@ def test_verify_exit_codes(tmp_path, capsys):
     code, stdout, _ = run(capsys, "verify", "symmetry", str(g), "--b", "1/2")
     assert code == 1
     assert json.loads(stdout)["witness"] is not None
+
+
+def test_verify_subadditive_pass_and_pair_witness(tmp_path, capsys):
+    f = tmp_path / "f.json"
+    f.write_text(pi_k(3, F(1, 2)).to_json())
+    code, stdout, _ = run(capsys, "verify", "subadditive", str(f))
+    assert code == 0 and json.loads(stdout)["verdict"] == "pass"
+    bad = bump_value(pi_k(3, F(1, 2)), 1, F(-1, 1000))
+    f.write_text(bad.to_json())
+    code, stdout, _ = run(capsys, "verify", "subadditive", str(f))
+    w = json.loads(stdout)["witness"]
+    assert code == 1 and w["kind"] == "pair"
+    assert bad.delta(rat(w["x"]), rat(w["y"])) == rat(w["delta"]) < 0
+
+
+def test_verify_zero_set_pass_and_breakpoint_witness(tmp_path, capsys):
+    f = tmp_path / "f.json"
+    f.write_text(pi_k(3, F(1, 2)).to_json())
+    code, stdout, _ = run(capsys, "verify", "zero-set", str(f))
+    assert code == 0 and json.loads(stdout)["verdict"] == "pass"
+    # 0 again at the breakpoint 1/2, with positive pieces on both sides
+    bad = PeriodicPWL([0, F(1, 4), F(1, 2), F(3, 4)], [0, 1, 0, 1])
+    f.write_text(bad.to_json())
+    code, stdout, _ = run(capsys, "verify", "zero-set", str(f))
+    assert code == 1
+    assert json.loads(stdout)["witness"] == {"kind": "point", "x": "1/2", "value": "0"}
+    assert bad.eval(F(1, 2)) == 0
 
 
 @pytest.mark.parametrize("make, detail", [
@@ -243,6 +279,17 @@ def test_merge_verb(tmp_path, capsys):
     assert code == 0 and "arity 3" in stdout
 
 
+def test_merge_warns_when_the_outer_lift_decreases(tmp_path, capsys):
+    # pi_4(1/3) has slope 33/2 > 3 = 1/b1: minimal, but x - b1 f(x) decreases
+    outer, inner, out = tmp_path / "o.json", tmp_path / "i.json", tmp_path / "m.json"
+    outer.write_text(pi_k(4, F(1, 3)).to_json())
+    inner.write_text(gmi(F(1, 2)).to_json())
+    code, stdout, err = run(capsys, "merge", str(outer), str(inner), "--b1", "1/3",
+                            "--b2", "1/2", "--out", str(out))
+    assert code == 0 and "arity 2, b-vector [1/3, 1/2]" in stdout and out.exists()
+    assert err.startswith("warning: the outer lift is not nondecreasing")
+
+
 def test_merge_non_minimal_outer_exits_1(tmp_path, capsys):
     g = tmp_path / "g.json"
     bad = tmp_path / "bad.json"
@@ -296,6 +343,19 @@ def test_plot_svg(tmp_path, capsys):
     text = out.read_text()
     assert text.startswith("<svg") and "polyline" in text
     assert run(capsys, "plot", str(f), "--out", str(tmp_path / "f.txt"))[0] == 2
+
+
+@pytest.mark.parametrize("value, suffix", [
+    ("1" + "0" * 400, ".csv"), ("-1" + "0" * 400, ".csv"), ("-1" + "0" * 400, ".svg"),
+])
+def test_plot_refuses_a_value_outside_the_float_range(tmp_path, capsys, value, suffix):
+    # exit 2, not a traceback, and no partial file: the floats come first
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"breakpoints": ["0", "1/2"], "values": ["0", value]}))
+    out = tmp_path / f"p{suffix}"
+    code, stdout, err = run(capsys, "plot", str(f), "--out", str(out))
+    assert code == 2 and stdout == "" and _one_error_line(err)
+    assert "outside the float range" in err and not out.exists()
 
 
 def test_unknown_verb_and_flags(capsys):

@@ -6,9 +6,8 @@ from itertools import islice
 import pytest
 
 from groupcut import (DomainError, PeriodicPWL, constructions, gmi,
-                      interval_system, new_slope, pi_infinity_truncation,
-                      pi_infinity_value, pi_k, pi_k_reflected,
-                      stabilization_index, truncation_bound)
+                      interval_system, new_slope, pi_infinity_value, pi_k,
+                      pi_k_reflected, stabilization_index, truncation_bound)
 from groupcut.pwl import common_refinement
 from conftest import formula_slope
 
@@ -298,10 +297,3 @@ def test_truncation_bound_closed_form():
     assert truncation_bound(4, F(1, 2)) == F(7, 64)
     K, b = 6, F(1, 3)
     assert truncation_bound(K, b) == F(2) ** (4 - 3 * K) * (2 ** K - 4 * b) / (1 - b)
-
-
-def test_pi_infinity_truncation_bundles_function_and_bound():
-    tr = pi_infinity_truncation(F(1, 2), 4)
-    assert tr.fn == pi_k(4, F(1, 2))
-    assert tr.K == 4
-    assert tr.sup_error_bound == F(7, 64)

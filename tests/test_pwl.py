@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from groupcut import (DomainError, FormatError, Interval, PeriodicPWL,
                       check_slope_census, common_refinement, gmi,
                       linear_combine, pi_k, pi_k_reflected, rat, rat_str)
+import groupcut.pwl as pwl
 from groupcut.pwl import pieces_in
 from conftest import formula_slope
 
@@ -321,6 +322,30 @@ def test_json_round_trip_and_schema_errors():
         PeriodicPWL.from_json('{"breakpoints": ["0"], "values": ["0.5"]}')
     with pytest.raises(FormatError):
         PeriodicPWL.from_json('[1,2]')
+
+
+def test_from_dict_reads_each_coordinate_through_rat_once(monkeypatch):
+    # from_dict checks the JSON shape only; __init__ reads and validates
+    d = pi_k(5, F(1, 3)).to_dict()
+    calls, real = [], pwl.rat
+    monkeypatch.setattr(pwl, "rat", lambda x: calls.append(x) or real(x))
+    f = PeriodicPWL.from_dict(d)
+    assert calls == d["breakpoints"] + d["values"]
+    assert f.to_dict() == d
+
+
+@pytest.mark.parametrize("bps, message", [
+    (["-1/2"], "breakpoint 0 must be present (and first)"),
+    (["-1/2", "0"], "breakpoint 0 must be present (and first)"),
+    (["0", "-1/2"], "breakpoints must be strictly increasing"),
+    (["0", "1"], "breakpoint 1 outside [0, 1)"),
+    (["0", "1/2", "3/2"], "breakpoint 3/2 outside [0, 1)"),
+    (["0", "2", "1/2"], "breakpoints must be strictly increasing"),
+])
+def test_from_dict_names_a_breakpoint_outside_the_period(bps, message):
+    with pytest.raises(FormatError) as exc:
+        PeriodicPWL.from_dict({"breakpoints": bps, "values": ["0"] * len(bps)})
+    assert str(exc.value) == message
 
 
 @st.composite

@@ -28,3 +28,23 @@ def test_every_private_definition_is_used_in_src():
                   p == path and d.lineno <= line <= d.end_lineno)
                   for p, line, name in uses)]
     assert not unused, f"private definitions no code in src/ uses: {unused}"
+
+
+def _floats(tree):
+    """(name, line) of every float() call and float literal in the tree,
+    name being the top-level definition it sits in (None at module level)."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "float"
+                    or isinstance(node, ast.Constant) and isinstance(node.value, float)):
+                yield getattr(top, "name", None), node.lineno
+
+
+def test_floats_appear_only_where_plot_maps_coordinates():
+    # exact arithmetic everywhere: plot turns exact values into drawing
+    # coordinates at the very end, and nothing else makes a float
+    allowed = {("cli.py", "_svg"), ("cli.py", "cmd_plot")}
+    found = {(path.name, name, line) for path in sorted(SRC.glob("*.py"))
+             for name, line in _floats(ast.parse(path.read_text(), str(path)))}
+    assert {(p, name) for p, name, _ in found} == allowed, sorted(found)
