@@ -107,7 +107,7 @@ def cmd_construct(args) -> int:
         _print_arity(F)
     if summary is not None:
         slopes = sorted(summary.slopes())
-        print(f"breakpoints: {len(summary.breakpoints)}")
+        print(f"breakpoints: {len(summary.P)}")
         print(f"slopes ({len(slopes)}): "
               f"[{', '.join(rat_str(s) for s in slopes)}]")
     if args.out:
@@ -197,13 +197,17 @@ def _svg(f: PeriodicPWL) -> str:
     W, H, PAD = 640, 360, 40
     pts = list(zip(f.breakpoints, f.values))
     pts.append((Fraction(1), f.values[0]))
-    ymax = max(v for _, v in pts) or Fraction(1)
+    # [lo, hi] = [min(0, values), max(0, values)] fills the height; a
+    # function that is 0 everywhere is drawn on the unit range
+    lo, hi = min(0, *f.values), max(0, *f.values)
+    if lo == hi:
+        hi = Fraction(1)
 
     def mx(x):
         return PAD + float(x) * (W - 2 * PAD)
 
     def my(y):
-        return H - PAD - float(y / ymax) * (H - 2 * PAD)
+        return H - PAD - float((y - lo) / (hi - lo)) * (H - 2 * PAD)
 
     poly = " ".join(f"{mx(x):.2f},{my(y):.2f}" for x, y in pts)
     marks = "".join(
@@ -287,12 +291,12 @@ def _positive_int(text: str, cap: int) -> int:
 
 # pi_k has about 4k breakpoints of about 3k bits each, so its size grows as
 # k^2 bits and k = 10^5 would need tens of GB.  At 64 every verb ends within a
-# second: on a shared 2-core Xeon, `python -m groupcut.cli` takes 0.22 s for
-# verify minimal on pi_64(1/3), 0.25 s for certify --mode replay --k 64 and
-# 0.25 s for eval of the pi-n-k --n 64 --k 64 --b 2/3 file (medians of 21
-# interleaved runs, the fastest 0.17-0.18 s; start-up alone is 0.11 s), of
-# which the evaluation itself is 0.2 ms and loading the file, with its
-# minimality check, 0.13 s
+# second: on a shared 2-core Xeon, `python -m groupcut.cli` takes 0.25 s for
+# verify minimal on pi_64(1/3), 0.22 s for certify --mode replay --k 64 and
+# 0.22 s for eval of the pi-n-k --n 64 --k 64 --b 2/3 file (medians of 21
+# interleaved runs, the fastest 0.17 s; start-up with the import of the CLI
+# alone is 0.14 s), of which the evaluation itself is 0.15 ms and loading the
+# file, with its minimality check, 0.09 s (best of 7, in one process)
 MAX_LEVEL = 64
 # the facet test's grid has about 2d points: on a 2-core Xeon, certify of
 # pi_8(1/2) takes 0.15 s at --refine 1024 and 1.4 s at 4096

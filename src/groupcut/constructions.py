@@ -84,29 +84,47 @@ def pi_k(k: int, b) -> PeriodicPWL:
     adjacent pieces merge.  From 0 they run s_k, -1/(1 - b), ..., s_3,
     -1/(1 - b), then 1/b = s_2 on I3 of level 3, then -1/(1 - b), s_3, ...,
     -1/(1 - b), s_k and -1/(1 - b) on [b, 1]; the function is built with
-    them, so it computes no slope."""
+    them, so it computes no slope.
+
+    The points are built on ints.  With b = p/r, N = 8^(k-2),
+    E_j = 8^(k-j), T_j = 2^(j-2) and F_j = 4^(k-j) 2^(k-2), the recurrence
+    unrolls to eps_j = p E_j / (r N), 4^(2-j) = F_j / N (as
+    4^(k-2) 2^(k-2) = N) and 1 - b = (r - p)/r, while
+    s_j = (T_j r - p) r / (p (r - p)).  Over rN the breakpoints are
+    2p E_j, p E_j, pN - 2p E_j, pN - p E_j and, for b, pN.  Multiplying
+    each value above by (r - p) N gives, in the same order,
+
+        r F_j - 2p E_j,
+        (T_j r - p) E_j,
+        (r - p) N - r F_j + 2p E_j,
+        (1 - T_j) r N + (T_j r - p)(N - E_j),
+
+    and (r - p) N for f(b) = 1: the third is (r - p) N minus the first, as
+    the third value is 1 minus the first, and in the fourth
+    s_j (b - eps_j) (r - p) N = (T_j r - p)(N - E_j).  Along the levels
+    E_j falls by 8, T_j doubles and F_j falls by 4, all exactly."""
     b = rat(b)
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     if not (0 < b <= Fraction(1, 2)):
         raise DomainError(f"b must lie in (0, 1/2], got {b}")
-    one_minus_b, b_minus_b2 = 1 - b, b - b * b
-    neg = -1 / one_minus_b
-    eps, two_pow, four_pow = b, 1, Fraction(1)
+    p, r = b.numerator, b.denominator
+    N = E = F = 8 ** (k - 2)
+    rN, pN, mN = r * N, p * N, (r - p) * N
+    neg = Fraction(-r, r - p)
+    T = 1
     lows, highs, ups = [], [], []
     for _ in range(3, k + 1):
-        eps /= 8
-        two_pow *= 2
-        four_pow /= 4
-        slope = (two_pow - b) / b_minus_b2
-        two_eps = 2 * eps
-        lows += [(two_eps, (four_pow - two_eps) / one_minus_b), (eps, slope * eps)]
-        highs += [(b - two_eps, (1 - four_pow - (b - two_eps)) / one_minus_b),
-                  (b - eps, (1 - two_pow) / one_minus_b + slope * (b - eps))]
-        ups += [neg, slope]
-    points = [(Fraction(0), Fraction(0)), *reversed(lows), *highs, (b, Fraction(1))]
-    return PeriodicPWL._with_slopes([t for t, _ in points], [v for _, v in points],
-                                    [*reversed(ups), 1 / b, *ups, neg])
+        E //= 8
+        T *= 2
+        F //= 4
+        pE, rF, up = p * E, r * F, T * r - p
+        lows += [(2 * pE, rF - 2 * pE), (pE, up * E)]
+        highs += [(pN - 2 * pE, mN - rF + 2 * pE), (pN - pE, (1 - T) * rN + up * (N - E))]
+        ups += [neg, Fraction(up * r, p * (r - p))]
+    points = [(0, 0), *reversed(lows), *highs, (pN, mN)]
+    return PeriodicPWL._of_ints(rN, [t for t, _ in points], mN, [v for _, v in points],
+                                [*reversed(ups), Fraction(r, p), *ups, neg])
 
 
 def pi_k_reflected(k: int, b) -> PeriodicPWL:

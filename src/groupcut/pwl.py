@@ -1,18 +1,39 @@
 """Exact continuous piecewise-linear functions on R, periodic modulo Z.
 
 Functions are stored by (breakpoint, value) pairs on [0, 1), with 0 always
-present, so continuity is structural.  All arithmetic is over
-``fractions.Fraction``; no floats enter any computation here.
+present, so continuity is structural.  A function is held as integers:
+breakpoint numerators over one denominator and value numerators over
+another, which is what the exact checks read; the `fractions.Fraction`
+views are made only when read.  No floats enter any computation here.
 """
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError, FormatError
+
+
+def _digits(x: str):
+    """The ints (n, d) of ASCII text '-?digits' or '-?digits/digits', not
+    reduced, read by int() without Fraction's regular expression; None for
+    any other text.  A zero denominator, or a number past int()'s digit
+    limit, raises FormatError."""
+    num, slash, den = x.partition("/")
+    if not (x.isascii() and num.removeprefix("-").isdigit()
+            and (den.isdigit() or not slash)):
+        return None
+    try:
+        n, d = int(num), int(den or 1)
+    except ValueError as exc:       # past the int-to-str digit limit
+        raise FormatError(f"not a rational: {x!r}") from exc
+    if d == 0:
+        raise FormatError(f"not a rational: {x!r}")
+    return n, d
 
 
 def rat(x) -> Fraction:
@@ -24,21 +45,17 @@ def rat(x) -> Fraction:
     boundary would silently contaminate exact computations.
 
     A string of ASCII digits, with an optional leading '-' and an optional
-    '/digits', is read by int() without Fraction's regular expression;
-    every other string goes through Fraction(str).
+    '/digits', is read by `_digits`; every other string goes through
+    Fraction(str).
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        num, slash, den = x.partition("/")
-        if (x.isascii() and num.removeprefix("-").isdigit()
-                and (den.isdigit() or not slash)):
-            try:
-                return Fraction(int(num), int(den or 1))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise FormatError(f"not a rational: {x!r}") from exc
+        nd = _digits(x)
+        if nd is not None:
+            return Fraction(*nd)
         if "." in x or "e" in x.lower():
             raise FormatError(f"expected exact rational 'p/q', got {x!r}")
         try:
@@ -46,6 +63,28 @@ def rat(x) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"not a rational: {x!r}") from exc
     raise FormatError(f"cannot interpret {type(x).__name__} as exact rational")
+
+
+def _pair(x) -> tuple:
+    """rat(x) as ints (n, d) in lowest terms, d > 0, with no Fraction made
+    for text that `_digits` reads; anything else goes through `rat`, so
+    every error is rat's."""
+    nd = _digits(x) if isinstance(x, str) else None
+    if nd is None:
+        x = rat(x)
+        return x.numerator, x.denominator
+    n, d = nd
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def _texts(nums, den: int) -> list:
+    """str(Fraction(n, den)) for each int n, den > 0."""
+    out = []
+    for n in nums:
+        g = math.gcd(n, den)
+        out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+    return out
 
 
 def rat_str(q: Fraction) -> str:
@@ -91,37 +130,63 @@ class PeriodicPWL:
     ``breakpoints`` is a strictly increasing tuple of rationals in [0, 1)
     starting with 0; ``values`` the corresponding function values.  The last
     piece wraps: on [breakpoints[-1], 1] the function runs linearly to
-    ``values[0]`` at abscissa 1.  Both are read through `rat`: an int
-    becomes a Fraction, and a float or bool raises FormatError.
-    ``__init__`` is the only validator of a function: 0 first, strict
-    increase and a last breakpoint below 1 put every breakpoint in [0, 1).
+    ``values[0]`` at abscissa 1.  Both are read through `_pair`: an int,
+    a Fraction or "p/q" text is exact, and a float or bool raises
+    FormatError.  ``__init__`` is the only validator of a function: 0
+    first, strict increase and a last breakpoint below 1 put every
+    breakpoint in [0, 1).
 
-    Each piece's slope is computed on first use and kept in a private slot,
-    so an object computes it at most once.
+    The function is stored as ints: breakpoint i is P[i]/q and value i is
+    W[i]/D, with q and D the lcm of the reduced denominators of the
+    breakpoints and of the values, which fixes the four for given points.
+    ``breakpoints`` and ``values``, tuples of Fractions, are made on first
+    read; the exact checks read the ints.  Each piece's slope is computed
+    on first use and kept in a private slot, so an object computes it at
+    most once.
     """
 
-    __slots__ = ("breakpoints", "values", "_slopes")
+    __slots__ = ("q", "P", "D", "W", "_bps", "_vals", "_slopes")
 
     def __init__(self, breakpoints, values):
-        bps = tuple(map(rat, breakpoints))
-        vals = tuple(map(rat, values))
+        bps = [_pair(t) for t in breakpoints]
+        vals = [_pair(v) for v in values]
         if len(bps) == 0 or len(bps) != len(vals):
             raise FormatError("breakpoints/values must be nonempty and equal length")
-        if bps[0] != 0:
+        q = math.lcm(*(d for _, d in bps))
+        P = tuple([n * (q // d) for n, d in bps])
+        if P[0] != 0:
             raise FormatError("breakpoint 0 must be present (and first)")
-        for i in range(1, len(bps)):
-            if bps[i] <= bps[i - 1]:
+        for i in range(1, len(P)):
+            if P[i] <= P[i - 1]:
                 raise FormatError("breakpoints must be strictly increasing")
-        if bps[-1] >= 1:
-            raise FormatError(f"breakpoint {bps[-1]} outside [0, 1)")
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_slopes", [None] * len(bps))
+        if P[-1] >= q:
+            raise FormatError(f"breakpoint {Fraction(*bps[-1])} outside [0, 1)")
+        D = math.lcm(*(d for _, d in vals))
+        self._set(q, P, D, tuple([n * (D // d) for n, d in vals]), [None] * len(P))
+
+    def _set(self, q, P: tuple, D, W: tuple, slopes: list):
+        for name, v in zip(self.__slots__, (q, P, D, W, None, None, slopes)):
+            object.__setattr__(self, name, v)
 
     def __setattr__(self, *a):  # immutable value type
         raise AttributeError("PeriodicPWL is immutable")
 
     # -- construction -----------------------------------------------------
+
+    @classmethod
+    def _of_ints(cls, q: int, P, D: int, W, slopes=None) -> "PeriodicPWL":
+        """The function with breakpoints P[i]/q and values W[i]/D, for ints
+        q, D > 0 and P increasing from 0 and below q, which nothing checks.
+        Each list and its denominator are divided by their gcd, so q and D
+        come out the lcm of the reduced denominators, as `__init__` makes
+        them.  `slopes`, if given, are the piece slopes by index, entries
+        None where unknown; the caller has proved them, and nothing checks
+        them."""
+        g, h = math.gcd(q, *P), math.gcd(D, *W)
+        out = cls.__new__(cls)
+        out._set(q // g, tuple([p // g for p in P]), D // h, tuple([w // h for w in W]),
+                 slopes or [None] * len(P))
+        return out
 
     @classmethod
     def from_points(cls, points: Iterable[tuple]) -> "PeriodicPWL":
@@ -143,24 +208,40 @@ class PeriodicPWL:
     def canonical(self) -> "PeriodicPWL":
         """Merge adjacent pieces of equal slope; breakpoint 0 is always kept.
 
-        A kept piece's slope is that of every piece merged into it, so the
-        result starts with all its slopes known."""
-        slopes = self._piece_slopes()
-        keep = [0] + [i for i in range(1, len(slopes))
-                      if slopes[i - 1] != slopes[i]]
-        return PeriodicPWL._with_slopes([self.breakpoints[i] for i in keep],
-                                        [self.values[i] for i in keep],
-                                        [slopes[i] for i in keep])
-
-    @classmethod
-    def _with_slopes(cls, breakpoints, values, slopes: list) -> "PeriodicPWL":
-        """The function with these points whose piece slopes are `slopes`,
-        by index; the caller has proved them, and nothing checks them."""
-        out = cls(breakpoints, values)
-        object.__setattr__(out, "_slopes", slopes)
-        return out
+        Piece i rises dW_i over a run dP_i in the stored ints, so pieces
+        i - 1 and i have equal slopes iff dW_(i-1)*dP_i = dW_i*dP_(i-1).
+        A function with no such pair is its own canonical form.  A kept
+        piece's slope is that of every piece merged into it, so the result
+        keeps the slopes this function knows."""
+        P, W = self.P, self.W
+        dP = [b - a for a, b in zip(P, (*P[1:], self.q))]
+        dW = [b - a for a, b in zip(W, (*W[1:], W[0]))]
+        keep = [0] + [i for i in range(1, len(P))
+                      if dW[i - 1] * dP[i] != dW[i] * dP[i - 1]]
+        if len(keep) == len(P):
+            return self
+        return PeriodicPWL._of_ints(self.q, [P[i] for i in keep], self.D,
+                                    [W[i] for i in keep], [self._slopes[i] for i in keep])
 
     # -- evaluation -------------------------------------------------------
+
+    @property
+    def breakpoints(self) -> tuple:
+        bps = self._bps
+        if bps is None:
+            q = self.q
+            bps = tuple([Fraction(p, q) for p in self.P])
+            object.__setattr__(self, "_bps", bps)
+        return bps
+
+    @property
+    def values(self) -> tuple:
+        vals = self._vals
+        if vals is None:
+            D = self.D
+            vals = tuple([Fraction(w, D) for w in self.W])
+            object.__setattr__(self, "_vals", vals)
+        return vals
 
     def piece_slope(self, i: int) -> Fraction:
         """Slope on piece [t_i, t_{i+1}] (the last piece wraps to 1), for i
@@ -170,11 +251,11 @@ class PeriodicPWL:
             raise IndexError(f"piece {i} outside range({len(memo)})")
         s = memo[i]
         if s is None:
-            bps, vals = self.breakpoints, self.values
-            if i == len(bps) - 1:
-                s = (vals[0] - vals[-1]) / (1 - bps[-1])
+            P, W, q, j = self.P, self.W, self.q, i + 1
+            if j == len(P):
+                s = Fraction((W[0] - W[i]) * q, self.D * (q - P[i]))
             else:
-                s = (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i])
+                s = Fraction((W[j] - W[i]) * q, self.D * (P[j] - P[i]))
             memo[i] = s
         return s
 
@@ -188,11 +269,13 @@ class PeriodicPWL:
 
     def eval(self, x) -> Fraction:
         x = rat(x) % 1
-        i = bisect_right(self.breakpoints, x) - 1
-        t = self.breakpoints[i]
+        bps = self._bps or self.breakpoints     # the slots, once made
+        i = bisect_right(bps, x) - 1
+        t = bps[i]
+        v = (self._vals or self.values)[i]
         if x == t:
-            return self.values[i]
-        return self.values[i] + self.piece_slope(i) * (x - t)
+            return v
+        return v + self.piece_slope(i) * (x - t)
 
     __call__ = eval
 
@@ -207,9 +290,12 @@ class PeriodicPWL:
     # -- algebra ----------------------------------------------------------
 
     def reflect(self) -> "PeriodicPWL":
-        """The function x -> f(-x), again continuous periodic PWL."""
-        return PeriodicPWL.from_points(
-            ((-t) % 1, v) for t, v in zip(self.breakpoints, self.values))
+        """The function x -> f(-x), again continuous periodic PWL, in
+        canonical form: breakpoint P/q goes to ((q - P) mod q)/q."""
+        q = self.q
+        pts = sorted(((q - p) % q, w) for p, w in zip(self.P, self.W))
+        return PeriodicPWL._of_ints(q, [p for p, _ in pts], self.D,
+                                    [w for _, w in pts]).canonical()
 
     def refine_to(self, breakpoints) -> "PeriodicPWL":
         """Re-express over a superset of the breakpoints (not canonicalized)."""
@@ -218,15 +304,17 @@ class PeriodicPWL:
 
     # -- equality / hashing ----------------------------------------------
 
+    def _key(self) -> tuple:
+        c = self.canonical()
+        return c.q, c.P, c.D, c.W
+
     def __eq__(self, other):
         if not isinstance(other, PeriodicPWL):
             return NotImplemented
-        a, b = self.canonical(), other.canonical()
-        return a.breakpoints == b.breakpoints and a.values == b.values
+        return self._key() == other._key()
 
     def __hash__(self):
-        c = self.canonical()
-        return hash((c.breakpoints, c.values))
+        return hash(self._key())
 
     def __repr__(self):
         pts = ", ".join(f"({t}, {v})" for t, v in zip(self.breakpoints, self.values))
@@ -235,10 +323,7 @@ class PeriodicPWL:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "breakpoints": [rat_str(t) for t in self.breakpoints],
-            "values": [rat_str(v) for v in self.values],
-        }
+        return {"breakpoints": _texts(self.P, self.q), "values": _texts(self.W, self.D)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -246,11 +331,7 @@ class PeriodicPWL:
     @classmethod
     def from_dict(cls, d: dict) -> "PeriodicPWL":
         """Check the JSON shape; `__init__` validates the function."""
-        if not isinstance(d, dict) or set(d) != {"breakpoints", "values"}:
-            raise FormatError("expected object with 'breakpoints' and 'values'")
-        if not (isinstance(d["breakpoints"], list) and isinstance(d["values"], list)):
-            raise FormatError("'breakpoints' and 'values' must be JSON lists")
-        return cls(d["breakpoints"], d["values"])
+        return cls(*_lists(d))
 
     @classmethod
     def from_json(cls, text: str) -> "PeriodicPWL":
@@ -259,6 +340,16 @@ class PeriodicPWL:
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid JSON: {exc}") from exc
         return cls.from_dict(d)
+
+
+def _lists(d) -> tuple:
+    """The breakpoint and value lists of a function's JSON object, or
+    FormatError for any other shape."""
+    if not isinstance(d, dict) or set(d) != {"breakpoints", "values"}:
+        raise FormatError("expected object with 'breakpoints' and 'values'")
+    if not (isinstance(d["breakpoints"], list) and isinstance(d["values"], list)):
+        raise FormatError("'breakpoints' and 'values' must be JSON lists")
+    return d["breakpoints"], d["values"]
 
 
 def common_refinement(f: PeriodicPWL, g: PeriodicPWL):

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from .constructions import gmi, pi_k_reflected
 from .errors import DomainError, FormatError, NotMinimal
-from .pwl import Interval, PeriodicPWL, rat, rat_str
+from .pwl import Interval, PeriodicPWL, _lists, rat, rat_str
 from .verification import Certificate, _Lattice, _minimal
 
 Vector = Sequence[Fraction]
@@ -70,12 +70,12 @@ class MergedFn:
     def __post_init__(self):
         if not self.nodes:
             raise DomainError("a merged function needs at least one node")
-        checked = {}       # the stored tuples: __hash__ would canonicalize
+        checked = {}       # the stored ints: __hash__ would canonicalize
         lattices = []
         for i, (f, b) in enumerate(self.nodes, 1):
             if not 0 < b < 1:      # b_1 + ... + b_n = 0 would divide by 0
                 raise DomainError(f"b{i} must lie in (0, 1), got {b}")
-            key = (f.breakpoints, f.values, b)
+            key = (f.q, f.P, f.D, f.W, b)
             lat = checked.get(key)
             if lat is None:
                 lat = _Lattice(f, b.denominator)
@@ -108,7 +108,10 @@ class MergedFn:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MergedFn":
-        nodes = []
+        """Read a nested merge object; each node's function is checked by
+        `PeriodicPWL`, and a node whose two lists of text repeat an earlier
+        node's is parsed once within the call."""
+        nodes, parsed = [], {}
         while True:
             if not isinstance(obj, dict) or "kind" not in obj:
                 raise FormatError("merged function JSON must be an object "
@@ -116,18 +119,32 @@ class MergedFn:
             if obj["kind"] == "leaf":
                 if set(obj) != {"kind", "b", "fn"}:
                     raise FormatError("leaf node must have exactly kind, b, fn")
-                nodes.append((PeriodicPWL.from_dict(obj["fn"]), rat(obj["b"])))
+                nodes.append((_node(obj["fn"], parsed), rat(obj["b"])))
                 return cls(tuple(nodes))
             if obj["kind"] != "merge":
                 raise FormatError(f"unknown node kind {obj['kind']!r}")
             if set(obj) != {"kind", "b1", "outer", "inner"}:
                 raise FormatError("merge node must have exactly kind, b1, "
                                   "outer, inner")
-            nodes.append((PeriodicPWL.from_dict(obj["outer"]), rat(obj["b1"])))
+            nodes.append((_node(obj["outer"], parsed), rat(obj["b1"])))
             obj = obj["inner"]
 
     def __call__(self, x) -> Fraction:
         return eval_merged(self, x)
+
+
+def _node(d, parsed: dict) -> PeriodicPWL:
+    """`PeriodicPWL.from_dict(d)`, looked up in `parsed` by its two lists
+    when they hold text only: equal text is an equal function, while a
+    number could equal a bool or a float that `PeriodicPWL` refuses."""
+    bps, vals = _lists(d)
+    if {*map(type, bps), *map(type, vals)} != {str}:
+        return PeriodicPWL(bps, vals)
+    key = (tuple(bps), tuple(vals))
+    f = parsed.get(key)
+    if f is None:
+        f = parsed[key] = PeriodicPWL(bps, vals)
+    return f
 
 
 def leaf(f: PeriodicPWL, b) -> MergedFn:
@@ -221,14 +238,14 @@ def check_lift_nondecreasing(f: PeriodicPWL, b) -> Certificate:
         raise DomainError(f"b must lie in (0, 1), got {b}")
     bound = 1 / b
     g = f.canonical()
-    for i in range(len(g.breakpoints)):
+    for i in range(len(g.P)):
         s = g.piece_slope(i)
         if s > bound:
             return Certificate(
                 "fail", checked_count=i + 1,
                 witness={"kind": "slope-bound", "piece_start": rat_str(g.breakpoints[i]),
                          "slope": rat_str(s), "bound": rat_str(bound)})
-    return Certificate("pass", checked_count=len(g.breakpoints))
+    return Certificate("pass", checked_count=len(g.P))
 
 
 def region_gradients(n: int, k: int, b) -> list:

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .constructions import interval_system
 from .errors import DomainError, NotMinimal
 from .pwl import PeriodicPWL, pieces_in, rat, rat_str
 
@@ -57,22 +56,21 @@ class _Lattice:
     of Basu, Hildebrand and Koeppe (Equivariant perturbation in Gomory and
     Johnson's infinite group problem I, Math. Oper. Res. 2015).
 
-    The build reads no slope and makes no Fraction per piece.  With D the
-    lcm of the value denominators, W_j = D*v_j and P_j = q*t_j are ints,
-    and piece j's slope over q is dW_j / (D*dP_j), reduced by one gcd to
-    n_j/d_j.  scale is the lcm of D and the d_j, as it is of the value and
-    step denominators, and a_j = n_j*(scale/d_j), c_j = W_j*(scale/D) -
-    a_j*P_j.
+    The build reads f's own ints and makes no Fraction.  f stores breakpoint
+    j as f.P[j]/f.q and value j as W_j/D, W = f.W and D = f.D, with f.q and
+    D the lcm of the reduced denominators.  So q = lcm(f.q, `denominator`),
+    P_j = f.P[j]*(q/f.q) = q*t_j, and piece j's slope over q is
+    dW_j / (D*dP_j), reduced by one gcd to n_j/d_j.  scale is the lcm of D
+    and the d_j, as it is of the value and step denominators, and
+    a_j = n_j*(scale/d_j), c_j = W_j*(scale/D) - a_j*P_j.
     """
 
     __slots__ = ("q", "scale", "points", "steps", "_c", "_memo")
 
     def __init__(self, f: PeriodicPWL, denominator: int = 1):
-        bps, vals = f.breakpoints, f.values
-        q = math.lcm(denominator, *(t.denominator for t in bps))
-        D = math.lcm(*(v.denominator for v in vals))
-        P = [t.numerator * (q // t.denominator) for t in bps]
-        W = [v.numerator * (D // v.denominator) for v in vals]
+        q = math.lcm(denominator, f.q)
+        m, D, W = q // f.q, f.D, f.W
+        P = [p * m for p in f.P]
         steps = []                    # (n_j, d_j); the last piece ends at (q, W_0)
         for w0, w1, p0, p1 in zip(W, [*W[1:], W[0]], P, [*P[1:], q]):
             dW, den = w1 - w0, D * (p1 - p0)
@@ -228,12 +226,15 @@ def _symmetry(lat: _Lattice, b: Fraction) -> Certificate:
 
 
 def check_nonnegative(f: PeriodicPWL) -> Certificate:
-    """Minimum of a continuous PWL function is attained at a breakpoint."""
-    for t, v in zip(f.breakpoints, f.values):
-        if v < 0:
-            return Certificate("fail", witness=_point_witness(t, value=rat_str(v)),
-                               checked_count=len(f.breakpoints))
-    return Certificate("pass", checked_count=len(f.breakpoints))
+    """Minimum of a continuous PWL function is attained at a breakpoint.
+    The values are read as f's int numerators over D > 0, and a Fraction is
+    made only for a witness."""
+    n = len(f.W)
+    for p, w in zip(f.P, f.W):
+        if w < 0:
+            return Certificate("fail", checked_count=n, witness=_point_witness(
+                Fraction(p, f.q), value=rat_str(Fraction(w, f.D))))
+    return Certificate("pass", checked_count=n)
 
 
 def check_minimal(f: PeriodicPWL, b) -> Certificate:
@@ -249,8 +250,8 @@ def _minimal(f: PeriodicPWL, lat: _Lattice, b: Fraction) -> tuple:
     """`check_minimal` on a lattice that holds b: its certificate and the
     zero-slack pairs of `_scan` (empty unless the scan ran).  Each check
     runs only if the ones before it passed."""
-    if f.values[0] != 0:
-        w = _point_witness(Fraction(0), value=rat_str(f.values[0]))
+    if f.W[0] != 0:
+        w = _point_witness(Fraction(0), value=rat_str(Fraction(f.W[0], f.D)))
         return Certificate("fail", witness=w, checked_count=1, detail="f(0) != 0"), []
     checked, zeros = 1, []
     for name in ("nonnegativity", "subadditivity", "symmetry"):
@@ -305,9 +306,17 @@ def check_slope_census(f: PeriodicPWL, k: int, b) -> Certificate:
     at k >= 3.
 
     f is read through one `_Lattice` that holds b, whose steps are
-    scale/q times f's slopes: the census slopes are mapped to steps, I3 and
-    I6 are read by `steps_on` in numerators over q, and steps become slopes
-    again only for a witness."""
+    scale/q times f's slopes, and the census is compared in steps, on ints.
+    With b = p/r, the census is -1/(1 - b) = -r/(r - p) and the new slopes
+    s_i = (2^(i-2) - b) / (b - b^2) = (2^(i-2) r - p) r / (p (r - p)) of
+    `new_slope`, i = 2..k, all distinct.  Over the common denominator
+    p (r - p) q their steps have numerators -r p scale and
+    (2^(i-2) r - p) r scale; a quotient that is not an int is no lattice
+    step, so the set differs.  I3 = [2 eps_k, b - 2 eps_k] and I6 = [b, 1]
+    of `interval_system(k, b)` are read by `steps_on` in numerators over
+    q: b q = p (q/r) is an int, as r divides q, and
+    2 eps_k q = 2 b q / 8^(k-2), exact rational if off the lattice.
+    Steps become slopes again only for a witness."""
     b = rat(b)
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
@@ -317,34 +326,35 @@ def check_slope_census(f: PeriodicPWL, k: int, b) -> Certificate:
         raise DomainError(f"b must lie in (0, 1/2], got {b}")
     lat = _Lattice(f, b.denominator)
     q, scale = lat.q, lat.scale
+    p, r = b.numerator, b.denominator
 
     def slopes(steps):
         return sorted(rat_str(Fraction(a * q, scale)) for a in steps)
 
-    b_b2 = b - b * b
-    # -1/(1 - b) and the new slopes s_2..s_k of `new_slope`, all distinct
-    census = [Fraction(-1) / (1 - b),
-              *((2 ** (i - 2) - b) / b_b2 for i in range(2, k + 1))]
-    to_step = Fraction(scale, q)
-    neg, *news = (s * to_step for s in census)
+    def census(nums):
+        # a step numerator n over p (r - p) q is the slope n / (p (r - p) scale)
+        return sorted(rat_str(Fraction(n, p * (r - p) * scale)) for n in nums)
+
+    nums = [-r * p * scale, *((2 ** (i - 2) * r - p) * r * scale for i in range(2, k + 1))]
+    den = p * (r - p) * q
+    neg, *news = (n // den if n % den == 0 else None for n in nums)
     actual = set(lat.steps)
     if actual != {neg, *news}:
         return Certificate("fail", witness={
-            "kind": "slope-set",
-            "expected": sorted(map(rat_str, census)),
-            "actual": slopes(actual)})
+            "kind": "slope-set", "expected": census(nums), "actual": slopes(actual)})
     checked = k
     if k >= 3:
-        sysk = interval_system(k, b)
-        on_i3, on_i6 = (lat.steps_on(lat.numerator(I.lo), lat.numerator(I.hi))
-                        for I in (sysk.i3, sysk.i6))
+        B = p * (q // r)
+        e, rem = divmod(2 * B, 8 ** (k - 2))
+        if rem:
+            e = Fraction(2 * B, 8 ** (k - 2))
+        on_i3, on_i6 = lat.steps_on(e, B - e), lat.steps_on(B, q)
         want_i3 = set(news[:-1])
         # the central band carries every intermediate new slope; the inherited
         # down-slope may appear there too, but the level-k new slope must not
         if not (want_i3 <= on_i3 <= want_i3 | {neg}):
             return Certificate("fail", witness={
-                "kind": "slope-set", "where": "I3",
-                "required": sorted(map(rat_str, census[1:-1])),
+                "kind": "slope-set", "where": "I3", "required": census(nums[1:-1]),
                 "actual": slopes(on_i3)}, checked_count=checked)
         if on_i6 != {neg}:
             return Certificate("fail", witness={

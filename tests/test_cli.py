@@ -2,6 +2,8 @@ import copy
 import csv
 import io
 import json
+import re
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
@@ -345,8 +347,30 @@ def test_plot_svg(tmp_path, capsys):
     assert run(capsys, "plot", str(f), "--out", str(tmp_path / "f.txt"))[0] == 2
 
 
+@pytest.mark.parametrize("values", [["0", "-1"], ["-1", "-1/2"], ["0", "1"],
+                                    ["0", "-1" + "0" * 400]])
+def test_plot_svg_draws_every_point_on_the_canvas(tmp_path, capsys, values):
+    # the height spans [min(0, values), max(0, values)]: a negative value
+    # is drawn inside the canvas, 0 sits on the lower edge when no value is
+    # negative, and every float is a ratio in [0, 1], even for a value no
+    # float can hold
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"breakpoints": ["0", "1/2"], "values": values}))
+    out = tmp_path / "f.svg"
+    assert run(capsys, "plot", str(f), "--out", str(out))[0] == 0
+    text = out.read_text()
+    assert 'viewBox="0 0 640 360"' in text
+    pad, height = 40, 360
+    poly = re.search(r'points="([^"]*)"', text).group(1)
+    ys = [float(p.split(",")[1]) for p in poly.split()]
+    ys += [float(y) for y in re.findall(r'cy="([^"]*)"', text)]
+    assert len(ys) == 6 and all(pad <= y <= height - pad for y in ys)
+    if values == ["0", "1"]:
+        assert poly == "40.00,320.00 320.00,40.00 600.00,320.00"
+
+
 @pytest.mark.parametrize("value, suffix", [
-    ("1" + "0" * 400, ".csv"), ("-1" + "0" * 400, ".csv"), ("-1" + "0" * 400, ".svg"),
+    ("1" + "0" * 400, ".csv"), ("-1" + "0" * 400, ".csv"),
 ])
 def test_plot_refuses_a_value_outside_the_float_range(tmp_path, capsys, value, suffix):
     # exit 2, not a traceback, and no partial file: the floats come first
@@ -503,6 +527,29 @@ def test_unreadable_json_is_a_usage_error(tmp_path, capsys, text):
         code, stdout, err = run(capsys, *argv)
         assert code == 2 and stdout == "" and _one_error_line(err), (argv, err)
         assert "cannot read" in err
+
+
+@pytest.mark.parametrize("fn", [
+    {"breakpoints": ["0", "1/2"], "values": ["0", "9" * 5000]},
+    {"breakpoints": ["0", "1/" + "9" * 5000], "values": ["0", "1"]},
+], ids=["value", "breakpoint"])
+def test_a_coordinate_past_the_int_digit_limit_is_a_usage_error(tmp_path, capsys, fn):
+    # a JSON string, so the file reads; int() refuses the digits
+    if not 0 < sys.get_int_max_str_digits() < 5000:
+        pytest.skip("needs an int digit limit below 5000 digits")
+    one_d, merged, outer = (tmp_path / name for name in ("f.json", "m.json", "g.json"))
+    one_d.write_text(json.dumps(fn))
+    merged.write_text(json.dumps({"kind": "leaf", "b": "1/2", "fn": fn}))
+    outer.write_text(gmi(F(1, 2)).to_json())
+    out = tmp_path / "out.json"
+    for argv in (["eval", str(one_d), "--x", "1/4"],
+                 ["verify", "minimal", str(one_d), "--b", "1/2"],
+                 ["eval", str(merged), "--x", "1/4"],
+                 ["merge", str(outer), str(merged), "--b1", "1/2", "--out", str(out)]):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == "" and _one_error_line(err), (argv, err)
+        assert err.startswith("error: not a rational:")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -324,11 +324,12 @@ def test_json_round_trip_and_schema_errors():
         PeriodicPWL.from_json('[1,2]')
 
 
-def test_from_dict_reads_each_coordinate_through_rat_once(monkeypatch):
-    # from_dict checks the JSON shape only; __init__ reads and validates
+def test_from_dict_reads_each_coordinate_once(monkeypatch):
+    # from_dict checks the JSON shape only; __init__ reads each coordinate
+    # into an int pair and validates
     d = pi_k(5, F(1, 3)).to_dict()
-    calls, real = [], pwl.rat
-    monkeypatch.setattr(pwl, "rat", lambda x: calls.append(x) or real(x))
+    calls, real = [], pwl._pair
+    monkeypatch.setattr(pwl, "_pair", lambda x: calls.append(x) or real(x))
     f = PeriodicPWL.from_dict(d)
     assert calls == d["breakpoints"] + d["values"]
     assert f.to_dict() == d

@@ -244,6 +244,63 @@ def test_a_repeated_node_is_checked_once_per_construction(monkeypatch):
             MergedFn(nodes)
 
 
+def test_from_dict_parses_each_distinct_node_once(monkeypatch):
+    # within one call: phi_m repeats one node, pi_n_k has a reflected
+    # pi_k node over repeats of gmi
+    trees = [(phi_m(8, F(1, 2)), 1), (pi_n_k(8, 3, F(2, 3)), 2)]
+    made, init = [], PeriodicPWL.__init__
+    monkeypatch.setattr(PeriodicPWL, "__init__",
+                        lambda f, bps, vals: made.append(bps) or init(f, bps, vals))
+    for P, parses in trees:
+        d = P.to_dict()
+        for _ in range(2):       # no memory across calls
+            made.clear()
+            assert MergedFn.from_dict(d).nodes == P.nodes
+            assert len(made) == parses
+
+
+GMI_TEXT = {"breakpoints": ["0", "1/2"], "values": ["0", "1"]}
+
+
+@pytest.mark.parametrize("fn, message", [
+    ({"breakpoints": ["0", ["1/2"]], "values": ["0", "1"]},
+     "cannot interpret list as exact rational"),
+    ({"breakpoints": ["0", "1/2"], "values": ["0", {"1": 1}]},
+     "cannot interpret dict as exact rational"),
+    ({"breakpoints": ["0", "1/2"], "values": [0, True]},
+     "cannot interpret bool as exact rational"),
+    ({"breakpoints": ["0", "1/2"], "values": ["0", 1.0]},
+     "cannot interpret float as exact rational"),
+    (["0", "1/2"], "expected object with 'breakpoints' and 'values'"),
+    ("0", "expected object with 'breakpoints' and 'values'"),
+    ({"breakpoints": ["0", "1/2"]}, "expected object with 'breakpoints' and 'values'"),
+    ({**GMI_TEXT, "kind": "leaf"}, "expected object with 'breakpoints' and 'values'"),
+    ({"breakpoints": ("0", "1/2"), "values": ["0", "1"]},
+     "'breakpoints' and 'values' must be JSON lists"),
+])
+def test_hostile_merged_nodes_keep_their_messages(fn, message):
+    # each bad node follows a good node with equal text, as leaf and as
+    # outer: a node parsed before does not excuse one that fails
+    good = {"kind": "leaf", "b": "1/2", "fn": GMI_TEXT}
+    for tree in ({"kind": "merge", "b1": "1/2", "outer": GMI_TEXT,
+                  "inner": {"kind": "leaf", "b": "1/2", "fn": fn}},
+                 {"kind": "merge", "b1": "1/2", "outer": GMI_TEXT,
+                  "inner": {"kind": "merge", "b1": "1/2", "outer": fn, "inner": good}}):
+        with pytest.raises(FormatError) as exc:
+            MergedFn.from_dict(tree)
+        assert str(exc.value) == message
+    for tree, message in (
+            ({"kind": "leaf", "b": "1/2"}, "leaf node must have exactly kind, b, fn"),
+            ({"kind": "merge", "b1": "1/2", "outer": GMI_TEXT},
+             "merge node must have exactly kind, b1, outer, inner"),
+            ({"b": "1/2", "fn": GMI_TEXT}, "merged function JSON must be an object "
+                                           "with a 'kind'")):
+        with pytest.raises(FormatError) as exc:
+            MergedFn.from_dict({"kind": "merge", "b1": "1/2", "outer": GMI_TEXT,
+                                "inner": tree})
+        assert str(exc.value) == message
+
+
 def test_seq_merge_rejects_non_minimal_ingredients():
     g = gmi(F(1, 2))
     with pytest.raises(DomainError):

@@ -365,6 +365,27 @@ def test_slope_questions_read_no_piece_slope(monkeypatch):
     assert [c["verdict"] for c in expected[3:]] == ["fail", "pass"]
 
 
+def test_a_passing_check_makes_no_fraction_per_coordinate(monkeypatch):
+    # from the text of pi_k(1/3) to a passing verdict, the Fractions made
+    # do not grow with k: the function is read into ints, its lattice is
+    # built from them and the census is compared in steps
+    b = F(1, 3)
+    texts = {k: pi_k(k, b).to_dict() for k in (8, 20)}
+    made, new = [], F.__new__
+    monkeypatch.setattr(F, "__new__", staticmethod(
+        lambda cls, *args, **kwargs: made.append(cls) or new(cls, *args, **kwargs)))
+    counts = {}
+    for k, d in texts.items():
+        for name, check in (("census", lambda f: check_slope_census(f, k, b)),
+                            ("minimal", lambda f: check_minimal(f, b))):
+            made.clear()
+            assert check(PeriodicPWL.from_dict(d)).passed
+            counts[name, k] = len(made)
+    monkeypatch.undo()
+    assert counts["census", 8] == counts["census", 20]
+    assert counts["minimal", 8] == counts["minimal", 20]
+
+
 def test_brute_force_cap_validation():
     with pytest.raises(DomainError):
         brute_force_subadditive(gmi(F(1, 2)), 1)
