@@ -195,11 +195,12 @@ def cmd_merge(args) -> int:
 def _svg(f: PeriodicPWL) -> str:
     # floats appear only here, at the final coordinate mapping
     W, H, PAD = 640, 360, 40
-    pts = list(zip(f.breakpoints, f.values))
-    pts.append((Fraction(1), f.values[0]))
+    vals = f.values
+    pts = list(zip(f.breakpoints, vals))
+    pts.append((Fraction(1), vals[0]))
     # [lo, hi] = [min(0, values), max(0, values)] fills the height; a
     # function that is 0 everywhere is drawn on the unit range
-    lo, hi = min(0, *f.values), max(0, *f.values)
+    lo, hi = min(0, *vals), max(0, *vals)
     if lo == hi:
         hi = Fraction(1)
 

@@ -83,8 +83,7 @@ def pi_k(k: int, b) -> PeriodicPWL:
     s_j > 0 (2^(j-2) >= 1 > b) and -1/(1 - b), the wrap included, so no two
     adjacent pieces merge.  From 0 they run s_k, -1/(1 - b), ..., s_3,
     -1/(1 - b), then 1/b = s_2 on I3 of level 3, then -1/(1 - b), s_3, ...,
-    -1/(1 - b), s_k and -1/(1 - b) on [b, 1]; the function is built with
-    them, so it computes no slope.
+    -1/(1 - b), s_k and -1/(1 - b) on [b, 1].
 
     The points are built on ints.  With b = p/r, N = 8^(k-2),
     E_j = 8^(k-j), T_j = 2^(j-2) and F_j = 4^(k-j) 2^(k-2), the recurrence
@@ -111,9 +110,8 @@ def pi_k(k: int, b) -> PeriodicPWL:
     p, r = b.numerator, b.denominator
     N = E = F = 8 ** (k - 2)
     rN, pN, mN = r * N, p * N, (r - p) * N
-    neg = Fraction(-r, r - p)
     T = 1
-    lows, highs, ups = [], [], []
+    lows, highs = [], []
     for _ in range(3, k + 1):
         E //= 8
         T *= 2
@@ -121,10 +119,8 @@ def pi_k(k: int, b) -> PeriodicPWL:
         pE, rF, up = p * E, r * F, T * r - p
         lows += [(2 * pE, rF - 2 * pE), (pE, up * E)]
         highs += [(pN - 2 * pE, mN - rF + 2 * pE), (pN - pE, (1 - T) * rN + up * (N - E))]
-        ups += [neg, Fraction(up * r, p * (r - p))]
     points = [(0, 0), *reversed(lows), *highs, (pN, mN)]
-    return PeriodicPWL._of_ints(rN, [t for t, _ in points], mN, [v for _, v in points],
-                                [*reversed(ups), Fraction(r, p), *ups, neg])
+    return PeriodicPWL._of_ints(rN, [t for t, _ in points], mN, [v for _, v in points])
 
 
 def pi_k_reflected(k: int, b) -> PeriodicPWL:

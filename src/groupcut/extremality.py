@@ -396,14 +396,14 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
             row[n - 1 - i] = acc
             acc += L * vec[c]
         canon.add(row, 0)
-    xs = [Fraction(t, Q) for t in grid]
     basis = []
     for col in sorted(canon.pivots, reverse=True):
         row, _ = canon.pivots[col]
-        vals = [Fraction(0)] * n
+        W = [0] * n
         for c, v in row.items():
-            vals[n - 1 - c] = Fraction(v, row[col])
-        basis.append(PeriodicPWL(xs, vals))
+            W[n - 1 - c] = v
+        # grid value i is W[i]/row[col], the lead entry row[col] > 0
+        basis.append(PeriodicPWL._of_ints(Q, grid, row[col], W))
     return PerturbationTestResult(
         dimension=len(basis), basis_functions=tuple(basis),
         verdict="not_unique" if basis else "certified_unique")

@@ -3,8 +3,9 @@
 Functions are stored by (breakpoint, value) pairs on [0, 1), with 0 always
 present, so continuity is structural.  A function is held as integers:
 breakpoint numerators over one denominator and value numerators over
-another, which is what the exact checks read; the `fractions.Fraction`
-views are made only when read.  No floats enter any computation here.
+another, which is what the exact checks and `eval` read; the
+`fractions.Fraction` views are made on each read.  No floats enter any
+computation here.
 """
 from __future__ import annotations
 
@@ -136,16 +137,14 @@ class PeriodicPWL:
     first, strict increase and a last breakpoint below 1 put every
     breakpoint in [0, 1).
 
-    The function is stored as ints: breakpoint i is P[i]/q and value i is
-    W[i]/D, with q and D the lcm of the reduced denominators of the
-    breakpoints and of the values, which fixes the four for given points.
-    ``breakpoints`` and ``values``, tuples of Fractions, are made on first
-    read; the exact checks read the ints.  Each piece's slope is computed
-    on first use and kept in a private slot, so an object computes it at
-    most once.
+    The function is its ints: breakpoint i is P[i]/q and value i is W[i]/D,
+    with q and D the lcm of the reduced denominators of the breakpoints and
+    of the values, which fixes the four for given points.  Everything else
+    is computed from them on each call: ``breakpoints`` and ``values`` are
+    tuples of Fractions made on each read, and nothing is cached.
     """
 
-    __slots__ = ("q", "P", "D", "W", "_bps", "_vals", "_slopes")
+    __slots__ = ("q", "P", "D", "W")
 
     def __init__(self, breakpoints, values):
         bps = [_pair(t) for t in breakpoints]
@@ -162,10 +161,10 @@ class PeriodicPWL:
         if P[-1] >= q:
             raise FormatError(f"breakpoint {Fraction(*bps[-1])} outside [0, 1)")
         D = math.lcm(*(d for _, d in vals))
-        self._set(q, P, D, tuple([n * (D // d) for n, d in vals]), [None] * len(P))
+        self._set(q, P, D, tuple([n * (D // d) for n, d in vals]))
 
-    def _set(self, q, P: tuple, D, W: tuple, slopes: list):
-        for name, v in zip(self.__slots__, (q, P, D, W, None, None, slopes)):
+    def _set(self, q, P: tuple, D, W: tuple):
+        for name, v in zip(self.__slots__, (q, P, D, W)):
             object.__setattr__(self, name, v)
 
     def __setattr__(self, *a):  # immutable value type
@@ -174,18 +173,15 @@ class PeriodicPWL:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def _of_ints(cls, q: int, P, D: int, W, slopes=None) -> "PeriodicPWL":
+    def _of_ints(cls, q: int, P, D: int, W) -> "PeriodicPWL":
         """The function with breakpoints P[i]/q and values W[i]/D, for ints
         q, D > 0 and P increasing from 0 and below q, which nothing checks.
         Each list and its denominator are divided by their gcd, so q and D
         come out the lcm of the reduced denominators, as `__init__` makes
-        them.  `slopes`, if given, are the piece slopes by index, entries
-        None where unknown; the caller has proved them, and nothing checks
         them."""
         g, h = math.gcd(q, *P), math.gcd(D, *W)
         out = cls.__new__(cls)
-        out._set(q // g, tuple([p // g for p in P]), D // h, tuple([w // h for w in W]),
-                 slopes or [None] * len(P))
+        out._set(q // g, tuple([p // g for p in P]), D // h, tuple([w // h for w in W]))
         return out
 
     @classmethod
@@ -210,9 +206,7 @@ class PeriodicPWL:
 
         Piece i rises dW_i over a run dP_i in the stored ints, so pieces
         i - 1 and i have equal slopes iff dW_(i-1)*dP_i = dW_i*dP_(i-1).
-        A function with no such pair is its own canonical form.  A kept
-        piece's slope is that of every piece merged into it, so the result
-        keeps the slopes this function knows."""
+        A function with no such pair is its own canonical form."""
         P, W = self.P, self.W
         dP = [b - a for a, b in zip(P, (*P[1:], self.q))]
         dW = [b - a for a, b in zip(W, (*W[1:], W[0]))]
@@ -221,61 +215,58 @@ class PeriodicPWL:
         if len(keep) == len(P):
             return self
         return PeriodicPWL._of_ints(self.q, [P[i] for i in keep], self.D,
-                                    [W[i] for i in keep], [self._slopes[i] for i in keep])
+                                    [W[i] for i in keep])
 
     # -- evaluation -------------------------------------------------------
 
     @property
     def breakpoints(self) -> tuple:
-        bps = self._bps
-        if bps is None:
-            q = self.q
-            bps = tuple([Fraction(p, q) for p in self.P])
-            object.__setattr__(self, "_bps", bps)
-        return bps
+        q = self.q
+        return tuple([Fraction(p, q) for p in self.P])
 
     @property
     def values(self) -> tuple:
-        vals = self._vals
-        if vals is None:
-            D = self.D
-            vals = tuple([Fraction(w, D) for w in self.W])
-            object.__setattr__(self, "_vals", vals)
-        return vals
+        D = self.D
+        return tuple([Fraction(w, D) for w in self.W])
+
+    def _piece(self, i: int) -> tuple:
+        """Piece i's start P_i, its value W_i there, its run dP_i and its
+        rise dW_i, in the stored ints; the last piece ends at (q, W_0)."""
+        P, W = self.P, self.W
+        p, w, j = P[i], W[i], i + 1
+        if j == len(P):
+            return p, w, self.q - p, W[0] - w
+        return p, w, P[j] - p, W[j] - w
 
     def piece_slope(self, i: int) -> Fraction:
         """Slope on piece [t_i, t_{i+1}] (the last piece wraps to 1), for i
-        in range(n); any other index raises IndexError."""
-        memo = self._slopes
-        if not 0 <= i < len(memo):
-            raise IndexError(f"piece {i} outside range({len(memo)})")
-        s = memo[i]
-        if s is None:
-            P, W, q, j = self.P, self.W, self.q, i + 1
-            if j == len(P):
-                s = Fraction((W[0] - W[i]) * q, self.D * (q - P[i]))
-            else:
-                s = Fraction((W[j] - W[i]) * q, self.D * (P[j] - P[i]))
-            memo[i] = s
-        return s
-
-    def _piece_slopes(self) -> list:
-        """Every piece's slope by index: the object's own list, not a copy."""
-        memo = self._slopes
-        for i, s in enumerate(memo):
-            if s is None:
-                self.piece_slope(i)
-        return memo
+        in range(n); any other index raises IndexError.  The piece rises
+        dW_i/D over a run dP_i/q, so the slope is dW_i q / (D dP_i)."""
+        if not 0 <= i < len(self.P):
+            raise IndexError(f"piece {i} outside range({len(self.P)})")
+        _, _, dp, dw = self._piece(i)
+        return Fraction(dw * self.q, self.D * dp)
 
     def eval(self, x) -> Fraction:
-        x = rat(x) % 1
-        bps = self._bps or self.breakpoints     # the slots, once made
-        i = bisect_right(bps, x) - 1
-        t = bps[i]
-        v = (self._vals or self.values)[i]
-        if x == t:
-            return v
-        return v + self.piece_slope(i) * (x - t)
+        """f(x) for any exact rational x, from the stored ints.
+
+        With x mod 1 = n/d, n = x's numerator mod d, the abscissa is
+        n q / d in numerators over q, and it lies on the piece j with
+        P_j <= n q / d < P_(j+1), that is P_j <= floor(n q / d) < P_(j+1)
+        since the P are ints: j = bisect_right(P, n q // d) - 1.  On piece j
+        f rises dW_j/D over the run dP_j/q, so
+
+            f(x) = W_j/D + (dW_j q / (D dP_j)) (n/d - P_j/q)
+                 = (W_j dP_j d + dW_j (n q - P_j d)) / (D dP_j d),
+
+        which is made as one Fraction.  It reads only this function's own
+        ints, so an oracle that evaluates f here shares no code with the
+        lattice of `verification`."""
+        n, d = _pair(x)
+        n %= d
+        q = self.q
+        p, w, dp, dw = self._piece(bisect_right(self.P, n * q // d) - 1)
+        return Fraction(w * dp * d + dw * (n * q - p * d), self.D * dp * d)
 
     __call__ = eval
 
@@ -285,7 +276,15 @@ class PeriodicPWL:
         return self.eval(x) + self.eval(y) - self.eval(x + y)
 
     def slopes(self) -> frozenset:
-        return frozenset(self._piece_slopes())
+        """The distinct piece slopes: each dW_i q / (D dP_i) is reduced by
+        one gcd, and one Fraction is made per distinct pair."""
+        q, D, pairs = self.q, self.D, set()
+        for i in range(len(self.P)):
+            _, _, dp, dw = self._piece(i)
+            n, m = dw * q, D * dp
+            g = math.gcd(n, m)
+            pairs.add((n // g, m // g))
+        return frozenset([Fraction(n, m) for n, m in pairs])
 
     # -- algebra ----------------------------------------------------------
 

@@ -260,8 +260,8 @@ def region_gradients(n: int, k: int, b) -> list:
     box = tuple(Interval(Fraction(0), b) for _ in range(n - 1))
     out = []
     seen = set()
-    P = list(f.breakpoints) + [Fraction(1)]
-    for i in range(len(f.breakpoints)):
+    P = [*f.breakpoints, Fraction(1)]
+    for i in range(len(P) - 1):
         s = f.piece_slope(i)
         if s in seen:
             continue

@@ -65,7 +65,7 @@ class _Lattice:
     a_j = n_j*(scale/d_j), c_j = W_j*(scale/D) - a_j*P_j.
     """
 
-    __slots__ = ("q", "scale", "points", "steps", "_c", "_memo")
+    __slots__ = ("q", "scale", "points", "steps", "_c")
 
     def __init__(self, f: PeriodicPWL, denominator: int = 1):
         q = math.lcm(denominator, f.q)
@@ -80,7 +80,6 @@ class _Lattice:
         self.q, self.scale, self.points = q, scale, P
         self.steps = [n * (scale // d) for n, d in steps]
         self._c = [w * (scale // D) - a * p for w, a, p in zip(W, self.steps, P)]
-        self._memo = {}
 
     def numerator(self, t):
         """q*t: an int for t on (1/q)Z, else the exact rational numerator."""
@@ -91,11 +90,8 @@ class _Lattice:
         """scale*f(i/q) for any integer or rational i: on each piece it is
         the affine a_j*i + c_j, so it is exact between lattice points too."""
         i %= self.q
-        v = self._memo.get(i)
-        if v is None:
-            j = bisect_right(self.points, i) - 1
-            v = self._memo[i] = self.steps[j] * i + self._c[j]
-        return v
+        j = bisect_right(self.points, i) - 1
+        return self.steps[j] * i + self._c[j]
 
     def scaled_at(self, n: int, d: int) -> int:
         """scale*d*f(n/d) for ints n and d > 0, n/d not necessarily reduced.
@@ -162,9 +158,6 @@ def _scan(lat: _Lattice) -> tuple:
     `_rank`.  A failing scan returns no zeros.
     """
     P, q, A, C = lat.points, lat.q, lat.steps, lat._c
-    # value(x) = A[j]*x + C[j] on piece j, without value's memo: the sums
-    # and differences met here are nearly all distinct, so it would cost
-    # more than it saves
     V = {u: a * u + c for u, a, c in zip(P, A, C)}
     zeros, first = [], None       # first: the smallest negative (i, k, slack)
     for idx, u in enumerate(P):
@@ -279,23 +272,25 @@ def _require_minimal(f: PeriodicPWL, lat: _Lattice, b: Fraction, what: str) -> t
 def check_zero_set(f: PeriodicPWL) -> Certificate:
     """Pass iff f(0) = 0 and f > 0 everywhere else on [0, 1).
 
-    Positivity on a piece is decided by its endpoint values.
+    Positivity on a piece is decided by the signs of its endpoint values,
+    read as f's int numerators over D > 0; a Fraction is made only for a
+    witness.  With f(0) = 0, piece 0 is <= 0 on its interior iff its right
+    end is, and the witness is then its midpoint, where f is W_1/(2D) (W_0
+    at n = 1, the wrap); otherwise it is the first breakpoint whose value
+    is <= 0.
     """
-    if f.eval(0) != 0:
+    P, W, D, n = f.P, f.W, f.D, len(f.P)
+    if W[0] != 0:
         return Certificate("fail", checked_count=1,
-                           witness=_point_witness(Fraction(0), value=rat_str(f.eval(0))))
-    n = len(f.breakpoints)
-    for i, (t, v) in enumerate(zip(f.breakpoints, f.values)):
-        if i > 0 and v <= 0:
-            return Certificate("fail", witness=_point_witness(t, value=rat_str(v)),
-                               checked_count=n)
-        nxt = f.values[(i + 1) % n]
-        if v <= 0 and nxt <= 0:
-            # piece identically <= 0 on its interior
-            hi = f.breakpoints[i + 1] if i + 1 < n else Fraction(1)
-            mid = (t + hi) / 2
-            return Certificate("fail", witness=_point_witness(mid, value=rat_str(f.eval(mid))),
-                               checked_count=n)
+                           witness=_point_witness(Fraction(0), value=rat_str(Fraction(W[0], D))))
+    if W[1 % n] <= 0:
+        hi = P[1] if n > 1 else f.q
+        return Certificate("fail", checked_count=n, witness=_point_witness(
+            Fraction(hi, 2 * f.q), value=rat_str(Fraction(W[1 % n], 2 * D))))
+    for p, w in zip(P[1:], W[1:]):
+        if w <= 0:
+            return Certificate("fail", checked_count=n, witness=_point_witness(
+                Fraction(p, f.q), value=rat_str(Fraction(w, D))))
     return Certificate("pass", checked_count=n)
 
 

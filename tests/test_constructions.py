@@ -166,13 +166,16 @@ def test_pi_k_is_canonical_as_built():
             assert (c.breakpoints, c.values) == (f.breakpoints, f.values), (k, b)
 
 
-def test_pi_k_hands_over_its_formula_slopes():
-    # pi_k's slopes come from its docstring's sequence, not from its points
+def test_pi_k_piece_slopes_follow_its_docstring():
+    # from 0: s_k, -1/(1-b), ..., s_3, -1/(1-b), 1/b, -1/(1-b), s_3, ...,
+    # s_k, -1/(1-b), as pi_k's docstring lists them
     for b in (F(1, 2), F(1, 3), F(2, 5), F(1, 97)):
+        neg = -1 / (1 - b)
         for k in range(2, 65):
+            ups = [x for j in range(3, k + 1) for x in (neg, new_slope(j, b))]
+            want = [*reversed(ups), new_slope(2, b), *ups, neg]
             f = pi_k(k, b)
-            assert None not in f._slopes, (k, b)
-            assert f._slopes == [formula_slope(f, i) for i in range(len(f.breakpoints))]
+            assert [f.piece_slope(i) for i in range(len(f.P))] == want, (k, b)
 
 
 def test_pi_k_symmetry_about_b():

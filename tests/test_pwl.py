@@ -190,15 +190,43 @@ def test_piece_slope_memo_matches_the_formula(f):
         assert [g.piece_slope(i) for i in range(len(g.breakpoints))] == [
             formula_slope(g, i) for i in range(len(g.breakpoints))]
         assert g == f and hash(g) == hash(f)
-        for name in ("breakpoints", "_slopes"):
+        for name in ("breakpoints", "P", "W"):
             with pytest.raises(AttributeError):
                 setattr(g, name, ())
 
 
-def test_eval_computes_only_the_slope_it_needs():
+def test_a_function_is_its_four_ints():
+    assert PeriodicPWL.__slots__ == ("q", "P", "D", "W")
     f = PeriodicPWL(ZIGZAG.breakpoints, ZIGZAG.values)
-    assert f.eval(F(1, 4)) == 1 and f.eval(F(3, 8)) == F(3, 4)
-    assert [s is not None for s in f._slopes] == [False, True, False]
+    assert (f.q, f.P, f.D, f.W) == (4, (0, 1, 2), 2, (0, 2, 1))
+    assert f.breakpoints is not f.breakpoints     # a view made on each read
+    with pytest.raises(AttributeError):
+        f.__dict__
+
+
+def _eval_by_views(f, x):
+    """f(x) as v_i + s_i (x - t_i), in Fractions from f's views."""
+    bps, vals = f.breakpoints, f.values
+    y = x % 1
+    i = max(j for j, t in enumerate(bps) if t <= y)
+    return vals[i] + f.piece_slope(i) * (y - bps[i])
+
+
+def test_eval_on_ints_matches_the_views():
+    rng = random.Random(28)
+    for _ in range(300):
+        f = _random_pwl(rng)
+        bps = f.breakpoints
+        xs = [F(rng.randrange(-99, 0), rng.randrange(1, 30)),       # x < 0
+              F(rng.randrange(31, 99), rng.randrange(1, 30)),        # x > 1
+              rng.choice(bps) + rng.randrange(-3, 4),                # a breakpoint
+              (bps[-1] + 1) / 2,                                     # the wrap piece
+              bps[-1] + F(1, 7 * f.q) - 2,
+              F(rng.randrange(-50, 50), 11 * 13 * 17)]               # coprime to q
+        for x in xs:
+            assert f.eval(x) == _eval_by_views(f, x), (f, x)
+            assert f(str(x)) == f.eval(x)
+        assert f.eval(bps[-1]) == f.values[-1] and f.eval(1) == f.values[0]
 
 
 def test_canonical_merges_collinear_breakpoints():

@@ -227,6 +227,54 @@ def test_zero_set_failure_at_the_origin_reproduces():
     assert lifted.eval(F(c.witness["x"])) == F(c.witness["value"])
 
 
+def _reference_zero_set(f):
+    """check_zero_set's certificate spelled out over f's Fraction views."""
+    bps, vals, n = f.breakpoints, f.values, len(f.P)
+    if f.eval(0) != 0:
+        return {"verdict": "fail", "checked": 1, "detail": "",
+                "witness": {"kind": "point", "x": "0", "value": str(f.eval(0))}}
+    for i, (t, v) in enumerate(zip(bps, vals)):
+        x = None
+        if i > 0 and v <= 0:
+            x = t
+        elif v <= 0 and vals[(i + 1) % n] <= 0:
+            x = (t + (bps[i + 1] if i + 1 < n else 1)) / 2
+        if x is not None:
+            return {"verdict": "fail", "checked": n, "detail": "",
+                    "witness": {"kind": "point", "x": str(x), "value": str(f.eval(x))}}
+    return {"verdict": "pass", "checked": n, "detail": "", "witness": None}
+
+
+@pytest.mark.parametrize("bps, vals, x, value", [
+    ([0, F(1, 2)], [0, 0], "1/4", "0"),                    # W_1 = 0: piece 0's midpoint
+    ([0, F(1, 3), F(1, 2)], [0, F(-1, 2), 1], "1/6", "-1/4"),   # W_1 < 0, not t_1
+    ([0], [0], "1/2", "0"),                                # one piece, the wrap
+    ([0, F(1, 4), F(1, 2)], [0, 1, 0], "1/2", "0"),        # a later breakpoint
+    ([0, F(1, 4), F(3, 4)], [0, 1, F(-2, 3)], "3/4", "-2/3"),
+    ([0, F(1, 4)], [F(-1, 3), 1], "0", "-1/3"),            # f(0) != 0
+])
+def test_zero_set_witnesses(bps, vals, x, value):
+    f = PeriodicPWL(bps, vals)
+    c = check_zero_set(f)
+    assert c.witness == {"kind": "point", "x": x, "value": value}
+    assert c.to_dict() == _reference_zero_set(f)
+    assert f.eval(F(x)) == F(value)
+
+
+def test_zero_set_matches_the_fraction_reference():
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(400):
+        bps = sorted({F(0)} | {F(rng.randrange(1, 12), 12) for _ in range(rng.randrange(5))})
+        vals = [F(0) if rng.random() < 0.9 else F(rng.randrange(-3, 4), 5)]
+        vals += [F(rng.randrange(-2, 9), rng.randrange(1, 5)) for _ in bps[1:]]
+        f = PeriodicPWL(bps, vals)
+        got = check_zero_set(f).to_dict()
+        assert got == _reference_zero_set(f), f
+        verdicts.add(got["verdict"])
+    assert verdicts == {"pass", "fail"}
+
+
 def test_slope_census_pass_and_fail():
     b = F(1, 2)
     assert check_slope_census(pi_k(5, b), 5, b).passed
@@ -371,11 +419,16 @@ def test_a_passing_check_makes_no_fraction_per_coordinate(monkeypatch):
     # built from them and the census is compared in steps
     b = F(1, 3)
     texts = {k: pi_k(k, b).to_dict() for k in (8, 20)}
+    x = F(2, 7)
+    want = {k: pi_k(k, b).eval(x) for k in texts}
     made, new = [], F.__new__
     monkeypatch.setattr(F, "__new__", staticmethod(
         lambda cls, *args, **kwargs: made.append(cls) or new(cls, *args, **kwargs)))
     counts = {}
     for k, d in texts.items():
+        made.clear()
+        assert PeriodicPWL.from_dict(d).eval(x) == want[k]
+        counts["eval", k] = len(made)
         for name, check in (("census", lambda f: check_slope_census(f, k, b)),
                             ("minimal", lambda f: check_minimal(f, b))):
             made.clear()
@@ -384,6 +437,25 @@ def test_a_passing_check_makes_no_fraction_per_coordinate(monkeypatch):
     monkeypatch.undo()
     assert counts["census", 8] == counts["census", 20]
     assert counts["minimal", 8] == counts["minimal", 20]
+    assert counts["eval", 8] == counts["eval", 20]
+
+
+def test_the_grid_oracle_reads_no_lattice(monkeypatch):
+    # the oracle evaluates f through PeriodicPWL.eval alone, so it stays an
+    # independent check of the lattice kernel
+    f, g, rng = pi_k(3, F(1, 2)), pi_k(4, F(1, 3)), random.Random(2)
+    mutant = bump_value(g, rng.randrange(1, len(g.P)), -F(1, rng.randrange(20, 200)))
+    cases = [(gmi(F(2, 5)), 20), (f, 48), (bump_value(f, 2, F(-1, 1000)), 48),
+             (mutant, 4 * g.q)]
+    expected = [brute_force_subadditive(g, cap).to_dict() for g, cap in cases]
+
+    def no_lattice(*args):
+        raise AssertionError("the grid oracle read a _Lattice")
+
+    for name in ("__init__", "value", "scaled_at"):
+        monkeypatch.setattr(_Lattice, name, no_lattice)
+    assert [brute_force_subadditive(g, cap).to_dict() for g, cap in cases] == expected
+    assert [c["verdict"] for c in expected] == ["pass", "pass", "fail", "fail"]
 
 
 def test_brute_force_cap_validation():
