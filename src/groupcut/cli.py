@@ -292,12 +292,12 @@ def _positive_int(text: str, cap: int) -> int:
 
 # pi_k has about 4k breakpoints of about 3k bits each, so its size grows as
 # k^2 bits and k = 10^5 would need tens of GB.  At 64 every verb ends within a
-# second: on a shared 2-core Xeon, `python -m groupcut.cli` takes 0.25 s for
-# verify minimal on pi_64(1/3), 0.22 s for certify --mode replay --k 64 and
-# 0.22 s for eval of the pi-n-k --n 64 --k 64 --b 2/3 file (medians of 21
-# interleaved runs, the fastest 0.17 s; start-up with the import of the CLI
-# alone is 0.14 s), of which the evaluation itself is 0.15 ms and loading the
-# file, with its minimality check, 0.09 s (best of 7, in one process)
+# second: on a shared 2-core Xeon, `python -m groupcut.cli` takes 0.12 s for
+# verify minimal on pi_64(1/3), 0.13 s for certify --mode replay --k 64 and
+# 0.13 s for eval of the pi-n-k --n 64 --k 64 --b 2/3 file (medians of 21
+# interleaved runs, the fastest 0.10 s), of which check_minimal on pi_64(1/3)
+# takes 0.02 s and loading the pi-n-k file, with its minimality check, 0.02 s
+# (best of 7, in one process)
 MAX_LEVEL = 64
 # the facet test's grid has about 2d points: on a 2-core Xeon, certify of
 # pi_8(1/2) takes 0.15 s at --refine 1024 and 1.4 s at 4096

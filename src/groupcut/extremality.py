@@ -316,10 +316,24 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
     Oper. Res. 2015).  theta at x is the sum, over the pieces before x, of
     each piece's length times its class's slope, plus x's part of its own
     piece, so theta(0) = 0 and every row is an int row.  The rows are
-    closure, theta(1) = theta(0); theta(b) = 1; and additivity at each zero
-    pair x <= y of the scan, since (y, x) gives the same row.  The faces
-    add no row.  Each row is checked against f's slopes, and a class on
-    which f has two slopes is refused, as a bug in generating constraints.
+    closure, theta(1) = theta(0); theta(b) = 1; and one additivity row per
+    zero triple of the gate.  The faces add no row.  Each row is checked
+    against f's slopes, and a class on which f has two slopes is refused,
+    as a bug in generating constraints.
+
+    One row per zero triple: write B = b Q and extend theta to the line
+    with theta(x + Q) = theta(x) + theta(Q), theta(Q) the closure row.
+    Mirror pieces share a class, so theta(x) + theta(B - x) has slope 0 and
+    equals theta(B), its value at 0; read modulo Q,
+    theta(x) + theta((B - x) mod Q) - theta(B) is 0 or the closure row.
+    With z = (B - x - y) mod Q, the additivity row
+    theta(x) + theta(y) - theta(x + y) is therefore
+    theta(x) + theta(y) + theta(z) - theta(B) up to a multiple of the
+    closure row.  f is symmetric, so every pair of a zero triple
+    {x, y, z} is a zero pair, and the three rows of its pairs all equal
+    theta(x) + theta(y) + theta(z) - theta(B) = 0 modulo closure.  The
+    zero pairs are grouped by their sorted triple, and each triple adds
+    that one row: the row space is the same, and so is its reduced form.
 
     The basis is the one the system over the n grid values gives.  Its
     reduced row echelon form pivots on each row's lowest column, so its
@@ -382,10 +396,11 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
                                "equality structure")
         solver.add(dict(enumerate(row)), rhs)
 
+    tB = theta(B)
     add_row(prefix[n], 0)          # closure: theta(1) = theta(0)
-    add_row(theta(B), 1)
-    for x, y in zeros:
-        add_row([u + v - w for u, v, w in zip(theta(x), theta(y), theta(x + y))], 0)
+    add_row(tB, 1)
+    for x, y, z in sorted({tuple(sorted((x, y, (B - x - y) % Q))) for x, y in zeros}):
+        add_row([u + v + w - t for u, v, w, t in zip(theta(x), theta(y), theta(z), tB)], 0)
 
     # map each solution to grid values, columns reversed so that the
     # solver's lead entry is the last nonzero grid value

@@ -63,9 +63,13 @@ class _Lattice:
     dW_j / (D*dP_j), reduced by one gcd to n_j/d_j.  scale is the lcm of D
     and the d_j, as it is of the value and step denominators, and
     a_j = n_j*(scale/d_j), c_j = W_j*(scale/D) - a_j*P_j.
+
+    `mirror` is None unless the minimality gate has proved f symmetric
+    about b = mirror/q with P closed under x -> (mirror - x) mod q; then
+    `_scan` walks triples.  `_minimal` sets it before every scan it runs.
     """
 
-    __slots__ = ("q", "scale", "points", "steps", "_c")
+    __slots__ = ("q", "scale", "points", "steps", "_c", "mirror")
 
     def __init__(self, f: PeriodicPWL, denominator: int = 1):
         q = math.lcm(denominator, f.q)
@@ -80,6 +84,7 @@ class _Lattice:
         self.q, self.scale, self.points = q, scale, P
         self.steps = [n * (scale // d) for n, d in steps]
         self._c = [w * (scale // D) - a * p for w, a, p in zip(W, self.steps, P)]
+        self.mirror = None
 
     def numerator(self, t):
         """q*t: an int for t on (1/q)Z, else the exact rational numerator."""
@@ -140,52 +145,94 @@ def _scan(lat: _Lattice) -> tuple:
     its minimum over the period square is attained where two such lines
     cross.  With P the breakpoint numerators, n = |P| and V[u] = value(u),
     those crossings, reduced modulo 1, are the sorted vertex list: P x P
-    together with (u, d) and (d, u) for u, w in P, d = (w - u) mod q.  The
-    scan walks two generators and builds no list of the vertex pairs:
+    together with (u, d) and (d, u) for u, w in P, d = (w - u) mod q, that
+    is, the pairs (x, y) with at least two of x, y, x + y in P.  The list
+    has n^2 + 2|B'| pairs, B' as below, and no dedupe is needed: a B' pair
+    has d outside P, so it is not in P x P, and for a fixed u distinct w
+    give distinct d, while neither (u, d) nor its mirror (d, u) comes from
+    another u', since d is not in P.
+
+    With `lat.mirror` None the scan walks two generators and builds no
+    list of the vertex pairs:
     A:  (u, v), u <= v in P, slack V[u] + V[v] - value(u + v);
     B': (u, d, w) of `_cross_pairs`, d not in P, slack
         V[u] + value(d) - V[w], since u + d = w mod q.
     Each half-pair (i, k), i <= k, of the list is evaluated exactly once,
-    and D(x, y) = D(y, x) decides its mirror.  A's pairs are distinct.  A
-    B' pair has d outside P, so it is not in P x P.  For a fixed u,
-    distinct w give distinct d, and neither (u, d) nor its mirror (d, u)
-    comes from another u', since d is not in P.  So the list has exactly
-    n^2 + 2|B'| pairs, and no dedupe is needed.
+    and D(x, y) = D(y, x) decides its mirror.
+
+    With `lat.mirror` = M, the gate has proved f(x) + f(M/q - x) = 1 and
+    that P is closed under x -> (M - x) mod q, and the scan walks triples.
+    Then f(x + y) = 1 - f(z) with z = (M/q - x - y) mod 1, so
+        D(x, y) = f(x) + f(y) + f(z) - 1,
+    which is symmetric in x, y and z; and x + y is in P iff z is.  So a
+    pair is a vertex iff at least two of its triple {x, y, z} lie in P, and
+    then every pair of that triple is a vertex with the same slack.  The
+    walk over u <= v in P, w = (M - u - v) mod q, slack
+    V[u] + V[v] + value(w) - scale, meets every such triple: n(n + 1)/2
+    evaluations and no cross loop.  It also counts
+    T = #{ordered (u, v) in P x P : w in P} = #{(u, d) in P x P : u + d in P};
+    the other n^2 - T pairs (u, w) of P x P have d = (w - u) mod q outside
+    P, so |B'| = n^2 - T and the list has n^2 + 2(n^2 - T) pairs.  The zero
+    half-pairs are the three sorted pairs (a, b), (a, c), (b, c) of each
+    zero triple a <= b <= c, deduplicated.
 
     The first negative pair of the sorted list is its smallest negative
-    half-pair, since a pair's mirror sorts after it when i < k.  That is
+    half-pair, since a pair's mirror sorts after it when i < k; on the
+    triple walk that is the least (a, b) over the sorted negative triples,
+    as every half-pair of a triple sorts at or after its (a, b).  That is
     the witness, and `checked` is its position in the list, counted by
     `_rank`.  A failing scan returns no zeros.
     """
     P, q, A, C = lat.points, lat.q, lat.steps, lat._c
     V = {u: a * u + c for u, a, c in zip(P, A, C)}
-    zeros, first = [], None       # first: the smallest negative (i, k, slack)
-    for idx, u in enumerate(P):
-        Vu = V[u]
-        for v in P[idx:]:
-            x = (u + v) % q
-            j = bisect_right(P, x) - 1
-            s = Vu + V[v] - A[j] * x - C[j]
+    first = None                  # the smallest negative (i, k, slack)
+    if lat.mirror is not None:
+        M, zeros, T = lat.mirror, set(), 0
+        for idx, u in enumerate(P):
+            Vu = V[u] - lat.scale
+            for v in P[idx:]:
+                w = (M - u - v) % q
+                Vw = V.get(w)
+                if Vw is None:
+                    j = bisect_right(P, w) - 1
+                    Vw = A[j] * w + C[j]
+                else:
+                    T += 1 if u == v else 2
+                s = Vu + V[v] + Vw
+                if s <= 0:
+                    a, b, c = sorted((u, v, w))
+                    if s < 0:
+                        first = min(first, (a, b, s)) if first else (a, b, s)
+                    else:
+                        zeros |= {(a, b), (a, c), (b, c)}
+        checked = len(P) ** 2 + 2 * (len(P) ** 2 - T)
+    else:
+        zeros, cross = [], 0
+        for idx, u in enumerate(P):
+            Vu = V[u]
+            for v in P[idx:]:
+                x = (u + v) % q
+                j = bisect_right(P, x) - 1
+                s = Vu + V[v] - A[j] * x - C[j]
+                if s < 0:
+                    first = min(first, (u, v, s)) if first else (u, v, s)
+                elif s == 0:
+                    zeros.append((u, v))
+        for u, d, w in _cross_pairs(lat):
+            cross += 1
+            j = bisect_right(P, d) - 1
+            s = V[u] + A[j] * d + C[j] - V[w]
             if s < 0:
-                first = min(first, (u, v, s)) if first else (u, v, s)
+                pair = (u, d, s) if u < d else (d, u, s)
+                first = min(first, pair) if first else pair
             elif s == 0:
-                zeros.append((u, v))
-    cross = 0
-    for u, d, w in _cross_pairs(lat):
-        cross += 1
-        j = bisect_right(P, d) - 1
-        s = V[u] + A[j] * d + C[j] - V[w]
-        if s < 0:
-            pair = (u, d, s) if u < d else (d, u, s)
-            first = min(first, pair) if first else pair
-        elif s == 0:
-            zeros.append((u, d) if u < d else (d, u))
+                zeros.append((u, d) if u < d else (d, u))
+        checked = len(P) ** 2 + 2 * cross
     if first:
         i, k, s = first
         return Certificate("fail", checked_count=_rank(lat, i, k), witness=_pair_witness(
             Fraction(i, q), Fraction(k, q), Fraction(s, lat.scale))), []
-    zeros.sort()
-    return Certificate("pass", checked_count=len(P) ** 2 + 2 * cross), zeros
+    return Certificate("pass", checked_count=checked), sorted(zeros)
 
 
 def _rank(lat: _Lattice, i: int, k: int) -> int:
@@ -206,9 +253,10 @@ def _symmetry(lat: _Lattice, b: Fraction) -> Certificate:
 
     g(x) = f(x) + f(b-x) is piecewise linear with breakpoints in
     P union (B - P) mod q, in numerators over q, so g = 1 everywhere iff
-    value(x) + value(B - x) == scale at those points.
+    value(x) + value(B - x) == scale at those points, B = b q an int.
     """
-    q, value, B = lat.q, lat.value, lat.numerator(b)
+    q, value = lat.q, lat.value
+    B = b.numerator * (q // b.denominator)
     pts = sorted({*lat.points, *((B - p) % q for p in lat.points)})
     for x in pts:
         s = value(x) + value(B - x)
@@ -241,17 +289,28 @@ def check_minimal(f: PeriodicPWL, b) -> Certificate:
 
 def _minimal(f: PeriodicPWL, lat: _Lattice, b: Fraction) -> tuple:
     """`check_minimal` on a lattice that holds b: its certificate and the
-    zero-slack pairs of `_scan` (empty unless the scan ran).  Each check
-    runs only if the ones before it passed."""
+    zero-slack pairs of `_scan` (empty unless the scan ran).
+
+    Symmetry is decided as soon as nonnegativity passes, before the scan:
+    if it passes and its point set P union (M - P) mod q, M = b q, is P
+    itself, `lat.mirror` = M, and the scan walks triples; otherwise the
+    scan walks pairs.  For a minimal f, 0 and b are true breakpoints, so a
+    canonically stored f takes the triple walk.  The report keeps the
+    fixed order f(0), nonnegativity, subadditivity, symmetry: the first
+    failure is reported, and `checked` sums the checks up to it."""
     if f.W[0] != 0:
         w = _point_witness(Fraction(0), value=rat_str(Fraction(f.W[0], f.D)))
         return Certificate("fail", witness=w, checked_count=1, detail="f(0) != 0"), []
-    checked, zeros = 1, []
-    for name in ("nonnegativity", "subadditivity", "symmetry"):
-        if name == "subadditivity":
-            cert, zeros = _scan(lat)
-        else:
-            cert = check_nonnegative(f) if name == "nonnegativity" else _symmetry(lat, b)
+    checks, zeros = [("nonnegativity", check_nonnegative(f))], []
+    if checks[0][1].passed:
+        sym = _symmetry(lat, b)
+        # _symmetry checks the points of P union (M - P): P is closed iff they are n
+        closed = sym.passed and sym.checked_count == len(lat.points)
+        lat.mirror = b.numerator * (lat.q // b.denominator) % lat.q if closed else None
+        scan, zeros = _scan(lat)
+        checks += [("subadditivity", scan), ("symmetry", sym)]
+    checked = 1
+    for name, cert in checks:
         checked += cert.checked_count
         if not cert.passed:
             return Certificate("fail", witness=cert.witness, checked_count=checked,

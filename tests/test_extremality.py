@@ -454,6 +454,44 @@ def test_facet_test_basis_does_not_depend_on_the_class_order(monkeypatch):
         assert [restricted_facet_test(f, b, d).to_dict() for f, d in cases] == want
 
 
+def test_facet_basis_is_additive_at_every_zero_pair(monkeypatch):
+    # one additivity row per zero triple loses no zero pair's row: every
+    # basis vector is additive, read through eval, at each pair of the gate
+    solvers = []
+
+    class Counted(_IntegerSolver):
+        def __init__(self, ncols):
+            super().__init__(ncols)
+            self.rows = 0
+            solvers.append(self)
+
+        def add(self, row, rhs):
+            self.rows += 1
+            super().add(row, rhs)
+
+    monkeypatch.setattr(extremality, "_IntegerSolver", Counted)
+    merged, dims = 0, set()
+    for b in (F(1, 3), F(2, 5), F(1, 2)):
+        for g, h in ((gmi(b), pi_k(3, b)), (pi_k(3, b), pi_k(4, b))):
+            f = linear_combine(F(1, 2), g, F(1, 2), h)
+            for d in (1, 16):
+                solvers.clear()
+                r = restricted_facet_test(f, b, d)
+                lat = _Lattice(f, math.lcm(d, b.denominator))
+                Q, B = lat.q, b * lat.q
+                _, zeros = _require_minimal(f, lat, b, "the test")
+                triples = {tuple(sorted((x, y, (B - x - y) % Q))) for x, y in zeros}
+                # closure, theta(b) = 1 and at most one row per triple
+                assert solvers[0].rows <= 2 + len(triples)
+                merged += len(zeros) - len(triples)
+                for theta in r.basis_functions:
+                    for x, y in zeros:
+                        x, y = F(x, Q), F(y, Q)
+                        assert theta.eval(x) + theta.eval(y) == theta.eval(x + y)
+                dims.add(r.dimension)
+    assert merged > 0 and 0 not in dims
+
+
 def test_restricted_facet_test_rejects_refinement_below_one():
     for d in (0, -8):
         with pytest.raises(DomainError, match=f"got {d}$"):

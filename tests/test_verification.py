@@ -12,7 +12,7 @@ from groupcut import (DomainError, PeriodicPWL, brute_force_subadditive,
                       check_zero_set, equality_structure, gmi, interval_system,
                       new_slope, phi_m, pi_k, pi_k_reflected)
 from groupcut.extremality import two_slope_shortcut
-from groupcut.verification import _Lattice, _scan
+from groupcut.verification import _Lattice, _minimal, _scan
 from conftest import bump_value, formula_slope, fraction_vertex_pairs
 
 
@@ -188,6 +188,89 @@ def test_scan_counts_and_zeros_match_the_fraction_reference():
             assert zeros == []
         verdicts.add(cert.verdict)
     assert verdicts == {"pass", "fail"}
+
+
+def _symmetric_corpus(seed, count):
+    """Seeded nonnegative functions with f(0) = 0 and f(x) + f(b - x) = 1,
+    at b below and above 1/2, each stored with a list closed under
+    x -> b - x: values are drawn at points of (0, b/2) and of (b, (1+b)/2)
+    and mirrored.  Sparse draws pass, dense ones mostly fail."""
+    rng = random.Random(seed)
+    fns = []
+    for _ in range(count):
+        b = rng.choice([F(1, 2), F(1, 3), F(2, 5), F(3, 5), F(2, 3), F(3, 4)])
+        n = b.denominator * rng.choice([2, 3, 4])
+        pts = {F(0): F(0), b: F(1)}
+        for lo, hi, mirror in ((0, b / 2, b), (b, (1 + b) / 2, 1 + b)):
+            cands = [F(i, n) for i in range(1, n) if lo < F(i, n) < hi]
+            for t in rng.sample(cands, rng.randint(0, min(2, len(cands)))):
+                v = F(rng.randint(0, 6), 6)
+                pts[t], pts[mirror - t] = v, 1 - v
+        xs = sorted(pts)
+        fns.append((PeriodicPWL(xs, [pts[x] for x in xs]), b))
+    return fns
+
+
+def test_symmetric_gate_agrees_with_the_grid_oracle():
+    # the oracle reads f through eval only; with q and b's denominator
+    # dividing the cap, every vertex of the slack lies on its grid
+    details = []
+    for f, b in _symmetric_corpus(20261020, 300):
+        assert check_symmetry(f, b).passed and check_nonnegative(f).passed
+        cert = check_minimal(f, b)
+        cap = 2 * lcm(b.denominator, *(t.denominator for t in f.breakpoints))
+        oracle = brute_force_subadditive(f, cap)
+        assert (cert.detail == "subadditivity") == (not oracle.passed), (f.to_json(), b)
+        details.append(cert.detail)
+    assert set(details) == {"", "subadditivity"}
+
+
+def _triple_corpus():
+    fns = _symmetric_corpus(20261021, 200)
+    rng = random.Random(20261021)
+    for k, b in ((3, F(1, 2)), (4, F(1, 3)), (6, F(2, 5)), (8, F(1, 2))):
+        fns.append((pi_k(k, b), b))
+        fns.append((pi_k_reflected(k, 1 - b), 1 - b))
+        f = pi_k(k, b)
+        for i in rng.sample(range(1, len(f.breakpoints)), 3):
+            # move f(t) and f(b - t) by opposite amounts: still symmetric
+            j = f.breakpoints.index((b - f.breakpoints[i]) % 1)
+            step = F(rng.choice([-1, 1]), 10 ** rng.randint(2, 4))
+            fns.append((bump_value(bump_value(f, i, step), j, -step), b))
+    return fns
+
+
+def test_triple_walk_equals_the_pair_walk():
+    seen = set()
+    for f, b in _triple_corpus():
+        lat = _Lattice(f, b.denominator)
+        cert, zeros = _minimal(f, lat, b)
+        if cert.detail not in ("", "subadditivity"):
+            continue          # the bump at t = b moved f(0), or made f negative
+        # the gate took the triple walk: the list is closed and f symmetric
+        assert lat.mirror == b * lat.q % lat.q
+        triple = _scan(lat)
+        lat.mirror = None
+        pair = _scan(lat)
+        assert triple == pair, (f.to_json(), b)
+        assert zeros == pair[1]
+        seen.add((pair[0].verdict, b < F(1, 2)))
+    assert seen == {(v, low) for v in ("pass", "fail") for low in (True, False)}
+
+
+def test_a_non_closed_copy_takes_the_pair_walk():
+    b = F(1, 2)
+    f = pi_k(3, b)
+    g = f.refine_to(sorted({*f.breakpoints, F(1, 32)}))     # 15/32 is not added
+    assert (b - F(1, 32)) not in g.breakpoints
+    lat = _Lattice(g, b.denominator)
+    cert, zeros = _minimal(g, lat, b)
+    assert cert.passed and lat.mirror is None
+    parts = (check_nonnegative(g), check_subadditive(g), check_symmetry(g, b))
+    assert cert.checked_count == 1 + sum(c.checked_count for c in parts)
+    assert parts[1].checked_count == len(fraction_vertex_pairs(g))
+    assert parts[1].checked_count != check_subadditive(f).checked_count
+    assert zeros == _scan(_Lattice(g))[1]
 
 
 @pytest.mark.parametrize("f, vertices, faces", [
@@ -474,6 +557,5 @@ def test_mutation_detected_by_both_checkers():
     cap = 4 * lcm(*(t.denominator for t in f.breakpoints))
     mut = bump_value(f, 2, F(-1, 1000))
     assert not check_minimal(mut, F(1, 2)).passed
-    oracle = brute_force_subadditive(mut, cap)
-    if not oracle.passed:
-        assert not check_subadditive(mut).passed
+    # cap is a multiple of q, so the grid holds every vertex: both decide
+    assert brute_force_subadditive(mut, cap).passed == check_subadditive(mut).passed
