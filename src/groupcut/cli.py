@@ -172,6 +172,8 @@ def cmd_merge(args) -> int:
     outer = _load_pwl(args.outer)
     inner = _load_any(args.inner)    # a merged file is checked here: exit 2
     if isinstance(inner, seqmerge.MergedFn):
+        if args.b2 is not None:    # a merged file carries its own parameters
+            raise _UsageError("--b2 applies only to a plain 1-D inner function")
         nodes = inner.nodes
     elif args.b2 is None:
         raise _UsageError("plain 1-D inner function requires --b2")

@@ -286,7 +286,8 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
     that satisfy every constraint forced by the equality structure of f.
 
     Constraints: theta(0)=0, theta(b)=1, the symmetry identity
-    theta(x) + theta(b - x) = 1, additivity at every additive vertex, and
+    theta(x) + theta(b - x) = 1, one additivity row per zero triple of the
+    gate, which spans the rows of additivity at each additive vertex, and
     the interval lemma on each face's three projections: one slope on p1,
     p2 and p3, the last reduced modulo 1.  `certified_unique` iff f is the
     only solution, else `not_unique` with a basis of the solutions.

@@ -7,6 +7,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from .errors import DomainError, NotMinimal
@@ -63,13 +64,9 @@ class _Lattice:
     dW_j / (D*dP_j), reduced by one gcd to n_j/d_j.  scale is the lcm of D
     and the d_j, as it is of the value and step denominators, and
     a_j = n_j*(scale/d_j), c_j = W_j*(scale/D) - a_j*P_j.
-
-    `mirror` is None unless the minimality gate has proved f symmetric
-    about b = mirror/q with P closed under x -> (mirror - x) mod q; then
-    `_scan` walks triples.  `_minimal` sets it before every scan it runs.
     """
 
-    __slots__ = ("q", "scale", "points", "steps", "_c", "mirror")
+    __slots__ = ("q", "scale", "points", "steps", "_c")
 
     def __init__(self, f: PeriodicPWL, denominator: int = 1):
         q = math.lcm(denominator, f.q)
@@ -84,7 +81,6 @@ class _Lattice:
         self.q, self.scale, self.points = q, scale, P
         self.steps = [n * (scale // d) for n, d in steps]
         self._c = [w * (scale // D) - a * p for w, a, p in zip(W, self.steps, P)]
-        self.mirror = None
 
     def numerator(self, t):
         """q*t: an int for t on (1/q)Z, else the exact rational numerator."""
@@ -136,7 +132,7 @@ def check_subadditive(f: PeriodicPWL) -> Certificate:
     return _scan(_Lattice(f))[0]
 
 
-def _scan(lat: _Lattice) -> tuple:
+def _scan(lat: _Lattice, M: Optional[int] = None) -> tuple:
     """The vertex scan: `check_subadditive`'s certificate and, on a pass,
     the pairs (i, k), i <= k, of zero slack, sorted.
 
@@ -152,87 +148,69 @@ def _scan(lat: _Lattice) -> tuple:
     give distinct d, while neither (u, d) nor its mirror (d, u) comes from
     another u', since d is not in P.
 
-    With `lat.mirror` None the scan walks two generators and builds no
-    list of the vertex pairs:
-    A:  (u, v), u <= v in P, slack V[u] + V[v] - value(u + v);
-    B': (u, d, w) of `_cross_pairs`, d not in P, slack
-        V[u] + value(d) - V[w], since u + d = w mod q.
-    Each half-pair (i, k), i <= k, of the list is evaluated exactly once,
-    and D(x, y) = D(y, x) decides its mirror.
+    The scan builds no list of the vertex pairs.  Its one walk, the same
+    for every caller, is over u <= v in P with t = (u + v) mod q and slack
+    V[u] + V[v] - value(t), and it counts T = #{ordered (u, v) in P x P :
+    t in P}.  Through d = (w - u) mod q, the pairs (u, w) of P x P with d
+    in P are the ordered pairs (u, d) of P x P with u + d in P, which T
+    counts; so B', the triples (u, d, w) of `_cross_pairs`, has n^2 - T
+    entries, and a pass counts n^2 + 2(n^2 - T) pairs.  As D(x, y) =
+    D(y, x) decides each pair's mirror, every half-pair (i, k), i <= k, of
+    the list is evaluated once: those of P x P by the walk, those of B' by
+    a second loop with slack V[u] + value(d) - V[w], as u + d = w mod q.
 
-    With `lat.mirror` = M, the gate has proved f(x) + f(M/q - x) = 1 and
-    that P is closed under x -> (M - x) mod q, and the scan walks triples.
-    Then f(x + y) = 1 - f(z) with z = (M/q - x - y) mod 1, so
-        D(x, y) = f(x) + f(y) + f(z) - 1,
-    which is symmetric in x, y and z; and x + y is in P iff z is.  So a
-    pair is a vertex iff at least two of its triple {x, y, z} lie in P, and
-    then every pair of that triple is a vertex with the same slack.  The
-    walk over u <= v in P, w = (M - u - v) mod q, slack
-    V[u] + V[v] + value(w) - scale, meets every such triple: n(n + 1)/2
-    evaluations and no cross loop.  It also counts
-    T = #{ordered (u, v) in P x P : w in P} = #{(u, d) in P x P : u + d in P};
-    the other n^2 - T pairs (u, w) of P x P have d = (w - u) mod q outside
-    P, so |B'| = n^2 - T and the list has n^2 + 2(n^2 - T) pairs.  The zero
-    half-pairs are the three sorted pairs (a, b), (a, c), (b, c) of each
-    zero triple a <= b <= c, deduplicated.
+    Given a mirror M, the second loop is skipped.  The gate passes M only
+    when it has proved f(x) + f(M/q - x) = 1 and that P is closed under
+    x -> (M - x) mod q.  Then value(M - t) = scale - value(t), so the
+    walk's slack is V[u] + V[v] + value(z) - scale, z = (M - t) mod q: the
+    same for every pair of {u, v, z}, since each sum of two of them is M
+    minus the third, mod q.  And t is in P iff z is.  A B' triple
+    (u, d, w) has u, w in P, so z' = (M - w) mod q is in P too, and the
+    walk meets the pair {u, z'}, whose triple is {u, z', d}.  So every
+    pair of the second loop shares its triple and slack with a pair of the
+    walk, and a nonpositive slack stands for its sorted triple a <= b <= c:
+    its half-pairs (a, b), (a, c) and (b, c) have that slack.
 
     The first negative pair of the sorted list is its smallest negative
-    half-pair, since a pair's mirror sorts after it when i < k; on the
-    triple walk that is the least (a, b) over the sorted negative triples,
-    as every half-pair of a triple sorts at or after its (a, b).  That is
-    the witness, and `checked` is its position in the list, counted by
+    half-pair, since a pair's mirror sorts after it when i < k; with M
+    that is the least (a, b) over the sorted negative triples, as every
+    half-pair of a triple sorts at or after its (a, b).  That is the
+    witness, and `checked` is its position in the list, counted by
     `_rank`.  A failing scan returns no zeros.
     """
     P, q, A, C = lat.points, lat.q, lat.steps, lat._c
     V = {u: a * u + c for u, a, c in zip(P, A, C)}
-    first = None                  # the smallest negative (i, k, slack)
-    if lat.mirror is not None:
-        M, zeros, T = lat.mirror, set(), 0
-        for idx, u in enumerate(P):
-            Vu = V[u] - lat.scale
-            for v in P[idx:]:
-                w = (M - u - v) % q
-                Vw = V.get(w)
-                if Vw is None:
-                    j = bisect_right(P, w) - 1
-                    Vw = A[j] * w + C[j]
-                else:
-                    T += 1 if u == v else 2
-                s = Vu + V[v] + Vw
-                if s <= 0:
-                    a, b, c = sorted((u, v, w))
-                    if s < 0:
-                        first = min(first, (a, b, s)) if first else (a, b, s)
-                    else:
-                        zeros |= {(a, b), (a, c), (b, c)}
-        checked = len(P) ** 2 + 2 * (len(P) ** 2 - T)
-    else:
-        zeros, cross = [], 0
-        for idx, u in enumerate(P):
-            Vu = V[u]
-            for v in P[idx:]:
-                x = (u + v) % q
-                j = bisect_right(P, x) - 1
-                s = Vu + V[v] - A[j] * x - C[j]
+    negative, zeros, T = [], set(), 0       # negative: (i, k, slack)
+    for idx, u in enumerate(P):
+        Vu = V[u]
+        for v in P[idx:]:
+            t = (u + v) % q
+            j = bisect_right(P, t) - 1
+            if P[j] == t:
+                T += 1 if u == v else 2
+            s = Vu + V[v] - A[j] * t - C[j]
+            if s <= 0:
+                tri = (u, v) if M is None else sorted((u, v, (M - t) % q))
                 if s < 0:
-                    first = min(first, (u, v, s)) if first else (u, v, s)
-                elif s == 0:
-                    zeros.append((u, v))
+                    negative.append((tri[0], tri[1], s))
+                else:
+                    zeros.update(combinations(tri, 2))
+    if M is None:
         for u, d, w in _cross_pairs(lat):
-            cross += 1
             j = bisect_right(P, d) - 1
             s = V[u] + A[j] * d + C[j] - V[w]
-            if s < 0:
-                pair = (u, d, s) if u < d else (d, u, s)
-                first = min(first, pair) if first else pair
-            elif s == 0:
-                zeros.append((u, d) if u < d else (d, u))
-        checked = len(P) ** 2 + 2 * cross
-    if first:
-        i, k, s = first
+            if s <= 0:
+                pair = (u, d) if u < d else (d, u)
+                if s < 0:
+                    negative.append((*pair, s))
+                else:
+                    zeros.add(pair)
+    if negative:
+        i, k, s = min(negative)
         return Certificate("fail", checked_count=_rank(lat, i, k), witness=_pair_witness(
             Fraction(i, q), Fraction(k, q), Fraction(s, lat.scale))), []
-    return Certificate("pass", checked_count=checked), sorted(zeros)
+    n = len(P)
+    return Certificate("pass", checked_count=n * n + 2 * (n * n - T)), sorted(zeros)
 
 
 def _rank(lat: _Lattice, i: int, k: int) -> int:
@@ -292,11 +270,11 @@ def _minimal(f: PeriodicPWL, lat: _Lattice, b: Fraction) -> tuple:
     zero-slack pairs of `_scan` (empty unless the scan ran).
 
     Symmetry is decided as soon as nonnegativity passes, before the scan:
-    if it passes and its point set P union (M - P) mod q, M = b q, is P
-    itself, `lat.mirror` = M, and the scan walks triples; otherwise the
-    scan walks pairs.  For a minimal f, 0 and b are true breakpoints, so a
-    canonically stored f takes the triple walk.  The report keeps the
-    fixed order f(0), nonnegativity, subadditivity, symmetry: the first
+    if it passes and its point set P union (M - P) mod q, M = b q mod q, is
+    P itself, the scan is handed M and skips its second loop; otherwise it
+    is handed None and runs both.  For a minimal f, 0 and b are true
+    breakpoints, so a canonically stored f is closed.  The report keeps
+    the fixed order f(0), nonnegativity, subadditivity, symmetry: the first
     failure is reported, and `checked` sums the checks up to it."""
     if f.W[0] != 0:
         w = _point_witness(Fraction(0), value=rat_str(Fraction(f.W[0], f.D)))
@@ -306,8 +284,8 @@ def _minimal(f: PeriodicPWL, lat: _Lattice, b: Fraction) -> tuple:
         sym = _symmetry(lat, b)
         # _symmetry checks the points of P union (M - P): P is closed iff they are n
         closed = sym.passed and sym.checked_count == len(lat.points)
-        lat.mirror = b.numerator * (lat.q // b.denominator) % lat.q if closed else None
-        scan, zeros = _scan(lat)
+        M = b.numerator * (lat.q // b.denominator) % lat.q
+        scan, zeros = _scan(lat, M if closed else None)
         checks += [("subadditivity", scan), ("symmetry", sym)]
     checked = 1
     for name, cert in checks:

@@ -223,9 +223,9 @@ def gate_counts(monkeypatch):
         counts["lattices"] += 1
         init(self, *args, **kwargs)
 
-    def counted_scan(lat):
+    def counted_scan(*args):
         counts["scans"] += 1
-        return scan(lat)
+        return scan(*args)
 
     monkeypatch.setattr(verification._Lattice, "__init__", counted_init)
     monkeypatch.setattr(verification, "_scan", counted_scan)
@@ -279,6 +279,20 @@ def test_merge_verb(tmp_path, capsys):
     code, stdout, _ = run(capsys, "merge", str(g), str(out), "--b1", "1/2",
                           "--out", str(out2))
     assert code == 0 and "arity 3" in stdout
+
+
+def test_merge_refuses_b2_with_a_merged_inner(tmp_path, capsys):
+    # a merged inner file carries its own parameters, so --b2 has no node
+    # to apply to: refused, not silently dropped
+    g, m, out = tmp_path / "g.json", tmp_path / "m.json", tmp_path / "x.json"
+    g.write_text(gmi(F(1, 2)).to_json())
+    assert run(capsys, "merge", str(g), str(g), "--b1", "1/2", "--b2", "1/2",
+               "--out", str(m))[0] == 0
+    code, stdout, err = run(capsys, "merge", str(g), str(m), "--b1", "1/2",
+                            "--b2", "1/3", "--out", str(out))
+    assert code == 2 and stdout == "" and _one_error_line(err)
+    assert "--b2 applies only to a plain 1-D inner function" in err
+    assert not out.exists()
 
 
 def test_merge_warns_when_the_outer_lift_decreases(tmp_path, capsys):

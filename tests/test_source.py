@@ -48,3 +48,28 @@ def test_floats_appear_only_where_plot_maps_coordinates():
     found = {(path.name, name, line) for path in sorted(SRC.glob("*.py"))
              for name, line in _floats(ast.parse(path.read_text(), str(path)))}
     assert {(p, name) for p, name, _ in found} == allowed, sorted(found)
+
+
+def _foreign_attribute_writes(tree):
+    """(line, target) of every assignment or deletion of an attribute, and
+    every setattr/delattr call, whose object is not the name `self`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            obj = node.value
+        elif (isinstance(node, ast.Call) and node.args
+              and (isinstance(node.func, ast.Name) and node.func.id in ("setattr", "delattr")
+                   or isinstance(node.func, ast.Attribute)
+                   and node.func.attr in ("__setattr__", "__delattr__"))):
+            obj = node.args[0]
+        else:
+            continue
+        if not (isinstance(obj, ast.Name) and obj.id == "self"):
+            yield node.lineno, ast.unparse(node)
+
+
+def test_no_code_sets_an_attribute_on_another_object():
+    # an object's state is set by its own methods: a path flag written on a
+    # shared object would steer every later reader of that object
+    found = [f"{path.name}:{line} {text}" for path in sorted(SRC.glob("*.py"))
+             for line, text in _foreign_attribute_writes(ast.parse(path.read_text()))]
+    assert not found, found

@@ -11,6 +11,7 @@ from groupcut import (DomainError, PeriodicPWL, brute_force_subadditive,
                       check_slope_census, check_subadditive, check_symmetry,
                       check_zero_set, equality_structure, gmi, interval_system,
                       new_slope, phi_m, pi_k, pi_k_reflected)
+from groupcut import verification
 from groupcut.extremality import two_slope_shortcut
 from groupcut.verification import _Lattice, _minimal, _scan
 from conftest import bump_value, formula_slope, fraction_vertex_pairs
@@ -240,17 +241,31 @@ def _triple_corpus():
     return fns
 
 
-def test_triple_walk_equals_the_pair_walk():
+def _mirrors_handed_to_scan(monkeypatch):
+    """The mirror argument of every `_scan` call the gate makes, in order."""
+    handed = []
+
+    def recording(lat, M=None):
+        handed.append(M)
+        return _scan(lat, M)
+
+    monkeypatch.setattr(verification, "_scan", recording)
+    return handed
+
+
+def test_triple_walk_equals_the_pair_walk(monkeypatch):
+    handed = _mirrors_handed_to_scan(monkeypatch)
     seen = set()
     for f, b in _triple_corpus():
         lat = _Lattice(f, b.denominator)
+        handed.clear()
         cert, zeros = _minimal(f, lat, b)
         if cert.detail not in ("", "subadditivity"):
             continue          # the bump at t = b moved f(0), or made f negative
-        # the gate took the triple walk: the list is closed and f symmetric
-        assert lat.mirror == b * lat.q % lat.q
-        triple = _scan(lat)
-        lat.mirror = None
+        # the gate skipped the second loop: the list is closed and f symmetric
+        M = b.numerator * lat.q // b.denominator % lat.q
+        assert handed == [M]
+        triple = _scan(lat, M)
         pair = _scan(lat)
         assert triple == pair, (f.to_json(), b)
         assert zeros == pair[1]
@@ -258,19 +273,24 @@ def test_triple_walk_equals_the_pair_walk():
     assert seen == {(v, low) for v in ("pass", "fail") for low in (True, False)}
 
 
-def test_a_non_closed_copy_takes_the_pair_walk():
+def test_a_non_closed_copy_takes_the_pair_walk(monkeypatch):
+    handed = _mirrors_handed_to_scan(monkeypatch)
     b = F(1, 2)
     f = pi_k(3, b)
     g = f.refine_to(sorted({*f.breakpoints, F(1, 32)}))     # 15/32 is not added
     assert (b - F(1, 32)) not in g.breakpoints
     lat = _Lattice(g, b.denominator)
     cert, zeros = _minimal(g, lat, b)
-    assert cert.passed and lat.mirror is None
+    assert cert.passed and handed == [None]
     parts = (check_nonnegative(g), check_subadditive(g), check_symmetry(g, b))
     assert cert.checked_count == 1 + sum(c.checked_count for c in parts)
     assert parts[1].checked_count == len(fraction_vertex_pairs(g))
     assert parts[1].checked_count != check_subadditive(f).checked_count
     assert zeros == _scan(_Lattice(g))[1]
+    # the closed original is handed its mirror b q mod q
+    handed.clear()
+    lat = _Lattice(f, b.denominator)
+    assert _minimal(f, lat, b)[0].passed and handed == [lat.q // 2]
 
 
 @pytest.mark.parametrize("f, vertices, faces", [
