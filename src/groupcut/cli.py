@@ -6,14 +6,14 @@ witness was produced), 2 = usage or I/O error.
 """
 from __future__ import annotations
 
-import argparse
 import csv
-import functools
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import constructions, extremality, seqmerge, verification
 from .errors import DomainError, FormatError, NotMinimal
@@ -99,7 +99,7 @@ def cmd_construct(args) -> int:
         F = seqmerge.phi_m(args.m, args.b)
         out_obj, summary = F.to_dict(), None
         _print_arity(F)
-    else:   # pi-n-k, the last of argparse's choices
+    else:   # pi-n-k, the last of the choices
         if args.n is None or args.k is None:
             raise _UsageError("construct pi-n-k requires --n and --k")
         F = seqmerge.pi_n_k(args.n, args.k, args.b)
@@ -146,7 +146,7 @@ def cmd_verify(args) -> int:
         if args.k is None or args.b is None:
             raise _UsageError("verify slopes requires --k and --b")
         cert = verification.check_slope_census(f, args.k, args.b)
-    else:   # zero-set, the last of argparse's choices
+    else:   # zero-set, the last of the choices
         cert = verification.check_zero_set(f)
     return _print_cert(cert)
 
@@ -265,10 +265,9 @@ def _rhs(text: str) -> Fraction:
     try:
         b = rat(text)
     except FormatError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise _UsageError(str(exc)) from None
     if not 0 < b < 1:
-        raise argparse.ArgumentTypeError(
-            f"right-hand side b must lie in (0, 1), got {b}")
+        raise _UsageError(f"right-hand side b must lie in (0, 1), got {b}")
     return b
 
 
@@ -276,30 +275,31 @@ def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise _UsageError(f"invalid int value: {text!r}") from None
 
 
 def _at_most(n: int, cap: int) -> int:
     if n > cap:
-        raise argparse.ArgumentTypeError(f"must be at most {cap}, got {n}")
+        raise _UsageError(f"must be at most {cap}, got {n}")
     return n
 
 
 def _positive_int(text: str, cap: int) -> int:
     n = _int(text)
     if n < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
+        raise _UsageError(f"must be a positive integer, got {n}")
     return _at_most(n, cap)
 
 
 # pi_k has about 4k breakpoints of about 3k bits each, so its size grows as
 # k^2 bits and k = 10^5 would need tens of GB.  At 64 every verb ends within a
-# second: on a shared 2-core Xeon, `python -m groupcut.cli` takes 0.12 s for
-# verify minimal on pi_64(1/3), 0.13 s for certify --mode replay --k 64 and
-# 0.13 s for eval of the pi-n-k --n 64 --k 64 --b 2/3 file (medians of 21
-# interleaved runs, the fastest 0.10 s), of which check_minimal on pi_64(1/3)
-# takes 0.02 s and loading the pi-n-k file, with its minimality check, 0.02 s
-# (best of 7, in one process)
+# second: on a shared 2-core Xeon, with no bytecode cache, `python -m
+# groupcut.cli` takes 0.12 s for verify minimal on pi_64(1/3), 0.12 s for
+# certify --mode replay --k 64 and 0.13 s for eval of the pi-n-k --n 64 --k 64
+# --b 2/3 file (medians of 41 interleaved runs, the fastest 0.10 s), of which
+# importing groupcut.cli takes about 0.06 s, check_minimal on pi_64(1/3)
+# 0.02 s and loading the pi-n-k file, with its minimality check, 0.02 s (best
+# of 7, in one process)
 MAX_LEVEL = 64
 # the facet test's grid has about 2d points: on a 2-core Xeon, certify of
 # pi_8(1/2) takes 0.15 s at --refine 1024 and 1.4 s at 4096
@@ -322,78 +322,179 @@ def _samples(text: str) -> int:
     return _positive_int(text, MAX_SAMPLES)
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
+# verb -> (handler, help, positionals, flags).  A positional is (name,
+# reader); a flag maps to (reader, default, required, help).  A reader is a
+# tuple of choices or a function of the text.  The handler reads each
+# argument as an attribute named after it, without the dashes.
+_VERBS = {
+    "construct": (cmd_construct, "build a function and write it as JSON",
+                  (("kind", ("gmi", "pi-k", "pi-inf", "phi-m", "pi-n-k")),),
+                  {"--b": (_rhs, None, True, "right-hand-side parameter, p/q in (0, 1)"),
+                   "--k": (_level, None, False, "level for pi-k and pi-n-k"),
+                   "--K": (_level, None, False, "truncation level for pi-inf"),
+                   "--n": (_level, None, False, "dimension for pi-n-k"),
+                   "--m": (_level, None, False, "dimension for phi-m"),
+                   "--out": (str, None, False, "output file; stdout without it")}),
+    "eval": (cmd_eval, "evaluate a function at a rational point",
+             (("path", str),),
+             {"--x": (str, None, True,
+                      "rational p/q, comma-separated for merged functions")}),
+    "verify": (cmd_verify, "run a verification check, print a certificate",
+               (("check", ("minimal", "subadditive", "symmetry", "slopes",
+                           "zero-set")), ("path", str)),
+               {"--b": (_rhs, None, False, "right-hand-side parameter, p/q in (0, 1)"),
+                "--k": (_level, None, False, "level for slopes")}),
+    "certify": (cmd_certify, "run an extremality certification",
+                (("path", str),),
+                {"--b": (_rhs, None, True, "right-hand-side parameter, p/q in (0, 1)"),
+                 "--mode": (("pwl-perturbation", "replay", "two-slope"), None,
+                            True, "the certificate to run"),
+                 "--refine": (_refine, 16, False,
+                              "refinement denominator for pwl-perturbation, "
+                              f"at most {MAX_REFINE}"),
+                 "--k": (_level, None, False, "level for replay mode")}),
+    "merge": (cmd_merge, "sequential-merge an outer function over an inner one",
+              (("outer", str), ("inner", str)),
+              {"--b1": (_rhs, None, True, "parameter for the outer function"),
+               "--b2": (_rhs, None, False, "parameter for a plain 1-D inner function"),
+               "--out": (str, None, True, "output file")}),
+    "plot": (cmd_plot, "export a CSV or SVG plot",
+             (("path", str),),
+             {"--out": (str, None, True, "output file, .csv or .svg"),
+              "--samples": (_samples, 256, False,
+                            f"uniform float samples added to a .csv, at most "
+                            f"{MAX_SAMPLES} (an .svg draws the exact "
+                            "breakpoints only)")}),
+}
+_HELP = ("-h", "--help")
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
-@functools.cache   # one parser per process: building it costs more than an eval
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="groupcut",
-                description="Exact construction and verification of periodic "
-                            "piecewise-linear cut-generating functions.")
-    sub = p.add_subparsers(dest="verb", required=True)
+def _read(name: str, reader, text: str):
+    """The value of argument `name` given as text: one of a tuple of
+    choices, or what the reader function makes of it."""
+    if isinstance(reader, tuple):
+        if text in reader:
+            return text
+        raise _UsageError(f"argument {name}: invalid choice: {text!r} "
+                          f"(choose from {', '.join(map(repr, reader))})")
+    try:
+        return reader(text)
+    except _UsageError as exc:
+        raise _UsageError(f"argument {name}: {exc}") from None
 
-    c = sub.add_parser("construct", help="build a function and write it as JSON")
-    c.add_argument("kind", choices=["gmi", "pi-k", "pi-inf", "phi-m", "pi-n-k"])
-    c.add_argument("--b", type=_rhs, required=True,
-                   help="right-hand-side parameter, p/q in (0, 1)")
-    c.add_argument("--k", type=_level)
-    c.add_argument("--K", type=_level, help="truncation level for pi-inf")
-    c.add_argument("--n", type=_level)
-    c.add_argument("--m", type=_level)
-    c.add_argument("--out")
-    c.set_defaults(func=cmd_construct)
 
-    e = sub.add_parser("eval", help="evaluate a function at a rational point")
-    e.add_argument("path")
-    e.add_argument("--x", required=True,
-                   help="rational p/q, comma-separated for merged functions")
-    e.set_defaults(func=cmd_eval)
+def _option(names, token: str):
+    """How an argv token reads: None for a value, else (flag, the value
+    attached by '=' or None), flag None when no flag in `names` matches.
+    A flag may be shortened to a unique prefix.  A token that starts with
+    '-' is a value only if it is '-', a negative number or holds a space."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    value = value if eq else None
+    if name in names:
+        return name, value
+    if name[:2] == "--" and len(name) > 2:
+        hits = [flag for flag in names if flag.startswith(name)]
+        if len(hits) > 1:
+            raise _UsageError(f"ambiguous option: {token} could match "
+                              f"{', '.join(hits)}")
+        if hits:
+            return hits[0], value
+    if _NEGATIVE.match(token) or " " in token:
+        return None
+    return None, None
 
-    v = sub.add_parser("verify", help="run a verification check, print a certificate")
-    v.add_argument("check", choices=["minimal", "subadditive", "symmetry",
-                                     "slopes", "zero-set"])
-    v.add_argument("path")
-    v.add_argument("--b", type=_rhs)
-    v.add_argument("--k", type=_level)
-    v.set_defaults(func=cmd_verify)
 
-    ce = sub.add_parser("certify", help="run an extremality certification")
-    ce.add_argument("path")
-    ce.add_argument("--b", type=_rhs, required=True)
-    ce.add_argument("--mode", required=True,
-                    choices=["pwl-perturbation", "replay", "two-slope"])
-    ce.add_argument("--refine", type=_refine, default=16,
-                    help="refinement denominator for pwl-perturbation, "
-                         f"at most {MAX_REFINE}")
-    ce.add_argument("--k", type=_level, help="level for replay mode")
-    ce.set_defaults(func=cmd_certify)
+def _help(verb=None) -> str:
+    """What -h or --help prints: every verb's usage, or one verb's usage
+    and the help of its flags."""
+    lines = []
+    for name in _VERBS if verb is None else (verb,):
+        _, text, positionals, flags = _VERBS[name]
+        words = [f"{{{','.join(r)}}}" if isinstance(r, tuple) else p
+                 for p, r in positionals]
+        for flag, (r, _, required, _) in flags.items():
+            word = f"{flag} " + (f"{{{','.join(r)}}}" if isinstance(r, tuple)
+                                 else flag[2:].upper())
+            words.append(word if required else f"[{word}]")
+        lines += [f"usage: groupcut {name} {' '.join(words)}", f"  {text}"]
+    if verb is None:
+        lines += ["", "Exact construction and verification of periodic "
+                  "piecewise-linear cut-generating functions."]
+    else:
+        lines += [f"  {flag:<10} {help_}" + (
+            "" if default is None else f" (default {default})")
+            for flag, (_, default, _, help_) in flags.items()]
+    return "\n".join(lines) + "\n"
 
-    m = sub.add_parser("merge", help="sequential-merge an outer function over an inner one")
-    m.add_argument("outer")
-    m.add_argument("inner")
-    m.add_argument("--b1", type=_rhs, required=True)
-    m.add_argument("--b2", type=_rhs, help="parameter for a plain 1-D inner function")
-    m.add_argument("--out", required=True)
-    m.set_defaults(func=cmd_merge)
 
-    pl = sub.add_parser("plot", help="export a CSV or SVG plot")
-    pl.add_argument("path")
-    pl.add_argument("--out", required=True, help="output file, .csv or .svg")
-    pl.add_argument("--samples", type=_samples, default=256,
-                    help=f"uniform float samples added to a .csv, at most "
-                         f"{MAX_SAMPLES} (an .svg draws the exact "
-                         "breakpoints only)")
-    pl.set_defaults(func=cmd_plot)
+def _print_help(text: str) -> int:
+    print(text, end="")
+    return 0
 
-    return p
+
+def _parse(argv: list) -> tuple:
+    """(handler, arguments) for argv, read in one pass against `_VERBS`:
+    `--flag value` or `--flag=value`, the last of a repeated flag winning.
+    -h or --help gives (`_print_help`, its text).  A usage fault raises
+    `_UsageError`; a missing argument or an unknown token is reported
+    only once the whole argv has been read."""
+    tokens, extras = iter(argv), []
+    for verb in tokens:             # the verb is the first value
+        opt = _option(_HELP, verb)
+        if opt is None:
+            break
+        if opt[0] is not None:
+            return _print_help, _help()
+        extras.append(verb)
+    else:
+        raise _UsageError("the following arguments are required: verb")
+    handler, _, positionals, flags = _VERBS[_read("verb", (*_VERBS,), verb)]
+    names = (*flags, *_HELP)
+    values = {flag[2:]: spec[1] for flag, spec in flags.items()}
+    filled = 0
+    for token in tokens:
+        opt = _option(names, token)
+        if opt is None:             # the next positional, or an extra
+            if filled < len(positionals):
+                name, reader = positionals[filled]
+                values[name] = _read(name, reader, token)
+                filled += 1
+            else:
+                extras.append(token)
+            continue
+        flag, value = opt
+        if flag is None:
+            extras.append(token)
+            continue
+        if flag in _HELP:
+            if value is not None:
+                raise _UsageError(f"argument -h/--help: ignored explicit "
+                                  f"argument {value!r}")
+            return _print_help, _help(verb)
+        if value is None:
+            value = next(tokens, None)
+            if value is None or _option(names, value) is not None:
+                raise _UsageError(f"argument {flag}: expected one argument")
+        values[flag[2:]] = _read(flag, flags[flag][0], value)
+    # a required flag has no default, and no reader returns None
+    missing = [name for name, _ in positionals[filled:]]
+    missing += [flag for flag, (_, _, required, _) in flags.items()
+                if required and values[flag[2:]] is None]
+    if missing:
+        raise _UsageError(f"the following arguments are required: "
+                          f"{', '.join(missing)}")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return handler, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        return handler(args)
     except (_UsageError, DomainError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,7 @@ carries an exact witness that reproduces the violation."""
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -214,10 +214,36 @@ def _scan(lat: _Lattice, M: Optional[int] = None) -> tuple:
 
 
 def _rank(lat: _Lattice, i: int, k: int) -> int:
-    """The number of pairs of the sorted vertex list that are <= (i, k)."""
-    P, top = lat.points, (i, k)
-    return (sum((u, v) <= top for u in P for v in P)
-            + sum(((u, d) <= top) + ((d, u) <= top) for u, d, _ in _cross_pairs(lat)))
+    """The number of pairs of the sorted vertex list that are <= (i, k),
+    i <= k, counted from P with bisects instead of a walk of the list.
+
+    With lo = #{u in P : u < i}, P x P has lo*n pairs (u, v) with u < i,
+    and if i is in P the pairs (i, v) with v <= k.  A pair (u, w) of
+    P x P gives the B' pairs (u, d) and (d, u), d = (w - u) mod q, when d
+    is not in P.  The (u, d) with u < i number lo*n - C, where C =
+    #{(u, d) in P x P : u < i, u + d in P mod q}.  The (d, u) with d < i
+    number S - C, where S = #{(u, w) in P x P : (w - u) mod q < i} is read
+    by bisects: u + d = d + u, so C also counts the pairs (u, d) of P x P
+    with d < i and u + d in P.  Last, the B' pairs that start with i: if
+    i is in P, the (i, d) with d <= k, that is the w with (w - i) mod q
+    <= k less those with d in P; else the (i, u) with u <= k and u + i in
+    P, as d = i there."""
+    P, q = lat.points, lat.q
+    n, in_P, lo = len(P), set(P), bisect_left(P, i)
+
+    def within(u, m):    # #{w in P : (w - u) mod q < m}, 0 <= m <= q
+        start, end = bisect_left(P, u), u + m
+        return bisect_left(P, end) - start if end <= q else (
+            n - start + bisect_left(P, end - q))
+
+    C = sum((u + d) % q in in_P for u in P[:lo] for d in P)
+    S = sum(within(u, i) for u in P)
+    upto = bisect_right(P, k)            # #{v in P : v <= k}
+    if i in in_P:
+        head = upto + within(i, k + 1) - sum((i + d) % q in in_P for d in P[:upto])
+    else:
+        head = sum((u + i) % q in in_P for u in P[:upto])
+    return 2 * (lo * n - C) + S + head
 
 
 def check_symmetry(f: PeriodicPWL, b) -> Certificate:

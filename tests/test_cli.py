@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupcut import PeriodicPWL, gmi, phi_m, pi_k, pi_n_k, rat, verification
-from groupcut.cli import MAX_REFINE, MAX_SAMPLES, main
+from groupcut.cli import _VERBS, MAX_REFINE, MAX_SAMPLES, main
 from conftest import bump_value
 
 
@@ -401,6 +401,73 @@ def test_unknown_verb_and_flags(capsys):
     assert run(capsys, "construct", "gmi")[0] == 2   # missing --b
 
 
+# argv, exit code, and for exit 2 a text its one error line holds; for exit
+# 0 or 1, the argv whose stdout it must repeat.  {f} is pi_3(1/2).
+SPELLINGS = [
+    (["construct", "gmi", "--b=1/2"], 0, ["construct", "gmi", "--b", "1/2"]),
+    (["certify", "{f}", "--b", "1/2", "--mo", "replay", "--k", "3"], 0,
+     ["certify", "{f}", "--b", "1/2", "--mode", "replay", "--k", "3"]),
+    (["certify", "{f}", "--b", "1/2", "--mo=two-slope"], 1,
+     ["certify", "{f}", "--b", "1/2", "--mode", "two-slope"]),
+    (["construct", "pi-k", "--b", "1/2", "--k", "5", "--k", "3"], 0,
+     ["construct", "pi-k", "--b", "1/2", "--k", "3"]),
+    (["eval", "{f}", "--x=-1/4"], 0, ["eval", "{f}", "--x", "3/4"]),
+    (["verify", "--b", "1/2", "minimal", "{f}"], 0, ["verify", "minimal", "{f}", "--b", "1/2"]),
+    (["merge", "{f}", "{f}", "--b", "1/2", "--out", "{out}"], 2,
+     "ambiguous option: --b could match --b1, --b2"),
+    (["construct", "gmi", "--b", "1/2", "--out"], 2, "argument --out: expected one argument"),
+    (["eval", "{f}", "--x", "-1/4"], 2, "argument --x: expected one argument"),
+    (["construct", "gmi", "--b", "1/2", "--frob"], 2, "unrecognized arguments: --frob"),
+    (["construct", "gmi", "--b", "1/2", "extra"], 2, "unrecognized arguments: extra"),
+    (["construct", "gmi"], 2, "the following arguments are required: --b"),
+    (["merge", "{f}"], 2, "the following arguments are required: inner, --b1, --out"),
+    (["construct", "gmi", "--b", "3/2"], 2,
+     "argument --b: right-hand side b must lie in (0, 1), got 3/2"),
+    (["verify", "bogus", "{f}"], 2, "argument check: invalid choice: 'bogus'"),
+    (["certify", "{f}", "--b", "1/2", "--mode=bogus"], 2, "argument --mode: invalid choice: 'bogus'"),
+    ([], 2, "the following arguments are required: verb"),
+    (["frobnicate"], 2, "argument verb: invalid choice: 'frobnicate'"),
+]
+
+
+@pytest.mark.parametrize("argv, code, expect", SPELLINGS,
+                         ids=[" ".join(argv) or "empty" for argv, _, _ in SPELLINGS])
+def test_argv_spellings(tmp_path, capsys, argv, code, expect):
+    f = tmp_path / "f.json"
+    f.write_text(pi_k(3, F(1, 2)).to_json())
+    out = tmp_path / "out.json"
+
+    def fill(words):
+        return [w.format(f=f, out=out) for w in words]
+
+    got, stdout, err = run(capsys, *fill(argv))
+    assert got == code, err
+    if code == 2:
+        assert stdout == "" and _one_error_line(err) and expect in err, err
+        assert not out.exists()
+    else:
+        assert err == "" and (got, stdout) == run(capsys, *fill(expect))[:2]
+
+
+@pytest.mark.parametrize("verb", [None, *_VERBS])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_names_every_verb_and_flag(tmp_path, capsys, verb, flag):
+    # help wins over a missing required argument, and writes nothing
+    argv = [flag] if verb is None else [verb, flag]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 0 and err == "" and stdout.startswith("usage: groupcut")
+    for name in _VERBS if verb is None else [verb]:
+        _, text, positionals, flags = _VERBS[name]
+        assert name in stdout and text in stdout
+        assert all(f"{name_} " in stdout for name_ in flags)
+        assert all((",".join(r) if isinstance(r, tuple) else p) in stdout
+                   for p, r in positionals)
+    out = tmp_path / "g.json"
+    code, stdout2, _ = run(capsys, "construct", "gmi", "--out", str(out), flag)
+    assert code == 0 and stdout2.startswith("usage: groupcut construct")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["construct", "pi-k", "--b", "1/2", "--k", "65"],
     ["construct", "pi-inf", "--b", "1/2", "--K", "65"],
@@ -465,7 +532,7 @@ def test_certify_rejects_nonpositive_refine(tmp_path, capsys, refine):
 def test_refine_and_samples_have_an_upper_bound(tmp_path, capsys):
     f = tmp_path / "f.json"
     f.write_text(gmi(F(1, 2)).to_json())
-    # every value here is refused by argparse, before any work starts
+    # every value here is refused by the argv parser, before any work starts
     for n in (MAX_REFINE + 1, 10**9):
         code, stdout, err = run(capsys, "certify", str(f), "--b", "1/2",
                                 "--mode", "pwl-perturbation", "--refine", str(n))
@@ -632,36 +699,47 @@ FLAG_RATIONAL = st.sampled_from(RATIONALS)
 
 @st.composite
 def argvs(draw, path, other, out_dir):
-    def opt(flag, values):
-        return [flag, str(draw(values))] if draw(st.booleans()) else []
-
-    small_k = st.integers(-1, 6)
     verb = draw(st.sampled_from(["eval", "verify", "certify", "merge", "plot",
                                  "construct"]))
+    flags = [*_VERBS[verb][3], "--help"]
+
+    def given_(flag, value):
+        # `--flag value`, `--flag=value`, or either with the flag cut to a
+        # prefix that no other flag of the verb shares
+        cut = draw(st.sampled_from([
+            flag[:n] for n in range(3, len(flag) + 1)
+            if [g for g in flags if g.startswith(flag[:n])] == [flag]]))
+        return [f"{cut}={value}"] if draw(st.booleans()) else [cut, str(value)]
+
+    def opt(flag, values):
+        return given_(flag, draw(values)) if draw(st.booleans()) else []
+
+    small_k = st.integers(-1, 6)
     if verb == "eval":
         xs = draw(st.lists(FLAG_RATIONAL, min_size=1, max_size=3))
-        return ["eval", path, "--x", ",".join(xs)]
+        return ["eval", path, *given_("--x", ",".join(xs))]
     if verb == "verify":
         check = draw(st.sampled_from(["minimal", "subadditive", "symmetry",
                                       "slopes", "zero-set"]))
-        return (["verify", check, path, "--b", draw(FLAG_RATIONAL)]
+        return (["verify", check, path, *given_("--b", draw(FLAG_RATIONAL))]
                 + opt("--k", small_k))
     if verb == "certify":
         mode = draw(st.sampled_from(["pwl-perturbation", "replay", "two-slope"]))
-        return (["certify", path, "--b", draw(FLAG_RATIONAL), "--mode", mode]
+        return (["certify", path, *given_("--b", draw(FLAG_RATIONAL)),
+                 *given_("--mode", mode)]
                 + opt("--refine", st.integers(-1, 8)) + opt("--k", small_k))
     if verb == "merge":
         return (["merge", path, draw(st.sampled_from([path, other])),
-                 "--b1", draw(FLAG_RATIONAL)] + opt("--b2", FLAG_RATIONAL)
-                + ["--out", str(out_dir / "m.json")])
+                 *given_("--b1", draw(FLAG_RATIONAL))] + opt("--b2", FLAG_RATIONAL)
+                + given_("--out", str(out_dir / "m.json")))
     if verb == "plot":
         suffix = draw(st.sampled_from([".csv", ".svg", ".txt"]))
-        return (["plot", path, "--out", str(out_dir / f"p{suffix}")]
+        return (["plot", path, *given_("--out", str(out_dir / f"p{suffix}"))]
                 + opt("--samples", st.integers(-1, 8)))
     kind = draw(st.sampled_from(["gmi", "pi-k", "pi-inf", "phi-m", "pi-n-k"]))
-    return (["construct", kind, "--b", draw(FLAG_RATIONAL)] + opt("--k", small_k)
-            + opt("--K", small_k) + opt("--n", st.integers(-1, 3))
-            + opt("--m", st.integers(-1, 3)))
+    return (["construct", kind, *given_("--b", draw(FLAG_RATIONAL))]
+            + opt("--k", small_k) + opt("--K", small_k)
+            + opt("--n", st.integers(-1, 3)) + opt("--m", st.integers(-1, 3)))
 
 
 @settings(max_examples=150, deadline=None)

@@ -73,3 +73,16 @@ def test_no_code_sets_an_attribute_on_another_object():
     found = [f"{path.name}:{line} {text}" for path in sorted(SRC.glob("*.py"))
              for line, text in _foreign_attribute_writes(ast.parse(path.read_text()))]
     assert not found, found
+
+
+def test_no_module_imports_argparse():
+    # the CLI reads argv against its one verb table; a second parser would
+    # let the accepted spellings and the usage text drift apart
+    found = [f"{path.relative_to(SRC.parent)}:{node.lineno}"
+             for path in sorted(SRC.parent.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Import)
+             and any(a.name.partition(".")[0] == "argparse" for a in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and (node.module or "").partition(".")[0] == "argparse"]
+    assert not found, found

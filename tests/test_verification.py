@@ -13,7 +13,7 @@ from groupcut import (DomainError, PeriodicPWL, brute_force_subadditive,
                       new_slope, phi_m, pi_k, pi_k_reflected)
 from groupcut import verification
 from groupcut.extremality import two_slope_shortcut
-from groupcut.verification import _Lattice, _minimal, _scan
+from groupcut.verification import _Lattice, _cross_pairs, _minimal, _rank, _scan
 from conftest import bump_value, formula_slope, fraction_vertex_pairs
 
 
@@ -291,6 +291,37 @@ def test_a_non_closed_copy_takes_the_pair_walk(monkeypatch):
     handed.clear()
     lat = _Lattice(f, b.denominator)
     assert _minimal(f, lat, b)[0].passed and handed == [lat.q // 2]
+
+
+def _walked_rank(lat, i, k):
+    """`_rank` by brute force: every pair of P x P and both pairs of each
+    `_cross_pairs` triple, compared with (i, k)."""
+    P, top = lat.points, (i, k)
+    return (sum((u, v) <= top for u in P for v in P)
+            + sum(((u, d) <= top) + ((d, u) <= top) for u, d, _ in _cross_pairs(lat)))
+
+
+def test_rank_equals_the_walked_count_on_every_failing_scan():
+    # the witness of each failing scan, and seeded vertex pairs besides it,
+    # so that both the i-in-P and the i-outside-P counts are exercised
+    rng = random.Random(20261022)
+    lattices = [_Lattice(f) for f in _scan_corpus()]
+    lattices += [_Lattice(f, b.denominator) for f, b in _triple_corpus()]
+    failing, outside = 0, False
+    for lat in lattices:
+        cert, _ = _scan(lat)
+        if cert.passed:
+            continue
+        failing += 1
+        i, k = (lat.numerator(F(cert.witness[c])) for c in "xy")
+        assert cert.checked_count == _rank(lat, i, k) == _walked_rank(lat, i, k)
+        P, q = lat.points, lat.q
+        vertices = sorted({*P, *((w - u) % q for u in P for w in P)})
+        for _ in range(3):
+            i, k = sorted(rng.sample(vertices, 2)) if len(vertices) > 1 else (0, 0)
+            assert _rank(lat, i, k) == _walked_rank(lat, i, k), (i, k)
+            outside |= i not in P
+    assert failing > 50 and outside
 
 
 @pytest.mark.parametrize("f, vertices, faces", [
