@@ -132,8 +132,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    f = _load_pwl(args.path)
     check = args.check
+    if check != "slopes" and args.k is not None:
+        raise _UsageError("--k applies only to verify slopes")
+    f = _load_pwl(args.path)
     if check in ("minimal", "symmetry") and args.b is None:
         raise _UsageError(f"verify {check} requires --b")
     if check == "minimal":
@@ -154,6 +156,8 @@ def cmd_verify(args) -> int:
 def cmd_certify(args) -> int:
     if args.mode == "replay" and args.k is None:
         raise _UsageError("certify --mode replay requires --k")
+    if args.mode != "replay" and args.k is not None:
+        raise _UsageError("--k applies only to certify --mode replay")
     f = _load_pwl(args.path)
     b = args.b
     try:    # each mode gates on minimality itself, once
@@ -293,13 +297,13 @@ def _positive_int(text: str, cap: int) -> int:
 
 # pi_k has about 4k breakpoints of about 3k bits each, so its size grows as
 # k^2 bits and k = 10^5 would need tens of GB.  At 64 every verb ends within a
-# second: on a shared 2-core Xeon, with no bytecode cache, `python -m
-# groupcut.cli` takes 0.12 s for verify minimal on pi_64(1/3), 0.12 s for
-# certify --mode replay --k 64 and 0.13 s for eval of the pi-n-k --n 64 --k 64
-# --b 2/3 file (medians of 41 interleaved runs, the fastest 0.10 s), of which
-# importing groupcut.cli takes about 0.06 s, check_minimal on pi_64(1/3)
-# 0.02 s and loading the pi-n-k file, with its minimality check, 0.02 s (best
-# of 7, in one process)
+# second: on a shared 2-core Xeon, Python 3.11, with no bytecode cache,
+# `python -m groupcut.cli` takes 0.10 s for verify minimal on pi_64(1/3),
+# 0.10 s for certify --mode replay --k 64 on that file and 0.10 s for eval of
+# the pi-n-k --n 64 --k 64 --b 2/3 file at 64 coordinates (medians of 41
+# interleaved runs, the fastest 0.09 s), most of it interpreter start-up and
+# import: in one process check_minimal on pi_64(1/3) takes 0.015 s and the
+# whole replay, its gate included, 0.026 s (best of 7)
 MAX_LEVEL = 64
 # the facet test's grid has about 2d points: on a 2-core Xeon, certify of
 # pi_8(1/2) takes 0.15 s at --refine 1024 and 1.4 s at 4096

@@ -12,7 +12,7 @@ it, and every serialized result says so.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -51,26 +51,27 @@ class EqualityStructure:
         }
 
 
-def _zero_on_box(lat: _Lattice, U: Interval, V: Interval) -> bool:
+def _zero_on_box(lat: _Lattice, u1, u2, v1, v2) -> bool:
     """True iff the subadditivity slack D(x, y) = f(x) + f(y) - f(x + y)
-    vanishes identically on U x V, for nondegenerate U and V; a degenerate
-    side raises DomainError.
+    vanishes identically on U x V, U = [u1/q, u2/q] and V = [v1/q, v2/q],
+    for u1 < u2 and v1 < v2; a degenerate side raises DomainError.  The
+    ends are numerators over q: ints on the lattice, else exact rationals.
 
     This is the Gomory-Johnson interval lemma for a continuous PWL f: D
     vanishes on U x V iff f is affine with one slope on U, on V and on
-    U + V, and D is 0 at one point, here (U.lo, V.lo).  If f has slope s
-    on all three, D(x, y) = D(U.lo, V.lo) on the box.  Conversely, the lines
-    x, y and x + y through breakpoints cut the box into cells; on a 2-D
-    cell, where f has slopes s1, s2, s3 at x, y, x + y, D is affine with
-    gradient (s1 - s3, s2 - s3), so D = 0 there forces s1 = s2 = s3.  Every
+    U + V, and D is 0 at one point, here (u1, v1).  If f has slope s on all
+    three, D(x, y) = D(u1, v1) on the box.  Conversely, the lines x, y and
+    x + y through breakpoints cut the box into cells; on a 2-D cell, where
+    f has slopes s1, s2, s3 at x, y, x + y, D is affine with gradient
+    (s1 - s3, s2 - s3), so D = 0 there forces s1 = s2 = s3.  Every
     x-segment of U meets every y-segment of V in a 2-D cell, and every
     segment of U + V meets the open box in one, so the pieces of f that
-    meet U, V and U + V have one lattice step between them.  Box ends off
-    the lattice stay exact rational numerators."""
-    if U.degenerate or V.degenerate:
+    meet U, V and U + V have one lattice step between them."""
+    if u1 >= u2 or v1 >= v2:
+        q = lat.q
         raise DomainError(f"box sides must be nondegenerate, got "
-                          f"[{U.lo}, {U.hi}] x [{V.lo}, {V.hi}]")
-    (u1, u2), (v1, v2) = ((lat.numerator(I.lo), lat.numerator(I.hi)) for I in (U, V))
+                          f"[{Fraction(u1, q)}, {Fraction(u2, q)}] x "
+                          f"[{Fraction(v1, q)}, {Fraction(v2, q)}]")
     steps = lat.steps_on(u1, u2) | lat.steps_on(v1, v2) | lat.steps_on(u1 + v1, u2 + v2)
     return len(steps) == 1 and lat.slack(u1, v1) == 0
 
@@ -142,10 +143,27 @@ def equality_structure(f: PeriodicPWL) -> EqualityStructure:
                              for _, face in cells))
 
 
-def _face_pieces(grid: list, face: tuple, period: int) -> list:
-    """The sorted ids of the grid pieces that a face's projections p1, p2
-    and p3 meet, p3 read modulo the period."""
-    return sorted({j for lo, hi in face for j, _, _ in pieces_in(grid, period, lo, hi)})
+def _face_spans(grid: list, face: tuple, period: int) -> list:
+    """The grid pieces that a face's projections p1, p2 and p3 meet, p3
+    read modulo the period, as ranges (first, last) of piece ids.
+
+    Piece j = [grid[j], grid[j + 1]] meets (lo, hi) iff grid[j] < hi and
+    its end is > lo, so the pieces that meet it run from the last start
+    <= lo to the last start < hi: two bisects.  A projection lies in one
+    piece of f, so it is no longer than the period: reduced to start in
+    [0, period), it ends at most one period on, and one that ends past the
+    period gives two ranges, up to the last piece and from piece 0.  (The
+    p3 of a cell of `_half_faces` never does, as 0 is a breakpoint of f.)"""
+    spans = []
+    for lo, hi in face:
+        m, lo = divmod(lo, period)
+        hi -= m * period
+        first = bisect_right(grid, lo) - 1
+        if hi <= period:
+            spans.append((first, bisect_left(grid, hi) - 1))
+        else:
+            spans += [(first, len(grid) - 1), (0, bisect_left(grid, hi - period) - 1)]
+    return spans
 
 
 def _slope_classes(grid: list, faces, B: int, Q: int) -> list:
@@ -154,10 +172,20 @@ def _slope_classes(grid: list, faces, B: int, Q: int) -> list:
     A union-find over the pieces joins the pieces each face meets, since by
     the interval lemma a perturbation has one slope on the face's three
     projections, and each piece with its mirror under x -> (B - x) mod Q, a
-    grid piece since the grid is closed under that map.  A class's root is
-    its last piece, and the columns number the classes in the order of
-    their last pieces."""
-    parent = list(range(len(grid)))
+    grid piece since the grid is closed under that map.
+
+    The pieces a projection meets are one range of consecutive pieces
+    (`_face_spans`).  The ranges of all faces are sorted and overlapping
+    ones merged, and each piece of a merged range but its last is linked to
+    that last piece once.  A face then joins the first pieces of its
+    ranges.  The map reverses the cyclic order of the pieces and sends
+    piece 0, [0, grid[1]], to the piece that ends at B, so piece i's mirror
+    is piece (m - i) mod n, m + 1 the index of B; each pair is joined once.
+    Every link and join points the smaller root at the larger, so a class's
+    root is its last piece, and the columns number the classes in the order
+    of their last pieces."""
+    n = len(grid)
+    parent = list(range(n))
 
     def find(i):
         while parent[i] != i:
@@ -165,17 +193,27 @@ def _slope_classes(grid: list, faces, B: int, Q: int) -> list:
             i = parent[i]
         return i
 
-    def join(ids):
-        for i, j in zip(ids, ids[1:]):
-            i, j = sorted((find(i), find(j)))
-            parent[i] = j
+    def join(i, j):
+        i, j = find(i), find(j)
+        if i != j:
+            parent[min(i, j)] = max(i, j)
 
-    index = {t: i for i, t in enumerate(grid)}
-    for i, t in enumerate([*grid[1:], Q]):
-        join((i, index[(B - t) % Q]))
-    for face in faces:
-        join(_face_pieces(grid, face, Q))
-    roots = [find(i) for i in range(len(grid))]
+    spans = [_face_spans(grid, face, Q) for face in faces]
+    lo = hi = 0
+    for first, last in sorted(s for face in spans for s in face):
+        if first > hi:
+            parent[lo:hi] = [hi] * (hi - lo)
+            lo = first
+        hi = max(hi, last)
+    parent[lo:hi] = [hi] * (hi - lo)
+    for face in spans:
+        for (i, _), (j, _) in zip(face, face[1:]):
+            join(i, j)
+    m = bisect_left(grid, B) - 1
+    for i in range(n):
+        if i < (m - i) % n:
+            join(i, (m - i) % n)
+    roots = [find(i) for i in range(n)]
     column = {r: c for c, r in enumerate(sorted(set(roots)))}
     return [column[r] for r in roots]
 
@@ -429,11 +467,21 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
 # exact replay of the facet-proof boxes
 # ---------------------------------------------------------------------------
 
-def _replay_boxes(k: int, b: Fraction):
+def _replay_boxes(k: int, B: int, q: int):
     """The additive boxes of the facet argument for the level-k function,
-    in order, as (step, U, V, reason): the slack must vanish on U x V.
-    They depend on k and b only, with eps_j = b/8^(j-2) from its recurrence
-    eps_2 = b, eps_(j+1) = eps_j/8.
+    in order, as (step, (u1, u2), (v1, v2), reason): the slack must vanish
+    on [u1/q, u2/q] x [v1/q, v2/q].  They depend on k and b = B/q only,
+    with eps_j = b/8^(j-2) from its recurrence eps_2 = b,
+    eps_(j+1) = eps_j/8, read as the numerators E_j = eps_j q: E_2 = B and
+    E_(j+1) = E_j // 8.
+
+    Every end is an int when 2 8^(k-2) divides both q and B, as on the
+    replay's lattice: with b = p/r, q is a multiple of 2 8^(k-2) r there,
+    so B = p (q/r) is a multiple of 2 8^(k-2).  Then E_j = B/8^(j-2) is
+    2 8^(k-j) times an int, so each // is exact and E_j is even for
+    j <= k; q and B are even, and 8 divides B (k >= 3).  The ends below,
+    over q, are (q + B)/2, B/4, 3B/8, 3E_j/2, 2E_j, q - E_j/2, 2D, 4D for
+    D = E_(j+1), and E_k/2: all ints.
 
     Each box stands for the facts the argument reads off it.  They follow
     from what `_zero_on_box` checks, one slope on U, V and U + V and slack
@@ -455,20 +503,20 @@ def _replay_boxes(k: int, b: Fraction):
         I* lies in I3 = [2eps_m, b - 2eps_m] of every level m in (j, k],
         since 2eps_m <= 2d and eps_j <= b/8 < b - b/32 <= b - 2eps_m.
     (e) U = V = [0, eps_k/2]: U + U = [0, eps_k] is level k's I1."""
-    eps = [b / 8]                       # eps_3, ..., eps_k
+    eps = [B // 8]                      # E_3, ..., E_k
     while len(eps) < k - 2:
-        eps.append(eps[-1] / 8)
-    half = Interval((1 + b) / 2, Fraction(1))
+        eps.append(eps[-1] // 8)
+    half = ((q + B) // 2, q)
     yield "a", half, half, "slack does not vanish on the I6 square"
-    U = Interval(b / 4, 3 * b / 8)
+    U = (B // 4, 3 * B // 8)
     yield "b", U, U, "slack does not vanish on the central square"
     for j, e in enumerate(eps, 3):
-        yield ("c", Interval(3 * e / 2, 2 * e), Interval(1 - e / 2, Fraction(1)),
+        yield ("c", (3 * e // 2, 2 * e), (q - e // 2, q),
                f"j={j}: slack does not vanish on U x V")
     for j, d in enumerate(eps[1:], 3):
-        U = Interval(2 * d, 4 * d)
+        U = (2 * d, 4 * d)
         yield "d", U, U, f"j={j}: slack does not vanish on U x U"
-    U = Interval(Fraction(0), eps[-1] / 2)
+    U = (0, eps[-1] // 2)
     yield "e", U, U, "slack does not vanish on the I1 square"
 
 
@@ -480,9 +528,11 @@ def replay_pi_k_facet_proof(k: int, b, f: Optional[PeriodicPWL] = None
     defaults to the genuine construction; passing a mutant exercises the
     failure paths.  The argument assumes f minimal: check_minimal's gate
     runs once, after the checks on k and b, on the lattice the replay
-    reads, and a failure raises NotMinimal.  The 2k - 2 boxes run in order
-    up to the first on which the slack does not vanish, and `checked`
-    counts the boxes checked, the failing one included."""
+    reads, and a failure raises NotMinimal.  That lattice holds
+    2 8^(k-2) b's denominator, so every box end is an int numerator on it.
+    The 2k - 2 boxes run in order up to the first on which the slack does
+    not vanish, and `checked` counts the boxes checked, the failing one
+    included."""
     b = rat(b)
     if k < 3:
         raise DomainError(f"k must be >= 3, got {k}")
@@ -490,10 +540,13 @@ def replay_pi_k_facet_proof(k: int, b, f: Optional[PeriodicPWL] = None
         raise DomainError(f"b must lie in (0, 1/2], got {b}")
     if f is None:
         f = pi_k(k, b)
-    lat = _Lattice(f, b.denominator)
+    r = b.denominator
+    lat = _Lattice(f, 2 * 8 ** (k - 2) * r)
     _require_minimal(f, lat, b, "facet-proof replay")
-    for checked, (step, U, V, reason) in enumerate(_replay_boxes(k, b), 1):
-        if not _zero_on_box(lat, U, V):
+    q = lat.q
+    for checked, (step, U, V, reason) in enumerate(
+            _replay_boxes(k, b.numerator * (q // r), q), 1):
+        if not _zero_on_box(lat, *U, *V):
             return Certificate("fail", checked_count=checked, witness={
                 "kind": "replay-step", "step": step, "reason": reason})
     return Certificate("pass", checked_count=checked)

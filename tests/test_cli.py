@@ -503,6 +503,27 @@ def test_certify_replay_requires_k_before_any_scan(tmp_path, capsys, gate_counts
     assert gate_counts["scans"] == 0
 
 
+def test_k_is_refused_where_nothing_reads_it(tmp_path, capsys, gate_counts):
+    # --k levels only the replay and the slope census: any other certify
+    # mode or verify check refuses it before loading f, as merge refuses a
+    # --b2 that has no node to apply to
+    path = tmp_path / "f.json"
+    path.write_text(pi_k(3, F(1, 2)).to_json())
+    cases = [(["certify", str(path), "--b", "1/2", "--mode", mode],
+              "certify --mode replay") for mode in ("two-slope", "pwl-perturbation")]
+    cases += [(["verify", check, str(path), "--b", "1/2"], "verify slopes")
+              for check in ("minimal", "subadditive", "symmetry", "zero-set")]
+    for argv, where in cases:
+        for k in ("5", "3"):
+            code, stdout, err = run(capsys, *argv, "--k", k)
+            assert code == 2 and stdout == "" and _one_error_line(err), (argv, err)
+            assert f"--k applies only to {where}" in err
+    assert gate_counts == {"lattices": 0, "scans": 0}
+    # without --k each runs
+    for argv, _ in cases:
+        assert run(capsys, *argv)[0] in (0, 1)
+
+
 def _one_error_line(err):
     lines = err.strip().splitlines()
     return len(lines) == 1 and lines[0].startswith("error:")

@@ -18,8 +18,9 @@ from groupcut import (DomainError, Interval, NotMinimal, PeriodicPWL,
                       replay_pi_k_facet_proof, restricted_facet_test,
                       two_slope_shortcut)
 from groupcut import extremality
-from groupcut.extremality import (_IntegerSolver, _face_pieces, _half_faces,
+from groupcut.extremality import (_IntegerSolver, _face_spans, _half_faces,
                                   _replay_boxes, _slope_classes, _zero_on_box)
+from groupcut.pwl import pieces_in
 from groupcut.verification import _Lattice, _require_minimal
 from conftest import bump_value, fraction_vertex_pairs
 
@@ -94,6 +95,12 @@ def test_equality_structure_of_base_function():
     _assert_faces_in_zero_set(gmi(b), es)
 
 
+def _ends(lat, U, V):
+    """The ends of the box U x V as numerators over lat.q, the arguments
+    `_zero_on_box` takes after the lattice."""
+    return [lat.numerator(t) for t in (U.lo, U.hi, V.lo, V.hi)]
+
+
 def test_equality_structure_faces_of_pi_3():
     b = F(1, 2)
     f = pi_k(3, b)
@@ -105,8 +112,9 @@ def test_equality_structure_faces_of_pi_3():
         (Interval(3 * eps / 2, 2 * eps), Interval(1 - eps / 2, F(1))),
         (Interval(F(0), eps / 2), Interval(F(0), eps / 2)),
     ]
+    lat = _Lattice(f)
     for U, V in proof_boxes:
-        assert _zero_on_box(_Lattice(f), U, V)
+        assert _zero_on_box(lat, *_ends(lat, U, V))
         assert any(_covers(face, U, V) for face in es.additive_faces), \
             (U.to_pair(), V.to_pair())
     _assert_faces_in_zero_set(f, es)
@@ -221,27 +229,83 @@ def test_zero_on_box_matches_a_brute_enumeration():
         boxes = [(Interval(F(0), t), Interval(F(0), t)) for t in f.breakpoints[1:] + (F(1),)]
         drawn = [(side(f), side(f)) for _ in range(30)]
         boxes += drawn + [(S, S) for box in drawn for S in box]
+        lat = _Lattice(f)
         for U, V in boxes:
+            ends = _ends(lat, U, V)
             if U.degenerate or V.degenerate:
                 degenerate += 1
                 with pytest.raises(DomainError):
-                    _zero_on_box(_Lattice(f), U, V)
+                    _zero_on_box(lat, *ends)
                 continue
-            got = _zero_on_box(_Lattice(f), U, V)
+            got = _zero_on_box(lat, *ends)
             assert got == _brute_zero_on_box(f, U, V), (f, U, V)
-            seen.add((got, U.hi + V.hi > 1))
-    # true and false answers, with and without a sum past 1
-    assert degenerate and seen == {(z, p) for z in (True, False) for p in (True, False)}
+            seen.add((got, U.hi + V.hi > 1, all(type(e) is int for e in ends)))
+    # true and false answers, with and without a sum past 1, on the lattice
+    # and off it
+    assert degenerate and seen == set(itertools.product((True, False), repeat=3))
 
 
-def test_face_pieces_read_both_segments_of_a_straddling_p3():
+def test_face_spans_read_both_segments_of_a_straddling_p3():
     # grid pieces [0, 4], [4, 8], [8, 12], [12, 16] over Q = 16; the face
     # x in [6, 7], y in [9, 10], x + y in [15, 17] has p3 straddling Q, and
     # only its wrapped segment [0, 1] meets piece 0
+    grid = [0, 4, 8, 12]
     face = ((6, 7), (9, 10), (15, 17))
-    assert _face_pieces([0, 4, 8, 12], face, 16) == [0, 1, 2, 3]
+    assert _face_spans(grid, face, 16) == [(1, 1), (2, 2), (3, 3), (0, 0)]
     # p3 wholly past Q: reduced to [1, 3] inside piece 0
-    assert _face_pieces([0, 4, 8, 12], ((6, 7), (11, 12), (17, 19)), 16) == [0, 1, 2]
+    assert _face_spans(grid, ((6, 7), (11, 12), (17, 19)), 16) == [(1, 1), (2, 2), (0, 0)]
+    # ends on grid points: a piece that only touches an end is not met
+    assert _face_spans(grid, ((4, 12), (0, 16), (16, 20)), 16) == [(1, 2), (0, 3), (0, 0)]
+    assert _face_spans(grid, ((4, 5), (7, 8), (12, 20)), 16) == [(1, 1), (1, 1), (3, 3), (0, 0)]
+    assert _face_spans(grid, ((3, 5), (8, 9), (30, 33)), 16) == [(0, 1), (2, 2), (3, 3), (0, 0)]
+
+
+def _per_piece_classes(grid, faces, B, Q):
+    """`_slope_classes` spelled out one grid piece at a time: a union-find
+    joins every piece that `pieces_in` meets in each projection of a face,
+    and each piece with the piece that starts at its mirrored end."""
+    parent = list(range(len(grid)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    def join(ids):
+        for i, j in zip(ids, ids[1:]):
+            i, j = sorted((find(i), find(j)))
+            parent[i] = j
+
+    index = {t: i for i, t in enumerate(grid)}
+    for i, t in enumerate([*grid[1:], Q]):
+        join((i, index[(B - t) % Q]))
+    for face in faces:
+        join(sorted({j for lo, hi in face for j, _, _ in pieces_in(grid, Q, lo, hi)}))
+    roots = [find(i) for i in range(len(grid))]
+    column = {r: c for c, r in enumerate(sorted(set(roots)))}
+    return [column[r] for r in roots]
+
+
+def _facet_grid(f, b, d):
+    """The facet test's lattice, B, Q and grid at refinement d."""
+    lat = _Lattice(f, math.lcm(d, b.denominator))
+    Q, B = lat.q, lat.numerator(b) % lat.q
+    pts = {*lat.points, B, *range(0, Q, Q // d)}
+    return lat, B, Q, sorted(pts | {(B - t) % Q for t in pts})
+
+
+def test_slope_classes_match_a_per_piece_union_find():
+    classes, spans = set(), 0
+    for f, b in _facet_cases():
+        for d in (1, 2, 3, 4, 8, 16, 32, 64):
+            lat, B, Q, grid = _facet_grid(f, b, d)
+            faces = [face for _, face in _half_faces(lat)]
+            cls = _slope_classes(grid, faces, B, Q)
+            assert cls == _per_piece_classes(grid, faces, B, Q), (f, b, d)
+            classes.add(max(cls) + 1)
+            spans += sum(a < z for face in faces for a, z in _face_spans(grid, face, Q))
+    # few classes and many, and ranges of more than one piece
+    assert min(classes) == 2 and max(classes) >= 20 and spans
 
 
 def test_slope_classes_of_pi_k_are_its_k_slopes():
@@ -249,9 +313,7 @@ def test_slope_classes_of_pi_k_are_its_k_slopes():
     # classes are exactly the level sets of f's slope
     for b in (F(1, 3), F(2, 5), F(1, 2)):
         for f, k in [(gmi(b), 2), *((pi_k(k, b), k) for k in (2, 3, 4, 5, 6, 8))]:
-            lat = _Lattice(f, b.denominator)
-            Q, B = lat.q, lat.numerator(b) % lat.q
-            grid = sorted({*lat.points, B, *((B - t) % Q for t in lat.points)})
+            lat, B, Q, grid = _facet_grid(f, b, 1)
             cls = _slope_classes(grid, [face for _, face in _half_faces(lat)], B, Q)
             assert sorted(set(cls)) == list(range(k))
             last = [max(i for i, c in enumerate(cls) if c == col) for col in range(k)]
@@ -363,17 +425,11 @@ DIAGONAL = PeriodicPWL([F(i, 5) for i in range(5)],
                        [F(0), F(1), F(1, 3), F(1, 2), F(2, 3)])
 
 
-def test_facet_test_matches_the_full_grid_system():
-    b = F(1, 5)
-    es = equality_structure(DIAGONAL)
-    off_diagonal = replace(es, additive_vertices=tuple(
-        (x, y) for x, y in es.additive_vertices if x != y))
-    for d in (1, 2):
-        # the case guards the (x, x) rows: without them the basis grows
-        grids = [_full_grid_system(DIAGONAL, s, b, d) for s in (es, off_diagonal)]
-        full, no_diag = (_gauss_jordan(rows, len(grid))[2] for grid, rows, _ in grids)
-        assert len(no_diag) > len(full)
-    cases = [(DIAGONAL, b)]
+def _facet_cases():
+    """(f, b) for the facet test: DIAGONAL; gmi and pi_2..pi_6 at five b;
+    reflected pi_k and gmi at 3/5; the midpoints of gmi and pi_3 and of
+    pi_k and pi_(k+1)."""
+    cases = [(DIAGONAL, F(1, 5))]
     for b in (F(1, 7), F(1, 3), F(2, 5), F(1, 2)):
         pis = [pi_k(k, b) for k in range(2, 7)]
         cases += [(g, b) for g in [gmi(b), *pis]]
@@ -384,7 +440,20 @@ def test_facet_test_matches_the_full_grid_system():
         ks = [pi_k(k, b) if b <= F(1, 2) else pi_k_reflected(k, b) for k in range(2, 6)]
         cases.append((linear_combine(F(1, 2), gmi(b), F(1, 2), ks[1]), b))
         cases += [(linear_combine(F(1, 2), g, F(1, 2), h), b) for g, h in zip(ks, ks[1:])]
-    runs = [(f, b, (1, 3, 8, 16)) for f, b in cases]
+    return cases
+
+
+def test_facet_test_matches_the_full_grid_system():
+    b = F(1, 5)
+    es = equality_structure(DIAGONAL)
+    off_diagonal = replace(es, additive_vertices=tuple(
+        (x, y) for x, y in es.additive_vertices if x != y))
+    for d in (1, 2):
+        # the case guards the (x, x) rows: without them the basis grows
+        grids = [_full_grid_system(DIAGONAL, s, b, d) for s in (es, off_diagonal)]
+        full, no_diag = (_gauss_jordan(rows, len(grid))[2] for grid, rows, _ in grids)
+        assert len(no_diag) > len(full)
+    runs = [(f, b, (1, 3, 8, 16)) for f, b in _facet_cases()]
     # and the benchmark's sizes: the midpoint of gmi and pi_3 at b = 2/5
     b = F(2, 5)
     avg = linear_combine(F(1, 2), gmi(b), F(1, 2), pi_k(3, b))
@@ -410,12 +479,12 @@ def test_facet_test_matches_the_full_grid_system():
 def test_facet_test_self_check_catches_a_wrong_face_row(monkeypatch):
     # gmi has slope 1/b on the first grid piece and -1/(1 - b) on the last;
     # a face that joins them puts them in one class, which f violates
-    face_pieces = extremality._face_pieces
+    face_spans = extremality._face_spans
 
     def with_both_ends(grid, face, period):
-        return sorted({*face_pieces(grid, face, period), 0, len(grid) - 1})
+        return [*face_spans(grid, face, period), (0, 0), (len(grid) - 1, len(grid) - 1)]
 
-    monkeypatch.setattr(extremality, "_face_pieces", with_both_ends)
+    monkeypatch.setattr(extremality, "_face_spans", with_both_ends)
     with pytest.raises(RuntimeError, match="^constraint generation bug"):
         restricted_facet_test(gmi(F(1, 2)), F(1, 2), 8)
 
@@ -569,10 +638,11 @@ def test_replay_counts_every_fact_it_checks_the_failing_one_included(monkeypatch
 @example(64, F(1, 2))
 def test_replay_boxes_carry_the_identities_of_the_interval_systems(k, b):
     """The interval identities the replay no longer checks hold on the
-    boxes it yields, at a drawn b and at b = 1/2."""
-    for b in (b, F(1, 2)):
+    boxes it yields, at a drawn b and at b = 1/2, on the least lattice
+    that makes every end an int and on a multiple of it."""
+    for b, times in itertools.product((b, F(1, 2)), (1, 3)):
         lv = {m: interval_system(m, b) for m in range(3, k + 1)}
-        boxes = list(_replay_boxes(k, b))
+        boxes = _replay_intervals(k, b, times * 2 * 8 ** (k - 2) * b.denominator)
         assert "".join(s for s, *_ in boxes) == "ab" + "c" * (k - 2) + "d" * (k - 3) + "e"
         sums = [(U, V, U.lo + V.lo, U.hi + V.hi) for _, U, V, _ in boxes]
         (_, _, lo, hi), (Ue, Ve, elo, ehi) = sums[0], sums[-1]
@@ -585,6 +655,17 @@ def test_replay_boxes_carry_the_identities_of_the_interval_systems(k, b):
             assert U == V and (U.lo, U.hi, hi) == (istar.lo, lo, istar.hi)
             assert all(lv[m].i3.contains_interval(istar) for m in range(j + 1, k + 1))
         assert Ue == Ve and Interval(elo, ehi) == lv[k].i1
+
+
+def _replay_intervals(k, b, q):
+    """`_replay_boxes(k, b q, q)` with each end checked to be an int and
+    read back as Fraction(n, q): (step, U, V, reason) with Intervals."""
+    boxes = []
+    for step, U, V, reason in _replay_boxes(k, b.numerator * (q // b.denominator), q):
+        assert all(type(n) is int for n in (*U, *V))
+        boxes.append((step, Interval(F(U[0], q), F(U[1], q)),
+                      Interval(F(V[0], q), F(V[1], q)), reason))
+    return boxes
 
 
 def _slope_on(lat, I):
@@ -602,35 +683,84 @@ def test_replay_boxes_imply_the_facts_they_replace():
         fns += [linear_combine(F(1, 2), f, F(1, 2), g)
                 for f, g in itertools.combinations(fns, 2)]
         slope = -1 / (1 - b)
-        for f in fns:
-            lat = _Lattice(f, b.denominator)
+        for f, k in itertools.product(fns, range(3, 9)):
+            # the replay's lattice, on which the gate runs
+            lat = _Lattice(f, 2 * 8 ** (k - 2) * b.denominator)
             _require_minimal(f, lat, b, "the replay")
 
             def value(x):
                 return F(lat.value(lat.numerator(x)), lat.scale)
 
-            for k in range(3, 9):
-                level = Counter()
-                for step, U, V, _ in _replay_boxes(k, b):
-                    if not _zero_on_box(lat, U, V):
-                        break
-                    level[step] += 1
-                    j = level[step] + 2
-                    if step == "a":
-                        assert _slope_on(lat, Interval(b, F(1))) == slope
-                    elif step == "b":
-                        assert [value(c * b) for c in (F(1, 4), F(1, 2), F(3, 4))] \
-                            == [F(1, 4), F(1, 2), F(3, 4)]
-                    elif step == "c":
-                        assert all(_slope_on(lat, I) == slope
-                                   for I in (U, V, interval_system(j, b).i2))
-                    elif step == "d":
-                        x2, x4 = lat.numerator(U.lo), lat.numerator(U.hi)
-                        assert lat.slack(x2, x2) == lat.slack(x4, x4) == 0
-                        assert 4 * value(U.lo) == value(interval_system(j, b).i1.hi)
-                    seen[step] += 1
+            level = Counter()
+            for step, U, V, _ in _replay_intervals(k, b, lat.q):
+                if not _zero_on_box(lat, *_ends(lat, U, V)):
+                    break
+                level[step] += 1
+                j = level[step] + 2
+                if step == "a":
+                    assert _slope_on(lat, Interval(b, F(1))) == slope
+                elif step == "b":
+                    assert [value(c * b) for c in (F(1, 4), F(1, 2), F(3, 4))] \
+                        == [F(1, 4), F(1, 2), F(3, 4)]
+                elif step == "c":
+                    assert all(_slope_on(lat, I) == slope
+                               for I in (U, V, interval_system(j, b).i2))
+                elif step == "d":
+                    x2, x4 = lat.numerator(U.lo), lat.numerator(U.hi)
+                    assert lat.slack(x2, x2) == lat.slack(x4, x4) == 0
+                    assert 4 * value(U.lo) == value(interval_system(j, b).i1.hi)
+                seen[step] += 1
     # every step passed somewhere, so each implication was exercised
     assert set(seen) == set("abcde"), seen
+
+
+def _fraction_replay(k, b, f):
+    """`replay_pi_k_facet_proof(k, b, f)` spelled out over Fractions: the
+    gate's certificate when check_minimal fails, else the replay's
+    `to_dict()`, its boxes read off `interval_system` and each decided by
+    `_brute_zero_on_box`."""
+    gate = check_minimal(f, b)
+    if not gate.passed:
+        return gate
+    lv = {j: interval_system(j, b) for j in range(3, k + 1)}
+    i6 = lv[3].i6
+    boxes = [("a", Interval(i6.midpoint, i6.hi), None,
+              "slack does not vanish on the I6 square"),
+             ("b", Interval(lv[3].i3.lo, lv[3].i3.lo + lv[3].i2.lo), None,
+              "slack does not vanish on the central square")]
+    boxes += [("c", Interval(lv[j].i2.midpoint, lv[j].i2.hi),
+               Interval(1 - lv[j].i1.midpoint, F(1)),
+               f"j={j}: slack does not vanish on U x V") for j in range(3, k + 1)]
+    boxes += [("d", Interval(lv[j + 1].i2.hi, lv[j].i1.midpoint), None,
+               f"j={j}: slack does not vanish on U x U") for j in range(3, k)]
+    boxes.append(("e", Interval(F(0), lv[k].i1.midpoint), None,
+                  "slack does not vanish on the I1 square"))
+    for checked, (step, U, V, reason) in enumerate(boxes, 1):
+        if not _brute_zero_on_box(f, U, V or U):
+            return {"verdict": "fail", "checked": checked, "detail": "", "witness": {
+                "kind": "replay-step", "step": step, "reason": reason}}
+    return {"verdict": "pass", "witness": None, "checked": len(boxes), "detail": ""}
+
+
+def test_replay_matches_a_fraction_replay():
+    seen = Counter()
+    for b in (F(1, 2), F(1, 3), F(2, 5), F(3, 10), F(1, 7), F(1, 5)):
+        pis = [pi_k(j, b) for j in range(2, 10)]
+        fns = [gmi(b), *pis]
+        fns += [linear_combine(F(1, 2), g, F(1, 2), h) for g, h in zip(fns, pis)]
+        fns.append(bump_value(pis[2], 1, F(1, 1000)))       # not minimal
+        for f, k in itertools.product(fns, range(3, 11)):
+            want = _fraction_replay(k, b, f)
+            if isinstance(want, dict):
+                assert replay_pi_k_facet_proof(k, b, f).to_dict() == want, (k, b, f)
+                seen[(want["witness"] or {}).get("step")] += 1
+                continue
+            with pytest.raises(NotMinimal) as exc:
+                replay_pi_k_facet_proof(k, b, f)
+            assert exc.value.certificate == want
+            seen["gate"] += 1
+    # passes, the gate, and failures at the boxes of several steps
+    assert {None, "gate", "c", "e"} <= set(seen), seen
 
 
 def test_replay_refuses_a_function_that_is_not_subadditive():
