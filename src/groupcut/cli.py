@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 from . import constructions, extremality, seqmerge, verification
 from .errors import DomainError, FormatError, NotMinimal
-from .pwl import PeriodicPWL, rat, rat_str
+from .pwl import PeriodicPWL, _pair, rat, rat_str
 
 
 class _UsageError(Exception):
@@ -76,8 +76,17 @@ def _print_not_minimal(exc: NotMinimal, **extra) -> int:
 # verbs
 # ---------------------------------------------------------------------------
 
+# each level flag of construct -> the kinds that read it
+_LEVEL_KINDS = {"k": ("pi-k", "pi-n-k"), "K": ("pi-inf",), "n": ("pi-n-k",),
+                "m": ("phi-m",)}
+
+
 def cmd_construct(args) -> int:
     kind = args.kind
+    for name, kinds in _LEVEL_KINDS.items():
+        if kind not in kinds and getattr(args, name) is not None:
+            raise _UsageError(f"--{name} applies only to construct "
+                              f"{' and '.join(kinds)}")
     if kind == "gmi":
         f = constructions.gmi(args.b)
         out_obj, summary = f.to_dict(), f
@@ -120,9 +129,11 @@ def cmd_construct(args) -> int:
 
 def cmd_eval(args) -> int:
     F = _load_any(args.path)
-    coords = [rat(tok) for tok in args.x.split(",")]
+    coords = args.x.split(",")      # text: each reader takes it as an int pair
     if isinstance(F, PeriodicPWL):
         if len(coords) != 1:
+            for tok in coords:      # a bad token is reported before the count
+                _pair(tok)
             raise _UsageError("1-D function takes a single --x value")
         val = F.eval(coords[0])
     else:
@@ -158,11 +169,15 @@ def cmd_certify(args) -> int:
         raise _UsageError("certify --mode replay requires --k")
     if args.mode != "replay" and args.k is not None:
         raise _UsageError("--k applies only to certify --mode replay")
+    if args.mode != "pwl-perturbation" and args.refine is not None:
+        raise _UsageError("--refine applies only to certify --mode "
+                          "pwl-perturbation")
     f = _load_pwl(args.path)
     b = args.b
     try:    # each mode gates on minimality itself, once
         if args.mode == "pwl-perturbation":
-            result = extremality.restricted_facet_test(f, b, args.refine)
+            refine = DEFAULT_REFINE if args.refine is None else args.refine
+            result = extremality.restricted_facet_test(f, b, refine)
             print(json.dumps(result.to_dict(), indent=2))
             return 0 if result.verdict == "certified_unique" else 1
         if args.mode == "replay":
@@ -308,6 +323,7 @@ MAX_LEVEL = 64
 # the facet test's grid has about 2d points: on a 2-core Xeon, certify of
 # pi_8(1/2) takes 0.15 s at --refine 1024 and 1.4 s at 4096
 MAX_REFINE = 1024
+DEFAULT_REFINE = 16
 # each CSV sample is one exact evaluation: 16384 of them take 0.5 s there
 MAX_SAMPLES = 16384
 
@@ -353,9 +369,9 @@ _VERBS = {
                 {"--b": (_rhs, None, True, "right-hand-side parameter, p/q in (0, 1)"),
                  "--mode": (("pwl-perturbation", "replay", "two-slope"), None,
                             True, "the certificate to run"),
-                 "--refine": (_refine, 16, False,
+                 "--refine": (_refine, None, False,   # None: not given
                               "refinement denominator for pwl-perturbation, "
-                              f"at most {MAX_REFINE}"),
+                              f"at most {MAX_REFINE} (default {DEFAULT_REFINE})"),
                  "--k": (_level, None, False, "level for replay mode")}),
     "merge": (cmd_merge, "sequential-merge an outer function over an inner one",
               (("outer", str), ("inner", str)),

@@ -12,6 +12,7 @@ minimality check built, and the definitional nested lifts (`psi_eval`,
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 
 from .constructions import gmi, pi_k_reflected
 from .errors import DomainError, FormatError, NotMinimal
-from .pwl import Interval, PeriodicPWL, _lists, rat, rat_str
+from .pwl import Interval, PeriodicPWL, _lists, _pair, rat, rat_str
 from .verification import Certificate, _Lattice, _minimal
 
 Vector = Sequence[Fraction]
@@ -61,7 +62,10 @@ class MergedFn:
     checks that every b_i lies in (0, 1) and every f_i is minimal at b_i,
     which is what makes the merge periodic modulo the integer lattice.  A
     node repeated within the chain is checked once, on one lattice that
-    `eval_merged` then reads for every copy of the node."""
+    `eval_merged` then reads for every copy of the node.  The range check,
+    the node key (f's ints with b's numerator and denominator) and the mass
+    b_1 + ... + b_n (one int numerator over the lcm of the denominators)
+    read b as ints, and `from_dict` reads each distinct b text once."""
 
     nodes: tuple                   # ((PeriodicPWL, Fraction), ...)
     _lattices: tuple = field(init=False, repr=False, compare=False)
@@ -72,21 +76,27 @@ class MergedFn:
             raise DomainError("a merged function needs at least one node")
         checked = {}       # the stored ints: __hash__ would canonicalize
         lattices = []
+        mass, L = 0, 1     # b_1 + ... + b_i = mass / L, L the lcm of their d
         for i, (f, b) in enumerate(self.nodes, 1):
-            if not 0 < b < 1:      # b_1 + ... + b_n = 0 would divide by 0
+            n, d = b.numerator, b.denominator
+            if not 0 < n < d:      # b_1 + ... + b_n = 0 would divide by 0
                 raise DomainError(f"b{i} must lie in (0, 1), got {b}")
-            key = (f.q, f.P, f.D, f.W, b)
+            key = (f.q, f.P, f.D, f.W, n, d)
             lat = checked.get(key)
             if lat is None:
-                lat = _Lattice(f, b.denominator)
+                lat = _Lattice(f, d)
                 cert = _minimal(f, lat, b)[0]
                 if not cert.passed:
                     raise NotMinimal(f"f{i} is not minimal at b{i} = {b}: "
                                      f"{cert.witness}", cert)
                 checked[key] = lat
             lattices.append(lat)
+            if L % d:
+                m = d // math.gcd(L, d)
+                mass, L = mass * m, L * m
+            mass += n * (L // d)
         object.__setattr__(self, "_lattices", tuple(lattices))
-        object.__setattr__(self, "_mass", sum(b for _, b in self.nodes))
+        object.__setattr__(self, "_mass", Fraction(mass, L))
 
     @property
     def arity(self) -> int:
@@ -110,7 +120,8 @@ class MergedFn:
     def from_dict(cls, obj: dict) -> "MergedFn":
         """Read a nested merge object; each node's function is checked by
         `PeriodicPWL`, and a node whose two lists of text repeat an earlier
-        node's is parsed once within the call."""
+        node's, or a b text that repeats an earlier one, is parsed once
+        within the call."""
         nodes, parsed = [], {}
         while True:
             if not isinstance(obj, dict) or "kind" not in obj:
@@ -119,14 +130,14 @@ class MergedFn:
             if obj["kind"] == "leaf":
                 if set(obj) != {"kind", "b", "fn"}:
                     raise FormatError("leaf node must have exactly kind, b, fn")
-                nodes.append((_node(obj["fn"], parsed), rat(obj["b"])))
+                nodes.append((_node(obj["fn"], parsed), _b(obj["b"], parsed)))
                 return cls(tuple(nodes))
             if obj["kind"] != "merge":
                 raise FormatError(f"unknown node kind {obj['kind']!r}")
             if set(obj) != {"kind", "b1", "outer", "inner"}:
                 raise FormatError("merge node must have exactly kind, b1, "
                                   "outer, inner")
-            nodes.append((_node(obj["outer"], parsed), rat(obj["b1"])))
+            nodes.append((_node(obj["outer"], parsed), _b(obj["b1"], parsed)))
             obj = obj["inner"]
 
     def __call__(self, x) -> Fraction:
@@ -147,6 +158,18 @@ def _node(d, parsed: dict) -> PeriodicPWL:
     return f
 
 
+def _b(text, parsed: dict) -> Fraction:
+    """`rat(text)`, looked up in `parsed` when it is text; a node's key
+    there is a tuple, never text.  A number is read each time, as it could
+    equal a bool that `rat` refuses."""
+    if type(text) is not str:
+        return rat(text)
+    b = parsed.get(text)
+    if b is None:
+        b = parsed[text] = rat(text)
+    return b
+
+
 def leaf(f: PeriodicPWL, b) -> MergedFn:
     return MergedFn(((f, rat(b)),))
 
@@ -160,8 +183,8 @@ def seq_merge(f: PeriodicPWL, b1, g: MergedFn) -> MergedFn:
 # evaluation: closed formula and definitional path
 # ---------------------------------------------------------------------------
 
-def _coerce_vector(F: MergedFn, x) -> list:
-    x = [rat(v) for v in x]
+def _coerce_vector(F: MergedFn, x, read=rat) -> list:
+    x = [read(v) for v in x]
     if len(x) != F.arity:
         raise DomainError(f"expected a vector of length {F.arity}, got {len(x)}")
     return x
@@ -173,12 +196,12 @@ def eval_merged(F: MergedFn, x) -> Fraction:
     coordinates plus x_i and h = B*g, the merge up to f_i has
     h <- h + b_i*f_i(s - h), and F(x) is h over the total mass.  s and h are
     kept as S/D and H/D over one unreduced int D, and f_i(s - h) is
-    lat.scaled_at(S - H, D) / (scale*D) on f_i's lattice."""
-    x = _coerce_vector(F, x)
+    lat.scaled_at(S - H, D) / (scale*D) on f_i's lattice.  Each coordinate
+    is read as an int pair (n, d) by `pwl._pair`, so text makes no Fraction."""
+    x = _coerce_vector(F, x, _pair)
     S, H, D = 0, 0, 1
-    for (_, b), lat, xi in zip(reversed(F.nodes), reversed(F._lattices), reversed(x)):
-        xd = xi.denominator
-        S, H, D = S * xd + xi.numerator * D, H * xd, D * xd
+    for (_, b), lat, (xn, xd) in zip(reversed(F.nodes), reversed(F._lattices), reversed(x)):
+        S, H, D = S * xd + xn * D, H * xd, D * xd
         v = lat.scaled_at(S - H, D)
         m = b.denominator * lat.scale
         S, H, D = S * m, H * m + b.numerator * v, D * m

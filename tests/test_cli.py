@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupcut import PeriodicPWL, gmi, phi_m, pi_k, pi_n_k, rat, verification
+from groupcut import (PeriodicPWL, constructions, extremality, gmi, phi_m, pi_k,
+                      pi_n_k, rat, seqmerge, verification)
 from groupcut.cli import _VERBS, MAX_REFINE, MAX_SAMPLES, main
 from conftest import bump_value
 
@@ -81,6 +82,38 @@ def test_eval_1d_and_merged(tmp_path, capsys):
     run(capsys, "construct", "phi-m", "--m", "2", "--b", "1/2", "--out", str(m))
     code, stdout, _ = run(capsys, "eval", str(m), "--x", "1/4,1/4")
     assert code == 0 and stdout.strip() == "1/2"
+
+
+# --x lists and what eval prints for them on gmi(1/2) ("g") and on phi_2(1/2)
+# ("m"): a bad token is reported before a wrong count, on either file
+EVAL_LINES = [
+    ("g", "1/2,abc", 2, "", "error: not a rational: 'abc'\n"),
+    ("g", "abc,1/2", 2, "", "error: not a rational: 'abc'\n"),
+    ("g", "1/2,1/3", 2, "", "error: 1-D function takes a single --x value\n"),
+    ("g", "1/2,1/0", 2, "", "error: not a rational: '1/0'\n"),
+    ("g", "0.5", 2, "", "error: expected exact rational 'p/q', got '0.5'\n"),
+    ("g", "", 2, "", "error: not a rational: ''\n"),
+    ("g", "1/2,", 2, "", "error: not a rational: ''\n"),
+    ("g", "7", 0, "0\n", ""),
+    ("g", " 1/3", 0, "2/3\n", ""),
+    ("m", "1/2", 2, "", "error: expected a vector of length 2, got 1\n"),
+    ("m", "1/2,1/3,1/4", 2, "", "error: expected a vector of length 2, got 3\n"),
+    ("m", "1/0", 2, "", "error: not a rational: '1/0'\n"),
+    ("m", "1/2,0.5", 2, "", "error: expected exact rational 'p/q', got '0.5'\n"),
+    ("m", ",", 2, "", "error: not a rational: ''\n"),
+    ("m", "6/-8,1/2", 2, "", "error: not a rational: '6/-8'\n"),
+    ("m", "1/2,1/3/4", 2, "", "error: not a rational: '1/3/4'\n"),
+    ("m", "2/4,-6/8", 0, "3/4\n", ""),
+    ("m", "1/2, 1/3", 0, "5/6\n", ""),
+]
+
+
+@pytest.mark.parametrize("which, x, code, stdout, err", EVAL_LINES)
+def test_eval_x_lists_keep_their_lines(tmp_path, capsys, which, x, code, stdout, err):
+    path = tmp_path / f"{which}.json"
+    kind = ["gmi"] if which == "g" else ["phi-m", "--m", "2"]
+    run(capsys, "construct", *kind, "--b", "1/2", "--out", str(path))
+    assert run(capsys, "eval", str(path), f"--x={x}") == (code, stdout, err)
 
 
 def test_verify_exit_codes(tmp_path, capsys):
@@ -522,6 +555,67 @@ def test_k_is_refused_where_nothing_reads_it(tmp_path, capsys, gate_counts):
     # without --k each runs
     for argv, _ in cases:
         assert run(capsys, *argv)[0] in (0, 1)
+
+
+def test_construct_refuses_levels_its_kind_does_not_read(tmp_path, capsys,
+                                                       monkeypatch):
+    # each kind reads only its own levels: a stray one is refused before
+    # anything is built or written, as --k is for certify and verify
+    built = []
+    for module, name in ((constructions, "gmi"), (constructions, "pi_k"),
+                         (seqmerge, "phi_m"), (seqmerge, "pi_n_k")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, real=real: built.append(a) or real(*a))
+    own = {"gmi": [], "pi-k": ["--k", "3"], "pi-inf": ["--K", "3"],
+           "phi-m": ["--m", "2"], "pi-n-k": ["--n", "2", "--k", "3"]}
+    read_by = {"--k": "pi-k and pi-n-k", "--K": "pi-inf", "--n": "pi-n-k",
+               "--m": "phi-m"}
+    out = tmp_path / "f.json"
+    for kind, levels in own.items():
+        for flag in sorted(read_by.keys() - set(levels)):
+            for value in ("3", "0"):
+                code, stdout, err = run(capsys, "construct", kind, "--b", "1/2",
+                                        *levels, flag, value, "--out", str(out))
+                assert code == 2 and stdout == "" and _one_error_line(err), err
+                assert f"{flag} applies only to construct {read_by[flag]}" in err
+    assert built == [] and not out.exists()
+    code, _, err = run(capsys, "construct", "gmi", "--b", "1/2", "--k", "5",
+                       "--n", "3", "--out", str(out))
+    assert (code, err) == (2, "error: --k applies only to construct pi-k and "
+                              "pi-n-k\n")
+    # with its own levels only each kind builds
+    for kind, levels in own.items():
+        before = len(built)
+        assert run(capsys, "construct", kind, "--b", "1/2", *levels)[0] == 0
+        assert len(built) > before, kind
+
+
+def test_refine_is_refused_where_nothing_reads_it(tmp_path, capsys, gate_counts,
+                                                  monkeypatch):
+    # --refine is read by pwl-perturbation only, which refines by 16 when
+    # it is not given
+    path = tmp_path / "f.json"
+    path.write_text(pi_k(3, F(1, 2)).to_json())
+    certify = ["certify", str(path), "--b", "1/2", "--mode"]
+    modes = (["two-slope"], ["replay", "--k", "3"])
+    for mode in modes:
+        for refine in ("8", "16"):
+            code, stdout, err = run(capsys, *certify, *mode, "--refine", refine)
+            assert code == 2 and stdout == "" and _one_error_line(err), err
+            assert "--refine applies only to certify --mode pwl-perturbation" in err
+    assert gate_counts == {"lattices": 0, "scans": 0}
+    for mode in modes:
+        assert run(capsys, *certify, *mode)[0] in (0, 1)
+    refines, test = [], extremality.restricted_facet_test
+    monkeypatch.setattr(extremality, "restricted_facet_test",
+                        lambda f, b, d: refines.append(d) or test(f, b, d))
+    default = run(capsys, *certify, "pwl-perturbation")
+    assert default == run(capsys, *certify, "pwl-perturbation", "--refine", "16")
+    assert default[0] == 0 and refines == [16, 16]
+    help_lines = run(capsys, "certify", "-h")[1].splitlines()
+    assert [line for line in help_lines if "--refine " in line][-1].endswith(
+        f"at most {MAX_REFINE} (default 16)")
 
 
 def _one_error_line(err):

@@ -96,6 +96,42 @@ def test_closed_formula_matches_definitional_path():
             assert eval_merged(Fn, x) == eval_definitional(Fn, x)
 
 
+# coordinates as eval reads them from --x: unreduced and signed text, and
+# integers with and without a denominator
+TEXT_COORDS = ["2/4", "-6/8", "0/5", "7", "-7", "3/9", "-10/4", "12/16", "-1/3"]
+
+
+def test_int_pair_coordinates_match_the_definitional_path():
+    rng = random.Random(33)
+    mixed = [MergedFn(((gmi(F(1, 2)), F(1, 2)),
+                       (pi_k_reflected(3, F(2, 3)), F(2, 3)),
+                       (gmi(F(3, 5)), F(3, 5)),
+                       (pi_k(3, F(2, 5)), F(2, 5)),
+                       (gmi(F(5, 7)), F(5, 7)))),
+             MergedFn(((gmi(F(2, 3)), F(2, 3)), (gmi(F(1, 2)), F(1, 2)),
+                       (gmi(F(2, 3)), F(2, 3))))]
+    for Fn in [phi_m(1, F(1, 2)), phi_m(3, F(2, 3)), pi_n_k(2, 4, F(1, 2)),
+               pi_n_k(4, 3, F(3, 5)), *mixed]:
+        for _ in range(30):
+            text = [rng.choice(TEXT_COORDS) for _ in range(Fn.arity)]
+            want = eval_definitional(Fn, text)
+            assert eval_merged(Fn, text) == want
+            assert eval_merged(Fn, [F(t) for t in text]) == want
+            x = rand_fracs(rng, Fn.arity)
+            assert eval_merged(Fn, x) == eval_definitional(Fn, x)
+            assert eval_merged(Fn, [str(v) for v in x]) == eval_merged(Fn, x)
+
+
+def test_mass_is_the_sum_of_the_parameters():
+    bs = [F(1, 2), F(2, 3), F(3, 5), F(5, 7)]
+    rng = random.Random(5)
+    chains = [[b] for b in bs] + [bs, bs[::-1], bs * 2]
+    chains += [[rng.choice(bs) for _ in range(rng.randint(2, 6))] for _ in range(10)]
+    for chain in chains:
+        Fn = MergedFn(tuple((gmi(b), b) for b in chain))
+        assert Fn._mass == sum(chain) and type(Fn._mass) is F
+
+
 def test_closed_formula_at_integers_and_breakpoints():
     rng = random.Random(19)
     for Fn in (phi_m(3, F(2, 3)), pi_n_k(3, 5, F(1, 2)), pi_n_k(4, 3, F(3, 5))):
@@ -257,6 +293,28 @@ def test_from_dict_parses_each_distinct_node_once(monkeypatch):
             made.clear()
             assert MergedFn.from_dict(d).nodes == P.nodes
             assert len(made) == parses
+
+
+def test_from_dict_parses_each_distinct_b_text_once(monkeypatch):
+    # within one call, and again on the next: no memory across calls
+    mixed = MergedFn(tuple((gmi(b), b) for b in
+                           (F(1, 2), F(2, 3), F(1, 2), F(3, 5), F(2, 3), F(1, 2))))
+    trees = [(phi_m(8, F(1, 2)), ["1/2"]), (pi_n_k(8, 3, F(2, 3)), ["2/3"]),
+             (mixed, ["1/2", "2/3", "3/5"])]
+    read, rat = [], seqmerge.rat
+    monkeypatch.setattr(seqmerge, "rat", lambda x: read.append(x) or rat(x))
+    for P, texts in trees:
+        d = P.to_dict()
+        for _ in range(2):
+            read.clear()
+            Q = MergedFn.from_dict(d)
+            assert Q.nodes == P.nodes and Q._mass == P._mass
+            assert sorted(read) == texts
+    # a b that is not text is read each time, and refused as before
+    tree = {"kind": "merge", "b1": True, "outer": gmi(F(1, 2)).to_dict(),
+            "inner": {"kind": "leaf", "b": "1/2", "fn": gmi(F(1, 2)).to_dict()}}
+    with pytest.raises(FormatError, match="cannot interpret bool"):
+        MergedFn.from_dict(tree)
 
 
 GMI_TEXT = {"breakpoints": ["0", "1/2"], "values": ["0", "1"]}
