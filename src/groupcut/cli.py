@@ -76,41 +76,24 @@ def _print_not_minimal(exc: NotMinimal, **extra) -> int:
 # verbs
 # ---------------------------------------------------------------------------
 
-# each level flag of construct -> the kinds that read it
-_LEVEL_KINDS = {"k": ("pi-k", "pi-n-k"), "K": ("pi-inf",), "n": ("pi-n-k",),
-                "m": ("phi-m",)}
-
-
 def cmd_construct(args) -> int:
     kind = args.kind
-    for name, kinds in _LEVEL_KINDS.items():
-        if kind not in kinds and getattr(args, name) is not None:
-            raise _UsageError(f"--{name} applies only to construct "
-                              f"{' and '.join(kinds)}")
     if kind == "gmi":
         f = constructions.gmi(args.b)
         out_obj, summary = f.to_dict(), f
     elif kind == "pi-k":
-        if args.k is None:
-            raise _UsageError("construct pi-k requires --k")
         f = constructions.pi_k(args.k, args.b)
         out_obj, summary = f.to_dict(), f
     elif kind == "pi-inf":
-        if args.K is None:
-            raise _UsageError("construct pi-inf requires --K (truncation level)")
         f = constructions.pi_k(args.K, args.b)
         out_obj, summary = f.to_dict(), f
         print(f"truncation level {args.K}, uniform error bound "
               f"{rat_str(constructions.truncation_bound(args.K, args.b))}")
     elif kind == "phi-m":
-        if args.m is None:
-            raise _UsageError("construct phi-m requires --m")
         F = seqmerge.phi_m(args.m, args.b)
         out_obj, summary = F.to_dict(), None
         _print_arity(F)
     else:   # pi-n-k, the last of the choices
-        if args.n is None or args.k is None:
-            raise _UsageError("construct pi-n-k requires --n and --k")
         F = seqmerge.pi_n_k(args.n, args.k, args.b)
         out_obj, summary = F.to_dict(), None
         _print_arity(F)
@@ -144,11 +127,7 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     check = args.check
-    if check != "slopes" and args.k is not None:
-        raise _UsageError("--k applies only to verify slopes")
     f = _load_pwl(args.path)
-    if check in ("minimal", "symmetry") and args.b is None:
-        raise _UsageError(f"verify {check} requires --b")
     if check == "minimal":
         cert = verification.check_minimal(f, args.b)
     elif check == "subadditive":
@@ -156,8 +135,6 @@ def cmd_verify(args) -> int:
     elif check == "symmetry":
         cert = verification.check_symmetry(f, args.b)
     elif check == "slopes":
-        if args.k is None or args.b is None:
-            raise _UsageError("verify slopes requires --k and --b")
         cert = verification.check_slope_census(f, args.k, args.b)
     else:   # zero-set, the last of the choices
         cert = verification.check_zero_set(f)
@@ -165,19 +142,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if args.mode == "replay" and args.k is None:
-        raise _UsageError("certify --mode replay requires --k")
-    if args.mode != "replay" and args.k is not None:
-        raise _UsageError("--k applies only to certify --mode replay")
-    if args.mode != "pwl-perturbation" and args.refine is not None:
-        raise _UsageError("--refine applies only to certify --mode "
-                          "pwl-perturbation")
     f = _load_pwl(args.path)
     b = args.b
     try:    # each mode gates on minimality itself, once
         if args.mode == "pwl-perturbation":
-            refine = DEFAULT_REFINE if args.refine is None else args.refine
-            result = extremality.restricted_facet_test(f, b, refine)
+            result = extremality.restricted_facet_test(f, b, args.refine)
             print(json.dumps(result.to_dict(), indent=2))
             return 0 if result.verdict == "certified_unique" else 1
         if args.mode == "replay":
@@ -323,7 +292,6 @@ MAX_LEVEL = 64
 # the facet test's grid has about 2d points: on a 2-core Xeon, certify of
 # pi_8(1/2) takes 0.15 s at --refine 1024 and 1.4 s at 4096
 MAX_REFINE = 1024
-DEFAULT_REFINE = 16
 # each CSV sample is one exact evaluation: 16384 of them take 0.5 s there
 MAX_SAMPLES = 16384
 
@@ -344,11 +312,14 @@ def _samples(text: str) -> int:
 
 # verb -> (handler, help, positionals, flags).  A positional is (name,
 # reader); a flag maps to (reader, default, required, help).  A reader is a
-# tuple of choices or a function of the text.  The handler reads each
+# function of the text or a dict of choices, which maps each choice to the
+# flags that choice reads: those flags are refused with any other choice,
+# and required with it unless they have a default.  The handler reads each
 # argument as an attribute named after it, without the dashes.
 _VERBS = {
     "construct": (cmd_construct, "build a function and write it as JSON",
-                  (("kind", ("gmi", "pi-k", "pi-inf", "phi-m", "pi-n-k")),),
+                  (("kind", {"gmi": (), "pi-k": ("--k",), "pi-inf": ("--K",),
+                             "phi-m": ("--m",), "pi-n-k": ("--n", "--k")}),),
                   {"--b": (_rhs, None, True, "right-hand-side parameter, p/q in (0, 1)"),
                    "--k": (_level, None, False, "level for pi-k and pi-n-k"),
                    "--K": (_level, None, False, "truncation level for pi-inf"),
@@ -360,18 +331,19 @@ _VERBS = {
              {"--x": (str, None, True,
                       "rational p/q, comma-separated for merged functions")}),
     "verify": (cmd_verify, "run a verification check, print a certificate",
-               (("check", ("minimal", "subadditive", "symmetry", "slopes",
-                           "zero-set")), ("path", str)),
+               (("check", {"minimal": ("--b",), "subadditive": (),
+                           "symmetry": ("--b",), "slopes": ("--k", "--b"),
+                           "zero-set": ()}), ("path", str)),
                {"--b": (_rhs, None, False, "right-hand-side parameter, p/q in (0, 1)"),
                 "--k": (_level, None, False, "level for slopes")}),
     "certify": (cmd_certify, "run an extremality certification",
                 (("path", str),),
                 {"--b": (_rhs, None, True, "right-hand-side parameter, p/q in (0, 1)"),
-                 "--mode": (("pwl-perturbation", "replay", "two-slope"), None,
-                            True, "the certificate to run"),
-                 "--refine": (_refine, None, False,   # None: not given
+                 "--mode": ({"pwl-perturbation": ("--refine",), "replay": ("--k",),
+                             "two-slope": ()}, None, True, "the certificate to run"),
+                 "--refine": (_refine, 16, False,
                               "refinement denominator for pwl-perturbation, "
-                              f"at most {MAX_REFINE} (default {DEFAULT_REFINE})"),
+                              f"at most {MAX_REFINE}"),
                  "--k": (_level, None, False, "level for replay mode")}),
     "merge": (cmd_merge, "sequential-merge an outer function over an inner one",
               (("outer", str), ("inner", str)),
@@ -391,9 +363,9 @@ _NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
 def _read(name: str, reader, text: str):
-    """The value of argument `name` given as text: one of a tuple of
-    choices, or what the reader function makes of it."""
-    if isinstance(reader, tuple):
+    """The value of argument `name` given as text: one of the keys of a
+    dict of choices, or what the reader function makes of it."""
+    if isinstance(reader, dict):
         if text in reader:
             return text
         raise _UsageError(f"argument {name}: invalid choice: {text!r} "
@@ -433,10 +405,10 @@ def _help(verb=None) -> str:
     lines = []
     for name in _VERBS if verb is None else (verb,):
         _, text, positionals, flags = _VERBS[name]
-        words = [f"{{{','.join(r)}}}" if isinstance(r, tuple) else p
+        words = [f"{{{','.join(r)}}}" if isinstance(r, dict) else p
                  for p, r in positionals]
         for flag, (r, _, required, _) in flags.items():
-            word = f"{flag} " + (f"{{{','.join(r)}}}" if isinstance(r, tuple)
+            word = f"{flag} " + (f"{{{','.join(r)}}}" if isinstance(r, dict)
                                  else flag[2:].upper())
             words.append(word if required else f"[{word}]")
         lines += [f"usage: groupcut {name} {' '.join(words)}", f"  {text}"]
@@ -448,6 +420,25 @@ def _help(verb=None) -> str:
             "" if default is None else f" (default {default})")
             for flag, (_, default, _, help_) in flags.items()]
     return "\n".join(lines) + "\n"
+
+
+def _plan(verb: str, positionals, flags) -> tuple:
+    """(start values, choice rule or None), derived once from a verb's
+    entry.  A flag some choice reads starts at None, so a value means it
+    was given.  The rule is (choice argument, the words before a choice,
+    choice -> the flags it reads, each such flag -> its choices)."""
+    values = {flag[2:]: spec[1] for flag, spec in flags.items()}
+    for name, reads in (*positionals, *((f, spec[0]) for f, spec in flags.items())):
+        if isinstance(reads, dict):
+            readers = {flag: by for flag in flags
+                       if (by := tuple(c for c, read in reads.items() if flag in read))}
+            values.update(dict.fromkeys((flag[2:] for flag in readers), None))
+            where = f"{verb} {name} " if name in flags else f"{verb} "
+            return values, (name.lstrip("-"), where, reads, readers)
+    return values, None
+
+
+_PLANS = {verb: _plan(verb, *spec[2:]) for verb, spec in _VERBS.items()}
 
 
 def _print_help(text: str) -> int:
@@ -471,9 +462,10 @@ def _parse(argv: list) -> tuple:
         extras.append(verb)
     else:
         raise _UsageError("the following arguments are required: verb")
-    handler, _, positionals, flags = _VERBS[_read("verb", (*_VERBS,), verb)]
+    handler, _, positionals, flags = _VERBS[_read("verb", _VERBS, verb)]
     names = (*flags, *_HELP)
-    values = {flag[2:]: spec[1] for flag, spec in flags.items()}
+    start, rule = _PLANS[verb]
+    values = dict(start)
     filled = 0
     for token in tokens:
         opt = _option(names, token)
@@ -508,6 +500,19 @@ def _parse(argv: list) -> tuple:
                           f"{', '.join(missing)}")
     if extras:
         raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    if rule is not None:    # the chosen choice reads its own flags only
+        name, where, reads, readers = rule
+        choice = values[name]
+        for flag, by in readers.items():
+            if choice not in by and values[flag[2:]] is not None:
+                raise _UsageError(f"{flag} applies only to {where}"
+                                  f"{' and '.join(by)}")
+        for flag in reads[choice]:
+            if values[flag[2:]] is None:
+                if flags[flag][1] is None:
+                    raise _UsageError(f"{where}{choice} requires "
+                                      f"{' and '.join(reads[choice])}")
+                values[flag[2:]] = flags[flag][1]
     return handler, SimpleNamespace(**values)
 
 

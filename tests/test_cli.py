@@ -493,7 +493,7 @@ def test_help_names_every_verb_and_flag(tmp_path, capsys, verb, flag):
         _, text, positionals, flags = _VERBS[name]
         assert name in stdout and text in stdout
         assert all(f"{name_} " in stdout for name_ in flags)
-        assert all((",".join(r) if isinstance(r, tuple) else p) in stdout
+        assert all((",".join(r) if isinstance(r, (tuple, dict)) else p) in stdout
                    for p, r in positionals)
     out = tmp_path / "g.json"
     code, stdout2, _ = run(capsys, "construct", "gmi", "--out", str(out), flag)
@@ -537,23 +537,29 @@ def test_certify_replay_requires_k_before_any_scan(tmp_path, capsys, gate_counts
 
 
 def test_k_is_refused_where_nothing_reads_it(tmp_path, capsys, gate_counts):
-    # --k levels only the replay and the slope census: any other certify
-    # mode or verify check refuses it before loading f, as merge refuses a
-    # --b2 that has no node to apply to
+    # --k levels only the replay and the slope census, and --b is read by
+    # minimal, symmetry and slopes only: any other certify mode or verify
+    # check refuses them before loading f, as merge refuses a --b2 that has
+    # no node to apply to
     path = tmp_path / "f.json"
     path.write_text(pi_k(3, F(1, 2)).to_json())
-    cases = [(["certify", str(path), "--b", "1/2", "--mode", mode],
+    cases = [(["certify", str(path), "--b", "1/2", "--mode", mode], "--k",
               "certify --mode replay") for mode in ("two-slope", "pwl-perturbation")]
-    cases += [(["verify", check, str(path), "--b", "1/2"], "verify slopes")
-              for check in ("minimal", "subadditive", "symmetry", "zero-set")]
-    for argv, where in cases:
-        for k in ("5", "3"):
-            code, stdout, err = run(capsys, *argv, "--k", k)
+    cases += [(["verify", check, str(path), *b], "--k", "verify slopes")
+              for check, b in (("minimal", ["--b", "1/2"]), ("subadditive", []),
+                               ("symmetry", ["--b", "1/2"]), ("zero-set", []))]
+    cases += [(["verify", check, str(path)], "--b",
+               "verify minimal and symmetry and slopes")
+              for check in ("subadditive", "zero-set")]
+    stray = {"--k": ("5", "3"), "--b": ("1/2", "1/3")}
+    for argv, flag, where in cases:
+        for value in stray[flag]:
+            code, stdout, err = run(capsys, *argv, flag, value)
             assert code == 2 and stdout == "" and _one_error_line(err), (argv, err)
-            assert f"--k applies only to {where}" in err
+            assert f"{flag} applies only to {where}" in err
     assert gate_counts == {"lattices": 0, "scans": 0}
-    # without --k each runs
-    for argv, _ in cases:
+    # without the stray flag each runs
+    for argv, _, _ in cases:
         assert run(capsys, *argv)[0] in (0, 1)
 
 
@@ -616,6 +622,79 @@ def test_refine_is_refused_where_nothing_reads_it(tmp_path, capsys, gate_counts,
     help_lines = run(capsys, "certify", "-h")[1].splitlines()
     assert [line for line in help_lines if "--refine " in line][-1].endswith(
         f"at most {MAX_REFINE} (default 16)")
+
+
+# every single fault in the flags a choice reads, with the line it prints:
+# each choice given each flag that only other choices read, and each choice
+# without a flag it requires.  All but the three marked lines are the ones
+# printed before the verb table named each choice's flags.
+_CHOICE_FLAG_FAULTS = [
+    ("construct gmi --b 1/2 --k 3", "--k applies only to construct pi-k and pi-n-k"),
+    ("construct gmi --b 1/2 --K 3", "--K applies only to construct pi-inf"),
+    ("construct gmi --b 1/2 --n 3", "--n applies only to construct pi-n-k"),
+    ("construct gmi --b 1/2 --m 3", "--m applies only to construct phi-m"),
+    ("construct pi-k --b 1/2 --k 3 --K 3", "--K applies only to construct pi-inf"),
+    ("construct pi-k --b 1/2 --k 3 --n 3", "--n applies only to construct pi-n-k"),
+    ("construct pi-k --b 1/2 --k 3 --m 3", "--m applies only to construct phi-m"),
+    ("construct pi-inf --b 1/2 --K 3 --k 3",
+     "--k applies only to construct pi-k and pi-n-k"),
+    ("construct pi-inf --b 1/2 --K 3 --n 3", "--n applies only to construct pi-n-k"),
+    ("construct pi-inf --b 1/2 --K 3 --m 3", "--m applies only to construct phi-m"),
+    ("construct phi-m --b 1/2 --m 3 --k 3",
+     "--k applies only to construct pi-k and pi-n-k"),
+    ("construct phi-m --b 1/2 --m 3 --K 3", "--K applies only to construct pi-inf"),
+    ("construct phi-m --b 1/2 --m 3 --n 3", "--n applies only to construct pi-n-k"),
+    ("construct pi-n-k --b 1/2 --n 3 --k 3 --K 3",
+     "--K applies only to construct pi-inf"),
+    ("construct pi-n-k --b 1/2 --n 3 --k 3 --m 3", "--m applies only to construct phi-m"),
+    ("construct pi-k --b 1/2", "construct pi-k requires --k"),
+    # was "construct pi-inf requires --K (truncation level)"
+    ("construct pi-inf --b 1/2", "construct pi-inf requires --K"),
+    ("construct phi-m --b 1/2", "construct phi-m requires --m"),
+    ("construct pi-n-k --b 1/2 --k 3", "construct pi-n-k requires --n and --k"),
+    ("construct pi-n-k --b 1/2 --n 3", "construct pi-n-k requires --n and --k"),
+    ("verify minimal {f} --b 1/2 --k 3", "--k applies only to verify slopes"),
+    ("verify subadditive {f} --k 3", "--k applies only to verify slopes"),
+    # these two exited 0 and ignored --b
+    ("verify subadditive {f} --b 1/2",
+     "--b applies only to verify minimal and symmetry and slopes"),
+    ("verify symmetry {f} --b 1/2 --k 3", "--k applies only to verify slopes"),
+    ("verify zero-set {f} --k 3", "--k applies only to verify slopes"),
+    ("verify zero-set {f} --b 1/2",
+     "--b applies only to verify minimal and symmetry and slopes"),
+    ("verify minimal {f}", "verify minimal requires --b"),
+    ("verify symmetry {f}", "verify symmetry requires --b"),
+    ("verify slopes {f} --b 1/2", "verify slopes requires --k and --b"),
+    ("verify slopes {f} --k 3", "verify slopes requires --k and --b"),
+    ("certify {f} --b 1/2 --mode pwl-perturbation --k 3",
+     "--k applies only to certify --mode replay"),
+    ("certify {f} --b 1/2 --mode replay --k 3 --refine 16",
+     "--refine applies only to certify --mode pwl-perturbation"),
+    ("certify {f} --b 1/2 --mode two-slope --k 3",
+     "--k applies only to certify --mode replay"),
+    ("certify {f} --b 1/2 --mode two-slope --refine 16",
+     "--refine applies only to certify --mode pwl-perturbation"),
+    ("certify {f} --b 1/2 --mode replay", "certify --mode replay requires --k"),
+]
+# two faults: a flag refused comes before a flag required, and both before
+# the file is read (verify read the file first, certify reported the
+# requirement first)
+_CHOICE_FLAG_TWO_FAULTS = [
+    ("construct pi-k --b 1/2 --K 3", "--K applies only to construct pi-inf"),
+    ("verify minimal {missing}", "verify minimal requires --b"),
+    ("certify {f} --b 1/2 --mode replay --refine 16",
+     "--refine applies only to certify --mode pwl-perturbation"),
+]
+
+
+def test_choice_flag_faults_print_one_fixed_line(tmp_path, capsys, gate_counts):
+    f = tmp_path / "f.json"
+    f.write_text(pi_k(3, F(1, 2)).to_json())
+    missing = tmp_path / "missing.json"
+    for argv, line in _CHOICE_FLAG_FAULTS + _CHOICE_FLAG_TWO_FAULTS:
+        words = argv.format(f=f, missing=missing).split()
+        assert run(capsys, *words) == (2, "", f"error: {line}\n"), argv
+    assert gate_counts == {"lattices": 0, "scans": 0}
 
 
 def _one_error_line(err):

@@ -86,3 +86,17 @@ def test_no_module_imports_argparse():
              or isinstance(node, ast.ImportFrom)
              and (node.module or "").partition(".")[0] == "argparse"]
     assert not found, found
+
+
+def test_choice_flag_rule_is_written_once():
+    # which flags a choice reads is named in the verb table and enforced by
+    # one rule in _parse; merge's --b2 depends on the inner file's content,
+    # so its two lines are the one check a handler keeps
+    tree = ast.parse((SRC / "cli.py").read_text())
+    found = sorted((getattr(top, "name", None), literal)
+                   for top in tree.body for node in ast.walk(top)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   for literal in ("applies only to", " requires ")
+                   if literal in node.value)
+    assert found == [("_parse", " requires "), ("_parse", "applies only to"),
+                     ("cmd_merge", " requires "), ("cmd_merge", "applies only to")]
