@@ -321,10 +321,10 @@ _VERBS = {
                   (("kind", {"gmi": (), "pi-k": ("--k",), "pi-inf": ("--K",),
                              "phi-m": ("--m",), "pi-n-k": ("--n", "--k")}),),
                   {"--b": (_rhs, None, True, "right-hand-side parameter, p/q in (0, 1)"),
-                   "--k": (_level, None, False, "level for pi-k and pi-n-k"),
-                   "--K": (_level, None, False, "truncation level for pi-inf"),
-                   "--n": (_level, None, False, "dimension for pi-n-k"),
-                   "--m": (_level, None, False, "dimension for phi-m"),
+                   "--k": (_level, None, False, "level"),
+                   "--K": (_level, None, False, "truncation level"),
+                   "--n": (_level, None, False, "dimension"),
+                   "--m": (_level, None, False, "dimension"),
                    "--out": (str, None, False, "output file; stdout without it")}),
     "eval": (cmd_eval, "evaluate a function at a rational point",
              (("path", str),),
@@ -335,16 +335,15 @@ _VERBS = {
                            "symmetry": ("--b",), "slopes": ("--k", "--b"),
                            "zero-set": ()}), ("path", str)),
                {"--b": (_rhs, None, False, "right-hand-side parameter, p/q in (0, 1)"),
-                "--k": (_level, None, False, "level for slopes")}),
+                "--k": (_level, None, False, "level")}),
     "certify": (cmd_certify, "run an extremality certification",
                 (("path", str),),
                 {"--b": (_rhs, None, True, "right-hand-side parameter, p/q in (0, 1)"),
                  "--mode": ({"pwl-perturbation": ("--refine",), "replay": ("--k",),
                              "two-slope": ()}, None, True, "the certificate to run"),
                  "--refine": (_refine, 16, False,
-                              "refinement denominator for pwl-perturbation, "
-                              f"at most {MAX_REFINE}"),
-                 "--k": (_level, None, False, "level for replay mode")}),
+                              f"refinement denominator, at most {MAX_REFINE}"),
+                 "--k": (_level, None, False, "level")}),
     "merge": (cmd_merge, "sequential-merge an outer function over an inner one",
               (("outer", str), ("inner", str)),
               {"--b1": (_rhs, None, True, "parameter for the outer function"),
@@ -401,7 +400,7 @@ def _option(names, token: str):
 
 def _help(verb=None) -> str:
     """What -h or --help prints: every verb's usage, or one verb's usage
-    and the help of its flags."""
+    and the help of its flags, led by the choices that read each."""
     lines = []
     for name in _VERBS if verb is None else (verb,):
         _, text, positionals, flags = _VERBS[name]
@@ -416,17 +415,18 @@ def _help(verb=None) -> str:
         lines += ["", "Exact construction and verification of periodic "
                   "piecewise-linear cut-generating functions."]
     else:
-        lines += [f"  {flag:<10} {help_}" + (
+        by = {f: f"for {', '.join(c)}: " for f, c in _PLANS[verb][2].items()}
+        lines += [f"  {flag:<10} {by.get(flag, '')}{help_}" + (
             "" if default is None else f" (default {default})")
             for flag, (_, default, _, help_) in flags.items()]
     return "\n".join(lines) + "\n"
 
 
 def _plan(verb: str, positionals, flags) -> tuple:
-    """(start values, choice rule or None), derived once from a verb's
-    entry.  A flag some choice reads starts at None, so a value means it
-    was given.  The rule is (choice argument, the words before a choice,
-    choice -> the flags it reads, each such flag -> its choices)."""
+    """(start values, choice rule or None, each flag some choice reads ->
+    its choices), derived once from a verb's entry.  Such a flag starts at
+    None, so a value means it was given.  The rule is (choice argument,
+    the words before a choice, choice -> the flags it reads)."""
     values = {flag[2:]: spec[1] for flag, spec in flags.items()}
     for name, reads in (*positionals, *((f, spec[0]) for f, spec in flags.items())):
         if isinstance(reads, dict):
@@ -434,8 +434,8 @@ def _plan(verb: str, positionals, flags) -> tuple:
                        if (by := tuple(c for c, read in reads.items() if flag in read))}
             values.update(dict.fromkeys((flag[2:] for flag in readers), None))
             where = f"{verb} {name} " if name in flags else f"{verb} "
-            return values, (name.lstrip("-"), where, reads, readers)
-    return values, None
+            return values, (name.lstrip("-"), where, reads), readers
+    return values, None, {}
 
 
 _PLANS = {verb: _plan(verb, *spec[2:]) for verb, spec in _VERBS.items()}
@@ -464,7 +464,7 @@ def _parse(argv: list) -> tuple:
         raise _UsageError("the following arguments are required: verb")
     handler, _, positionals, flags = _VERBS[_read("verb", _VERBS, verb)]
     names = (*flags, *_HELP)
-    start, rule = _PLANS[verb]
+    start, rule, readers = _PLANS[verb]
     values = dict(start)
     filled = 0
     for token in tokens:
@@ -501,7 +501,7 @@ def _parse(argv: list) -> tuple:
     if extras:
         raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
     if rule is not None:    # the chosen choice reads its own flags only
-        name, where, reads, readers = rule
+        name, where, reads = rule
         choice = values[name]
         for flag, by in readers.items():
             if choice not in by and values[flag[2:]] is not None:

@@ -119,11 +119,11 @@ def equality_structure(f: PeriodicPWL) -> EqualityStructure:
 
     Both sets cover the whole square, in the order of a full walk, through
     D(x, y) = D(y, x).  A vertex pair with x > y is additive iff its mirror
-    is, so the vertices are the scan's zero pairs x <= y and their mirrors,
-    sorted as the full scan would meet them.  `_half_faces` walks the half
-    a1 <= b1; each zero cell off the diagonal brings its mirror, whose
-    triple is (p2, p1, p3), and sorting the zero cells by (a1, b1, wl)
-    restores the order of the full walk.
+    is, so the vertices are the scan's walked zero pairs x <= y and their
+    mirrors, sorted as a full scan would meet them.  `_half_faces` walks
+    the half a1 <= b1; each zero cell off the diagonal brings its mirror,
+    whose triple is (p2, p1, p3), and sorting the zero cells by
+    (a1, b1, wl) restores the order of the full walk.
     """
     lat = _Lattice(f)
     q = lat.q
@@ -371,8 +371,8 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
     closure row.  f is symmetric, so every pair of a zero triple
     {x, y, z} is a zero pair, and the three rows of its pairs all equal
     theta(x) + theta(y) + theta(z) - theta(B) = 0 modulo closure.  The
-    zero pairs are grouped by their sorted triple, and each triple adds
-    that one row: the row space is the same, and so is its reduced form.
+    gate walks a zero pair of each zero triple, and each triple adds that
+    one row: the row space is the same, and so is its reduced form.
 
     The basis is the one the system over the n grid values gives.  Its
     reduced row echelon form pivots on each row's lowest column, so its

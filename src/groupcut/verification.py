@@ -7,7 +7,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
 from .errors import DomainError, NotMinimal
@@ -134,7 +133,7 @@ def check_subadditive(f: PeriodicPWL) -> Certificate:
 
 def _scan(lat: _Lattice, M: Optional[int] = None) -> tuple:
     """The vertex scan: `check_subadditive`'s certificate and, on a pass,
-    the pairs (i, k), i <= k, of zero slack, sorted.
+    the zero-slack pairs (i, k), i <= k, that it walked, unsorted.
 
     The slack D(x, y) = f(x) + f(y) - f(x + y) is piecewise linear on the
     arrangement cut by the lines x, y, x + y in B + Z, B the breakpoints, so
@@ -168,8 +167,8 @@ def _scan(lat: _Lattice, M: Optional[int] = None) -> tuple:
     (u, d, w) has u, w in P, so z' = (M - w) mod q is in P too, and the
     walk meets the pair {u, z'}, whose triple is {u, z', d}.  So every
     pair of the second loop shares its triple and slack with a pair of the
-    walk, and a nonpositive slack stands for its sorted triple a <= b <= c:
-    its half-pairs (a, b), (a, c) and (b, c) have that slack.
+    walk, and a walked nonpositive slack stands for its sorted triple
+    a <= b <= c: its half-pairs (a, b), (a, c) and (b, c) have that slack.
 
     The first negative pair of the sorted list is its smallest negative
     half-pair, since a pair's mirror sorts after it when i < k; with M
@@ -180,7 +179,7 @@ def _scan(lat: _Lattice, M: Optional[int] = None) -> tuple:
     """
     P, q, A, C = lat.points, lat.q, lat.steps, lat._c
     V = {u: a * u + c for u, a, c in zip(P, A, C)}
-    negative, zeros, T = [], set(), 0       # negative: (i, k, slack)
+    negative, zeros, T = [], [], 0          # negative: (i, k, slack)
     for idx, u in enumerate(P):
         Vu = V[u]
         for v in P[idx:]:
@@ -190,11 +189,11 @@ def _scan(lat: _Lattice, M: Optional[int] = None) -> tuple:
                 T += 1 if u == v else 2
             s = Vu + V[v] - A[j] * t - C[j]
             if s <= 0:
-                tri = (u, v) if M is None else sorted((u, v, (M - t) % q))
                 if s < 0:
+                    tri = (u, v) if M is None else sorted((u, v, (M - t) % q))
                     negative.append((tri[0], tri[1], s))
                 else:
-                    zeros.update(combinations(tri, 2))
+                    zeros.append((u, v))
     if M is None:
         for u, d, w in _cross_pairs(lat):
             j = bisect_right(P, d) - 1
@@ -204,13 +203,13 @@ def _scan(lat: _Lattice, M: Optional[int] = None) -> tuple:
                 if s < 0:
                     negative.append((*pair, s))
                 else:
-                    zeros.add(pair)
+                    zeros.append(pair)
     if negative:
         i, k, s = min(negative)
         return Certificate("fail", checked_count=_rank(lat, i, k), witness=_pair_witness(
             Fraction(i, q), Fraction(k, q), Fraction(s, lat.scale))), []
     n = len(P)
-    return Certificate("pass", checked_count=n * n + 2 * (n * n - T)), sorted(zeros)
+    return Certificate("pass", checked_count=n * n + 2 * (n * n - T)), zeros
 
 
 def _rank(lat: _Lattice, i: int, k: int) -> int:
@@ -293,7 +292,7 @@ def check_minimal(f: PeriodicPWL, b) -> Certificate:
 
 def _minimal(f: PeriodicPWL, lat: _Lattice, b: Fraction) -> tuple:
     """`check_minimal` on a lattice that holds b: its certificate and the
-    zero-slack pairs of `_scan` (empty unless the scan ran).
+    zero pairs `_scan` walked (empty unless the scan ran).
 
     Symmetry is decided as soon as nonnegativity passes, before the scan:
     if it passes and its point set P union (M - P) mod q, M = b q mod q, is
@@ -323,8 +322,8 @@ def _minimal(f: PeriodicPWL, lat: _Lattice, b: Fraction) -> tuple:
 
 
 def _require_minimal(f: PeriodicPWL, lat: _Lattice, b: Fraction, what: str) -> tuple:
-    """`_minimal` as the gate of `what`: its passing certificate and zero
-    pairs, or NotMinimal naming the failing check and its witness."""
+    """`_minimal` as the gate of `what`: its passing certificate and walked
+    zero pairs, or NotMinimal naming the failing check and its witness."""
     cert, zeros = _minimal(f, lat, b)
     if not cert.passed:
         raise NotMinimal(f"{what} requires a minimal function: "

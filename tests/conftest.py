@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -36,6 +37,14 @@ def fraction_vertex_pairs(f: PeriodicPWL) -> list:
     pairs |= {(u, (w - u) % 1) for u in B for w in B}
     pairs |= {((w - u) % 1, u) for u in B for w in B}
     return sorted(pairs)
+
+
+def triple_pairs(zeros, M: int, q: int) -> set:
+    """Every half-pair (a, b), a <= b, of the triple {x, y, (M - x - y) mod q}
+    of each zero pair (x, y): what one pair of a zero triple stands for
+    once f is symmetric about M/q."""
+    return {pair for x, y in zeros
+            for pair in combinations(sorted((x, y, (M - x - y) % q)), 2)}
 
 
 @pytest.fixture

@@ -495,6 +495,20 @@ def test_help_names_every_verb_and_flag(tmp_path, capsys, verb, flag):
         assert all(f"{name_} " in stdout for name_ in flags)
         assert all((",".join(r) if isinstance(r, (tuple, dict)) else p) in stdout
                    for p, r in positionals)
+    if verb is not None:
+        # a flag that only some choices read is led by those choices
+        _, _, positionals, flags = _VERBS[verb]
+        choices = next((r for r in (*(r for _, r in positionals),
+                                    *(spec[0] for spec in flags.values()))
+                        if isinstance(r, dict)), {})
+        lines = {line.split()[0]: line for line in stdout.splitlines()
+                 if line.startswith("  --")}
+        for opt in flags:
+            by = [c for c, reads in choices.items() if opt in reads]
+            head = f"for {', '.join(by)}: " if by else ""
+            text = lines[opt].split(None, 1)[1]
+            assert text.startswith(head), lines[opt]
+            assert not text[len(head):].startswith("for "), lines[opt]
     out = tmp_path / "g.json"
     code, stdout2, _ = run(capsys, "construct", "gmi", "--out", str(out), flag)
     assert code == 0 and stdout2.startswith("usage: groupcut construct")

@@ -22,7 +22,7 @@ from groupcut.extremality import (_IntegerSolver, _face_spans, _half_faces,
                                   _replay_boxes, _slope_classes, _zero_on_box)
 from groupcut.pwl import pieces_in
 from groupcut.verification import _Lattice, _require_minimal
-from conftest import bump_value, fraction_vertex_pairs
+from conftest import bump_value, fraction_vertex_pairs, triple_pairs
 
 
 def test_equality_structure_requires_subadditivity():
@@ -525,7 +525,8 @@ def test_facet_test_basis_does_not_depend_on_the_class_order(monkeypatch):
 
 def test_facet_basis_is_additive_at_every_zero_pair(monkeypatch):
     # one additivity row per zero triple loses no zero pair's row: every
-    # basis vector is additive, read through eval, at each pair of the gate
+    # basis vector is additive, read through eval, at each pair of each
+    # zero triple of the gate
     solvers = []
 
     class Counted(_IntegerSolver):
@@ -550,11 +551,12 @@ def test_facet_basis_is_additive_at_every_zero_pair(monkeypatch):
                 Q, B = lat.q, b * lat.q
                 _, zeros = _require_minimal(f, lat, b, "the test")
                 triples = {tuple(sorted((x, y, (B - x - y) % Q))) for x, y in zeros}
+                pairs = triple_pairs(zeros, B, Q)
                 # closure, theta(b) = 1 and at most one row per triple
                 assert solvers[0].rows <= 2 + len(triples)
-                merged += len(zeros) - len(triples)
+                merged += len(pairs) - len(triples)
                 for theta in r.basis_functions:
-                    for x, y in zeros:
+                    for x, y in pairs:
                         x, y = F(x, Q), F(y, Q)
                         assert theta.eval(x) + theta.eval(y) == theta.eval(x + y)
                 dims.add(r.dimension)

@@ -14,7 +14,7 @@ from groupcut import (DomainError, PeriodicPWL, brute_force_subadditive,
 from groupcut import verification
 from groupcut.extremality import two_slope_shortcut
 from groupcut.verification import _Lattice, _cross_pairs, _minimal, _rank, _scan
-from conftest import bump_value, formula_slope, fraction_vertex_pairs
+from conftest import bump_value, formula_slope, fraction_vertex_pairs, triple_pairs
 
 
 def test_certificate_shape():
@@ -184,7 +184,7 @@ def test_scan_counts_and_zeros_match_the_fraction_reference():
             assert cert.checked_count == len(fraction_vertex_pairs(f))
             reference = [(x, y) for x, y in fraction_vertex_pairs(f)
                          if x <= y and f.delta(x, y) == 0]
-            assert [(F(i, lat.q), F(k, lat.q)) for i, k in zeros] == reference
+            assert [(F(i, lat.q), F(k, lat.q)) for i, k in sorted(zeros)] == reference
         else:
             assert zeros == []
         verdicts.add(cert.verdict)
@@ -267,8 +267,11 @@ def test_triple_walk_equals_the_pair_walk(monkeypatch):
         assert handed == [M]
         triple = _scan(lat, M)
         pair = _scan(lat)
-        assert triple == pair, (f.to_json(), b)
-        assert zeros == pair[1]
+        assert triple[0] == pair[0], (f.to_json(), b)
+        # each walked pair stands for its triple, which the pair walk lists
+        assert triple_pairs(triple[1], M, lat.q) == set(pair[1]), (f.to_json(), b)
+        assert all(lat.slack(u, v) == 0 for u, v in triple[1] + pair[1])
+        assert zeros == triple[1]
         seen.add((pair[0].verdict, b < F(1, 2)))
     assert seen == {(v, low) for v in ("pass", "fail") for low in (True, False)}
 
@@ -290,7 +293,9 @@ def test_a_non_closed_copy_takes_the_pair_walk(monkeypatch):
     # the closed original is handed its mirror b q mod q
     handed.clear()
     lat = _Lattice(f, b.denominator)
-    assert _minimal(f, lat, b)[0].passed and handed == [lat.q // 2]
+    cert, zeros = _minimal(f, lat, b)
+    assert cert.passed and handed == [lat.q // 2]
+    assert triple_pairs(zeros, lat.q // 2, lat.q) == set(_scan(lat)[1])
 
 
 def _walked_rank(lat, i, k):
