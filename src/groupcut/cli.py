@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -85,10 +86,11 @@ def cmd_construct(args) -> int:
         f = constructions.pi_k(args.k, args.b)
         out_obj, summary = f.to_dict(), f
     elif kind == "pi-inf":
+        # first, so that a level below 2 is refused as K, not as pi_k's k
+        bound = constructions.truncation_bound(args.K, args.b)
         f = constructions.pi_k(args.K, args.b)
         out_obj, summary = f.to_dict(), f
-        print(f"truncation level {args.K}, uniform error bound "
-              f"{rat_str(constructions.truncation_bound(args.K, args.b))}")
+        print(f"truncation level {args.K}, uniform error bound {rat_str(bound)}")
     elif kind == "phi-m":
         F = seqmerge.phi_m(args.m, args.b)
         out_obj, summary = F.to_dict(), None
@@ -519,10 +521,29 @@ def _parse(argv: list) -> tuple:
 def main(argv=None) -> int:
     try:
         handler, args = _parse(sys.argv[1:] if argv is None else argv)
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
     except (_UsageError, DomainError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # a file a handler reads or writes fails as _UsageError: this is stdout
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        _discard_stdout()
+        return 2
+
+
+def _discard_stdout() -> None:
+    """Point standard output at the null device, so that the interpreter's
+    final flush of what is still buffered cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError, OSError):    # no descriptor
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -182,5 +182,8 @@ def truncation_bound(K: int, b: Fraction) -> Fraction:
     """The paper's bound on sup |pi_inf - pi_K|.  pi_(j+1) - pi_j is 0 off
     [0, 2 eps_(j+1)] and [b - 2 eps_(j+1), b] and peaks at eps_(j+1) with
     (s_(j+1) - s_j) eps_(j+1) = 2^(1-2j) / (1 - b), so the sup gap telescopes
-    to at most 2^(3-2K) / (3 (1 - b)), which is below this bound for K >= 2."""
+    to at most 2^(3-2K) / (3 (1 - b)), which is below this bound for K >= 2.
+    A level below 2 raises DomainError."""
+    if K < 2:
+        raise DomainError(f"K must be >= 2, got {K}")
     return Fraction(2) ** (4 - 3 * K) * (Fraction(2) ** K - 4 * b) / (1 - b)

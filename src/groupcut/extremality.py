@@ -79,31 +79,36 @@ def _zero_on_box(lat: _Lattice, u1, u2, v1, v2) -> bool:
 def _half_faces(lat: _Lattice):
     """The zero cells of the slack's complex over the half a1 <= b1 of the
     period square, each as its walk key (a1, b1, wl) and its projection
-    triple (p1, p2, p3) of int pairs (lo, hi).
+    triple (p1, p2, p3) of int pairs (lo, hi), in no fixed order.
 
     The box [a1, a2] x [b1, b2] of pieces i <= j is cut by the breakpoints
     between a1 + b1 and a2 + b2 into strip cells wl <= x + y <= wu, one per
-    piece of f that `pieces_in` meets there, and each is a 2-D cell.  On it
-    the slack is affine with gradient (s1 - s3, s2 - s3), s1, s2, s3 f's
-    steps on pieces i and j and on the strip's piece, so it vanishes iff
-    s1 = s2 = s3 and it is 0 at one vertex, here (p1's lo, wl - p1's lo).
-    A box with s1 != s2 has no zero cell.  The cell projects to
+    piece k of f that `pieces_in` meets there, each a 2-D cell.  On it the
+    slack is affine with gradient (s1 - s3, s2 - s3), s1, s2, s3 f's steps
+    on pieces i, j and k, so it vanishes iff s1 = s2 = s3 and it is 0 at
+    one vertex: only pairs of one step are walked.  With the pieces s t + c,
+    exact at their ends by continuity, the slack at (x, wl - x) is
+    c_i + c_j - c_k + s (wl - wl mod q).  The cell projects to
     p1 = [max(a1, wl - b2), min(a2, wu - b1)], p2 likewise with the axes
     swapped, and p3 = [wl, wu].  The mirror (b1, b2, a1, a2, wl, wu) of a
     cell is a cell of the full square, and since D(x, y) = D(y, x) it is
     zero iff the cell is."""
-    P, q, steps = lat.points, lat.q, lat.steps
+    P, q, steps, C = lat.points, lat.q, lat.steps, lat._c
     ends = [*P[1:], q]
-    for n, (a1, a2, s) in enumerate(zip(P, ends, steps)):
-        for b1, b2, t in zip(P[n:], ends[n:], steps[n:]):
-            if s != t:
-                continue
-            for j, wl, wu in pieces_in(P, q, a1 + b1, a2 + b2):
-                x = max(a1, wl - b2)
-                if steps[j] == s and lat.slack(x, wl - x) == 0:
-                    p1 = (x, min(a2, wu - b1))
-                    p2 = (max(b1, wl - a2), min(b2, wu - a1))
-                    yield (a1, b1, wl), (p1, p2, (wl, wu))
+    same = {}                          # step -> its pieces, ascending
+    for i, s in enumerate(steps):
+        same.setdefault(s, []).append(i)
+    for s, group in same.items():
+        for n, i in enumerate(group):
+            a1, a2, ci = P[i], ends[i], C[i]
+            for j in group[n:]:
+                b1, b2, cij = P[j], ends[j], ci + C[j]
+                for k, wl, wu in pieces_in(P, q, a1 + b1, a2 + b2):
+                    # s (wl - wl mod q) + c_i + c_j - c_k: wl < 2q
+                    if steps[k] == s and cij - C[k] + (s * q if wl >= q else 0) == 0:
+                        p1 = (max(a1, wl - b2), min(a2, wu - b1))
+                        p2 = (max(b1, wl - a2), min(b2, wu - a1))
+                        yield (a1, b1, wl), (p1, p2, (wl, wu))
 
 
 def equality_structure(f: PeriodicPWL) -> EqualityStructure:
@@ -180,10 +185,11 @@ def _slope_classes(grid: list, faces, B: int, Q: int) -> list:
     that last piece once.  A face then joins the first pieces of its
     ranges.  The map reverses the cyclic order of the pieces and sends
     piece 0, [0, grid[1]], to the piece that ends at B, so piece i's mirror
-    is piece (m - i) mod n, m + 1 the index of B; each pair is joined once.
-    Every link and join points the smaller root at the larger, so a class's
-    root is its last piece, and the columns number the classes in the order
-    of their last pieces."""
+    is piece (m - i) mod n, m + 1 the index of B; each distinct pair of
+    their roots is joined once.  Every link and join points the smaller
+    root at the larger, so a class's root is its last piece, one pass down
+    reads every root, and the columns number the classes in the order of
+    their last pieces."""
     n = len(grid)
     parent = list(range(n))
 
@@ -198,6 +204,12 @@ def _slope_classes(grid: list, faces, B: int, Q: int) -> list:
         if i != j:
             parent[min(i, j)] = max(i, j)
 
+    def all_roots():
+        roots = parent[:]
+        for i in range(n - 1, -1, -1):
+            roots[i] = roots[roots[i]]
+        return roots
+
     spans = [_face_spans(grid, face, Q) for face in faces]
     lo = hi = 0
     for first, last in sorted(s for face in spans for s in face):
@@ -210,10 +222,11 @@ def _slope_classes(grid: list, faces, B: int, Q: int) -> list:
         for (i, _), (j, _) in zip(face, face[1:]):
             join(i, j)
     m = bisect_left(grid, B) - 1
-    for i in range(n):
-        if i < (m - i) % n:
-            join(i, (m - i) % n)
-    roots = [find(i) for i in range(n)]
+    roots = all_roots()
+    mirrored = roots[m::-1] + roots[:m:-1]      # the root of piece (m - i) mod n
+    for i, j in {(r, t) for r, t in zip(roots, mirrored) if r < t}:
+        join(i, j)
+    roots = all_roots()
     column = {r: c for c, r in enumerate(sorted(set(roots)))}
     return [column[r] for r in roots]
 
@@ -354,11 +367,13 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
     perturbation in Gomory and Johnson's infinite group problem I" (Math.
     Oper. Res. 2015).  theta at x is the sum, over the pieces before x, of
     each piece's length times its class's slope, plus x's part of its own
-    piece, so theta(0) = 0 and every row is an int row.  The rows are
-    closure, theta(1) = theta(0); theta(b) = 1; and one additivity row per
-    zero triple of the gate.  The faces add no row.  Each row is checked
-    against f's slopes, and a class on which f has two slopes is refused,
-    as a bug in generating constraints.
+    piece: a prefix row plus one entry, so theta(0) = 0 and every row is an
+    int row.  The rows are closure, theta(1) = theta(0); theta(b) = 1; and
+    one additivity row per zero triple of the gate.  The faces add no row.
+    Each distinct nonzero row reaches the solver once.  f's slope on a grid
+    piece is the lattice step of f's piece that holds it; each row is
+    checked against f's slopes, and a class on which f has two slopes is
+    refused, as a bug in generating constraints.
 
     One row per zero triple: write B = b Q and extend theta to the line
     with theta(x + Q) = theta(x) + theta(Q), theta(Q) the closure row.
@@ -405,41 +420,43 @@ def restricted_facet_test(f: PeriodicPWL, b, refinement_denominator: int
     k = max(cls) + 1
 
     # every constraint is a consequence of facts f itself satisfies; f's
-    # slope on each class is read off the lattice, scaled by lat.scale
-    fslope = [None] * k
-    for t, L, c in zip(grid, lengths, cls):
-        s = (lat.value(t + L) - lat.value(t)) // L
-        if fslope[c] not in (None, s):
-            raise RuntimeError("constraint generation bug: f violates its own "
-                               "equality structure")
-        fslope[c] = s
+    # slope on each grid piece is the lattice step of f's piece that holds
+    # it, scale/Q times the slope, and each class has one.  f's piece j
+    # holds the grid pieces from its start, a grid point, to the next's.
+    starts = [bisect_left(grid, t) for t in lat.points]
+    fslope = sorted({(c, s) for s, i, j in zip(lat.steps, starts, [*starts[1:], n])
+                     for c in set(cls[i:j])})
+    if len(fslope) != k:
+        raise RuntimeError("constraint generation bug: f violates its own "
+                           "equality structure")
+    fslope = [s for _, s in fslope]
     prefix = [[0] * k]             # theta at grid point i, as a row
     for L, c in zip(lengths, cls):
         prefix.append(prefix[-1][:])
         prefix[-1][c] += L
 
-    def theta(x):
-        """theta(x/Q) as a row of int coefficients on the class slopes."""
-        x %= Q
+    def at(x):
+        """The grid piece i that holds x in [0, Q), and x's offset in it."""
         i = bisect_right(grid, x) - 1
-        row = prefix[i][:]
-        row[cls[i]] += x - grid[i]
-        return row
+        return i, x - grid[i]
 
+    tB = prefix[bisect_left(grid, B)]     # B is a grid point
+    # closure, theta(1) = theta(0), and theta(b) = 1
+    rows = {(tuple(prefix[n]), 0), (tuple(tB), 1)}
+    for x, y, z in {tuple(sorted((x, y, (B - x - y) % Q))) for x, y in zeros}:
+        (i, u), (j, v), (h, w) = at(x), at(y), at(z)
+        row = [a + e + g - t for a, e, g, t in zip(prefix[i], prefix[j], prefix[h], tB)]
+        row[cls[i]] += u
+        row[cls[j]] += v
+        row[cls[h]] += w
+        if any(row):
+            rows.add((tuple(row), 0))
     solver = _IntegerSolver(k)
-
-    def add_row(row, rhs):
-        """Check the row against f's slopes and add it to the solver."""
+    for row, rhs in rows:
         if sum(v * s for v, s in zip(row, fslope)) != rhs * lat.scale:
             raise RuntimeError("constraint generation bug: f violates its own "
                                "equality structure")
         solver.add(dict(enumerate(row)), rhs)
-
-    tB = theta(B)
-    add_row(prefix[n], 0)          # closure: theta(1) = theta(0)
-    add_row(tB, 1)
-    for x, y, z in sorted({tuple(sorted((x, y, (B - x - y) % Q))) for x, y in zeros}):
-        add_row([u + v + w - t for u, v, w, t in zip(theta(x), theta(y), theta(z), tB)], 0)
 
     # map each solution to grid values, columns reversed so that the
     # solver's lead entry is the last nonzero grid value

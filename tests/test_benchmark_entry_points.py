@@ -1,5 +1,7 @@
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 from groupcut.pwl import PeriodicPWL
@@ -53,3 +55,13 @@ def test_every_traced_method_is_defined_on_its_class():
         assert tuples[name], name
         for method in tuples[name]:
             assert method in cls.__dict__, (cls.__name__, method)
+
+
+def test_benchmark_smoke_round_checks_every_output():
+    # one round of each workload, every output checked against the
+    # benchmark's independent reference: a change that breaks a workload's
+    # output fails here, not only in the benchmark
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "run.py"), "--smoke"],
+                          cwd=PERFBENCH.parent, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

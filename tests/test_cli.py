@@ -2,7 +2,9 @@ import copy
 import csv
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,6 +19,8 @@ from groupcut import (PeriodicPWL, constructions, extremality, gmi, phi_m, pi_k,
                       pi_n_k, rat, seqmerge, verification)
 from groupcut.cli import _VERBS, MAX_REFINE, MAX_SAMPLES, main
 from conftest import bump_value
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # gmi(1/2) merged over a leaf gmi(1/3) at b = 1/2: the leaf is not minimal
@@ -62,6 +66,44 @@ def test_construct_pi_inf_prints_bound(tmp_path, capsys):
                           "--out", str(out))
     assert code == 0
     assert "7/64" in stdout
+
+
+def test_construct_pi_inf_names_its_level_flag(capsys):
+    # the level error names K, the flag pi-inf reads (it read "k must be")
+    code, stdout, err = run(capsys, "construct", "pi-inf", "--K", "1", "--b", "1/2")
+    assert (code, stdout, err) == (2, "", "error: K must be >= 2, got 1\n")
+
+
+def _cli_with_stdout(stdout):
+    """Run the CLI in a child process with the given standard output."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run(
+        [sys.executable, "-m", "groupcut.cli", "construct", "pi-k", "--k", "3",
+         "--b", "1/3"], stdout=stdout, stderr=subprocess.PIPE, env=env,
+        text=True, timeout=120)
+
+
+def test_cli_exits_2_when_stdout_is_a_closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_with_stdout(write_end)
+    finally:
+        os.close(write_end)
+    # it printed a BrokenPipeError traceback and exited 1
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("error: cannot write standard output: "
+                           "[Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_cli_exits_2_when_stdout_is_full():
+    with open("/dev/full", "w") as full:
+        proc = _cli_with_stdout(full)
+    # it printed an OSError traceback and exited 1
+    assert proc.returncode == 2, proc.stderr
+    assert _one_error_line(proc.stderr) and "No space left" in proc.stderr, proc.stderr
 
 
 def test_construct_pi_n_k(tmp_path, capsys):

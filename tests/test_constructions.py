@@ -300,3 +300,6 @@ def test_truncation_bound_closed_form():
     assert truncation_bound(4, F(1, 2)) == F(7, 64)
     K, b = 6, F(1, 3)
     assert truncation_bound(K, b) == F(2) ** (4 - 3 * K) * (2 ** K - 4 * b) / (1 - b)
+    # the bound is proved for K >= 2 only
+    with pytest.raises(DomainError, match="^K must be >= 2, got 1$"):
+        truncation_bound(1, F(1, 2))

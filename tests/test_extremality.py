@@ -166,6 +166,9 @@ def test_equality_structure_matches_a_full_square_walk():
     fns += [g.refine_to(cuts) for g in (pi_k(3, F(1, 2)), gmi(F(1, 3)))]
     fns.append(PeriodicPWL([F(0), F(1, 4), F(1, 2), F(3, 4)],
                            [F(0), F(1, 2), F(1, 2), F(1)]))
+    # the flat piece [1/4, 1/2] twice: its intercept twice is that of
+    # [1/2, 1], whose slope differs, so the box's strip is no zero cell
+    fns.append(PeriodicPWL([F(0), F(1, 4), F(1, 2)], [F(0), F(1, 2), F(1, 2)]))
     for f in fns:
         assert equality_structure(f).to_dict() == _full_square_walk(f), f.to_json()
     # a subadditivity mutant: the same message, witness included
@@ -175,6 +178,27 @@ def test_equality_structure_matches_a_full_square_walk():
     with pytest.raises(DomainError) as err:
         equality_structure(bad)
     assert str(err.value) == message
+
+
+def test_zero_cell_walk_is_the_same_on_every_lattice():
+    # the facet test walks on (1/Q)Z, Q = lcm(q, d, den b): its zero cells
+    # are those of f's own lattice, every end scaled by Q/q, and the slack
+    # read through value() is 0 at each cell's vertex and corners
+    for f, b in _facet_cases():
+        own = _Lattice(f)
+        walk = sorted(_half_faces(own))
+        assert walk
+        for d in (1, 3, 16, 64):
+            lat = _facet_grid(f, b, d)[0]
+            m = lat.q // own.q
+            cells = sorted(_half_faces(lat))
+            assert cells == [((a1 * m, b1 * m, wl * m),
+                              tuple((lo * m, hi * m) for lo, hi in face))
+                             for (a1, b1, wl), face in walk], (f, b, d)
+            for _, ((x, x1), (y, y1), (wl, wu)) in cells:
+                assert lat.slack(x, wl - x) == 0
+                corners = _cell_corners(*(F(e) for e in (x, x1, y, y1, wl, wu)))
+                assert corners and all(lat.slack(u, v) == 0 for u, v in corners)
 
 
 def _brute_zero_on_box(f, U, V):
@@ -523,20 +547,48 @@ def test_facet_test_basis_does_not_depend_on_the_class_order(monkeypatch):
         assert [restricted_facet_test(f, b, d).to_dict() for f, d in cases] == want
 
 
+def _theta_rows(f, b, d, zeros):
+    """The facet test's distinct nonzero rows, each theta summed piece by
+    piece: closure, theta(b) = 1 and theta(x) + theta(y) + theta(z) -
+    theta(b) = 0 for each zero triple, as sorted (column, entry) tuples."""
+    lat, B, Q, grid = _facet_grid(f, b, d)
+    cls = _slope_classes(grid, [face for _, face in _half_faces(lat)], B, Q)
+
+    def theta(x):
+        row = Counter()
+        for c, t0, t1 in zip(cls, grid, [*grid[1:], Q]):
+            row[c] += max(0, min(t1, x) - t0)
+        return row
+
+    def key(row):
+        return tuple(sorted((c, v) for c, v in row.items() if v))
+
+    tB = theta(B)
+    rows = {(key(theta(Q)), 0), (key(tB), 1)}
+    for x, y in zeros:
+        row = theta(x)
+        row.update(theta(y))
+        row.update(theta((B - x - y) % Q))
+        row.subtract(tB)
+        rows.add((key(row), 0))
+    return sorted(row for row in rows if row[0])
+
+
 def test_facet_basis_is_additive_at_every_zero_pair(monkeypatch):
     # one additivity row per zero triple loses no zero pair's row: every
     # basis vector is additive, read through eval, at each pair of each
-    # zero triple of the gate
+    # zero triple of the gate; and the solver sees each distinct nonzero
+    # row once
     solvers = []
 
     class Counted(_IntegerSolver):
         def __init__(self, ncols):
             super().__init__(ncols)
-            self.rows = 0
+            self.rows = []
             solvers.append(self)
 
         def add(self, row, rhs):
-            self.rows += 1
+            self.rows.append((tuple(sorted((c, v) for c, v in row.items() if v)), rhs))
             super().add(row, rhs)
 
     monkeypatch.setattr(extremality, "_IntegerSolver", Counted)
@@ -552,8 +604,10 @@ def test_facet_basis_is_additive_at_every_zero_pair(monkeypatch):
                 _, zeros = _require_minimal(f, lat, b, "the test")
                 triples = {tuple(sorted((x, y, (B - x - y) % Q))) for x, y in zeros}
                 pairs = triple_pairs(zeros, B, Q)
-                # closure, theta(b) = 1 and at most one row per triple
-                assert solvers[0].rows <= 2 + len(triples)
+                # closure, theta(b) = 1 and at most one row per triple, each
+                # distinct row once
+                assert len(solvers[0].rows) <= 2 + len(triples)
+                assert sorted(solvers[0].rows) == _theta_rows(f, b, d, zeros)
                 merged += len(pairs) - len(triples)
                 for theta in r.basis_functions:
                     for x, y in pairs:
