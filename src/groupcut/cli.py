@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 from . import constructions, extremality, seqmerge, verification
 from .errors import DomainError, FormatError, NotMinimal
-from .pwl import PeriodicPWL, _pair, rat, rat_str
+from .pwl import PeriodicPWL, _pair, rat
 
 
 class _UsageError(Exception):
@@ -50,9 +50,9 @@ def _load_any(path: str):
     return PeriodicPWL.from_dict(obj)
 
 
-def _write_json(path: str, obj: dict) -> None:
+def _write(path: str, text: str) -> None:
     try:
-        Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+        Path(path).write_text(text, newline="")
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc}") from exc
 
@@ -62,9 +62,8 @@ def _print_cert(cert) -> int:
     return 0 if cert.passed else 1
 
 
-def _print_arity(F: seqmerge.MergedFn) -> None:
-    print(f"arity {F.arity}, b-vector "
-          f"[{', '.join(rat_str(v) for v in F.b_vector)}]")
+def _arity(F: seqmerge.MergedFn) -> str:
+    return f"arity {F.arity}, b-vector [{', '.join(map(str, F.b_vector))}]"
 
 
 def _print_not_minimal(exc: NotMinimal, **extra) -> int:
@@ -78,37 +77,33 @@ def _print_not_minimal(exc: NotMinimal, **extra) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_construct(args) -> int:
-    kind = args.kind
+    """Prints once --out is written, so a failed write prints nothing."""
+    kind, lines = args.kind, []
     if kind == "gmi":
-        f = constructions.gmi(args.b)
-        out_obj, summary = f.to_dict(), f
+        F = constructions.gmi(args.b)
     elif kind == "pi-k":
-        f = constructions.pi_k(args.k, args.b)
-        out_obj, summary = f.to_dict(), f
+        F = constructions.pi_k(args.k, args.b)
     elif kind == "pi-inf":
         # first, so that a level below 2 is refused as K, not as pi_k's k
         bound = constructions.truncation_bound(args.K, args.b)
-        f = constructions.pi_k(args.K, args.b)
-        out_obj, summary = f.to_dict(), f
-        print(f"truncation level {args.K}, uniform error bound {rat_str(bound)}")
+        F = constructions.pi_k(args.K, args.b)
+        lines.append(f"truncation level {args.K}, uniform error bound {bound}")
     elif kind == "phi-m":
         F = seqmerge.phi_m(args.m, args.b)
-        out_obj, summary = F.to_dict(), None
-        _print_arity(F)
     else:   # pi-n-k, the last of the choices
         F = seqmerge.pi_n_k(args.n, args.k, args.b)
-        out_obj, summary = F.to_dict(), None
-        _print_arity(F)
-    if summary is not None:
-        slopes = sorted(summary.slopes())
-        print(f"breakpoints: {len(summary.P)}")
-        print(f"slopes ({len(slopes)}): "
-              f"[{', '.join(rat_str(s) for s in slopes)}]")
-    if args.out:
-        _write_json(args.out, out_obj)
-        print(f"wrote {args.out}")
+    if isinstance(F, PeriodicPWL):
+        slopes = sorted(F.slopes())
+        lines += [f"breakpoints: {len(F.P)}",
+                  f"slopes ({len(slopes)}): [{', '.join(map(str, slopes))}]"]
     else:
-        print(json.dumps(out_obj))
+        lines.append(_arity(F))
+    if args.out:
+        _write(args.out, json.dumps(F.to_dict(), indent=2) + "\n")
+        lines.append(f"wrote {args.out}")
+    else:
+        lines.append(json.dumps(F.to_dict()))
+    print("\n".join(lines))
     return 0
 
 
@@ -123,7 +118,7 @@ def cmd_eval(args) -> int:
         val = F.eval(coords[0])
     else:
         val = seqmerge.eval_merged(F, coords)
-    print(rat_str(val))
+    print(val)
     return 0
 
 
@@ -178,8 +173,8 @@ def cmd_merge(args) -> int:
         print("warning: the outer lift is not nondecreasing; the merge is "
               "defined but the minimality theorem's hypothesis fails",
               file=sys.stderr)
-    _write_json(args.out, F.to_dict())
-    _print_arity(F)
+    _write(args.out, json.dumps(F.to_dict(), indent=2) + "\n")
+    print(_arity(F))
     print(f"wrote {args.out}")
     return 0
 
@@ -229,7 +224,7 @@ def cmd_plot(args) -> int:
             buf = io.StringIO()
             w = csv.writer(buf)
             w.writerow(["x", "value", "kind"])
-            w.writerows([rat_str(x), rat_str(v), "breakpoint"]
+            w.writerows([str(x), str(v), "breakpoint"]
                         for x, v in zip(f.breakpoints, f.values))
             xs = [Fraction(i, args.samples) for i in range(args.samples + 1)]
             w.writerows([float(x), float(f.eval(x)), "sample"] for x in xs)
@@ -237,10 +232,7 @@ def cmd_plot(args) -> int:
     except OverflowError:
         raise _UsageError(f"cannot plot {args.path}: a value is outside "
                           "the float range") from None
-    try:
-        Path(out).write_text(text, newline="")
-    except OSError as exc:
-        raise _UsageError(f"cannot write {out}: {exc}") from exc
+    _write(out, text)
     print(f"wrote {out}")
     return 0
 

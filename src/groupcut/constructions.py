@@ -131,11 +131,11 @@ def pi_k_reflected(k: int, b) -> PeriodicPWL:
     return pi_k(k, 1 - b).reflect()
 
 
-def _limit_point(x, b) -> tuple:
-    x, b = rat(x) % 1, rat(b)
+def _lower_b(b) -> Fraction:
+    b = rat(b)
     if not (0 < b <= Fraction(1, 2)):
         raise DomainError(f"b must lie in (0, 1/2], got {b}")
-    return x, b
+    return b
 
 
 def _level(y: Fraction, b: Fraction) -> int:
@@ -145,24 +145,15 @@ def _level(y: Fraction, b: Fraction) -> int:
     return 2 + ((t - 1).bit_length() + 2) // 3
 
 
-def stabilization_index(x, b) -> int:
-    """Least N >= 3 at which the value of the level-k function at x has
-    stabilized, i.e. x lies in I^N_3 or I^N_6: 3 right of b, else the least
-    N with 2 eps_N <= min(x, b - x)."""
-    x, b = _limit_point(x, b)
-    if x == 0 or x == b:
-        raise DomainError(f"x = {x} is a special point of the limit function")
-    return 3 if x > b else _level(min(x, b - x), b)
-
-
 def pi_infinity_value(x, b) -> Fraction:
     """Exact pointwise value of the infinite-slope limit function, read off
-    the two points of pi_N around x (N the stabilization index):
+    the two points of pi_N around x, N the least level >= 3 at which x lies
+    in I3 or I6 and the levels' values at x stop changing:
     - right of b every level is (1 - x) / (1 - b);
     - pi_N(x) + pi_N(b - x) = 1, and x and b - x stabilize together;
     - for x <= b/2, pi_N is s_(N-1) x on [2 eps_N, eps_(N-1)] (x / b at
       N = 3) and (4^(3-N) - x) / (1 - b) on [eps_(N-1), 2 eps_(N-1)]."""
-    x, b = _limit_point(x, b)
+    x, b = rat(x) % 1, _lower_b(b)
     if x == 0:
         return Fraction(0)
     if x == b:
@@ -178,12 +169,13 @@ def pi_infinity_value(x, b) -> Fraction:
     return value if y == x else 1 - value
 
 
-def truncation_bound(K: int, b: Fraction) -> Fraction:
+def truncation_bound(K: int, b) -> Fraction:
     """The paper's bound on sup |pi_inf - pi_K|.  pi_(j+1) - pi_j is 0 off
     [0, 2 eps_(j+1)] and [b - 2 eps_(j+1), b] and peaks at eps_(j+1) with
     (s_(j+1) - s_j) eps_(j+1) = 2^(1-2j) / (1 - b), so the sup gap telescopes
     to at most 2^(3-2K) / (3 (1 - b)), which is below this bound for K >= 2.
-    A level below 2 raises DomainError."""
+    A level below 2, then a b outside (0, 1/2], raises DomainError."""
     if K < 2:
         raise DomainError(f"K must be >= 2, got {K}")
+    b = _lower_b(b)
     return Fraction(2) ** (4 - 3 * K) * (Fraction(2) ** K - 4 * b) / (1 - b)

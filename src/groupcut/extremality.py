@@ -19,7 +19,7 @@ from typing import Optional
 
 from .constructions import pi_k
 from .errors import DomainError
-from .pwl import Interval, PeriodicPWL, pieces_in, rat, rat_str
+from .pwl import Interval, PeriodicPWL, pieces_in, rat
 from .verification import Certificate, _Lattice, _require_minimal, _scan
 
 PWL_CAVEAT = ("certified within the continuous piecewise-linear perturbation "
@@ -44,7 +44,7 @@ class EqualityStructure:
 
     def to_dict(self) -> dict:
         return {
-            "additive_vertices": [[rat_str(x), rat_str(y)]
+            "additive_vertices": [[str(x), str(y)]
                                   for x, y in self.additive_vertices],
             "additive_faces": [[p.to_pair() for p in face]
                                for face in self.additive_faces],

@@ -88,10 +88,6 @@ def _texts(nums, den: int) -> list:
     return out
 
 
-def rat_str(q: Fraction) -> str:
-    return str(q)
-
-
 @dataclass(frozen=True, order=True)
 class Interval:
     """A closed interval [lo, hi] with rational endpoints, lo <= hi."""
@@ -122,7 +118,7 @@ class Interval:
         return (self.lo + self.hi) / 2
 
     def to_pair(self) -> list:
-        return [rat_str(self.lo), rat_str(self.hi)]
+        return [str(self.lo), str(self.hi)]
 
 
 class PeriodicPWL:
@@ -349,20 +345,6 @@ def _lists(d) -> tuple:
     if not (isinstance(d["breakpoints"], list) and isinstance(d["values"], list)):
         raise FormatError("'breakpoints' and 'values' must be JSON lists")
     return d["breakpoints"], d["values"]
-
-
-def common_refinement(f: PeriodicPWL, g: PeriodicPWL):
-    """Re-express both functions over the union of their breakpoint sets."""
-    union = sorted(set(f.breakpoints) | set(g.breakpoints))
-    return f.refine_to(union), g.refine_to(union)
-
-
-def linear_combine(c1, f: PeriodicPWL, c2, g: PeriodicPWL) -> PeriodicPWL:
-    """c1*f + c2*g, exact, in canonical form."""
-    c1, c2 = rat(c1), rat(c2)
-    rf, rg = common_refinement(f, g)
-    vals = [c1 * a + c2 * b for a, b in zip(rf.values, rg.values)]
-    return PeriodicPWL(rf.breakpoints, vals).canonical()
 
 
 def pieces_in(points, period, lo, hi):

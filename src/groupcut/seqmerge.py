@@ -1,14 +1,13 @@
-"""Lifting-space and group-space representations, the sequential-merge
-operation on cut-generating functions, the m-fold merge of the basic
-mixed-integer function, its k-slope variant, and sampled structural checks
-for the resulting n-dimensional functions.
+"""The sequential-merge operation on cut-generating functions, the m-fold
+merge of the basic mixed-integer function, its k-slope variant, and a
+sampled subadditivity check for the resulting n-dimensional functions.
 
 n-dimensional functions are never materialized as polyhedral complexes;
-they exist only as checked chains of 1-D functions with two independent
-evaluation paths that must agree exactly: the closed formula
-`eval_merged`, which runs on integers through the lattice each node's
-minimality check built, and the definitional nested lifts (`psi_eval`,
-`eval_definitional`), which run on `PeriodicPWL.eval`.
+they exist only as checked chains of 1-D functions, evaluated by the closed
+formula `eval_merged`, which runs on integers through the lattice each
+node's minimality check built.  The tests hold it to a second, independent
+path, the definitional nested lifts on `PeriodicPWL.eval`, which lives in
+`tests/oracles.py`.
 """
 from __future__ import annotations
 
@@ -16,38 +15,13 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from .constructions import gmi, pi_k_reflected
 from .errors import DomainError, FormatError, NotMinimal
-from .pwl import Interval, PeriodicPWL, _lists, _pair, rat, rat_str
+from .pwl import PeriodicPWL, _lists, _pair, rat
 from .verification import Certificate, _Lattice, _minimal
 
-Vector = Sequence[Fraction]
 _MAX_DENOMINATOR = 64   # the largest denominator of a sampled coordinate
-
-
-# ---------------------------------------------------------------------------
-# lifting space <-> group space
-# ---------------------------------------------------------------------------
-
-def lift_eval(f: PeriodicPWL, b, x) -> Fraction:
-    """Lifting-space value x - b*f(x); pseudo-periodic with period-1 shifts."""
-    b, x = rat(b), rat(x)
-    if not 0 < b < 1:
-        raise DomainError(f"b must lie in (0, 1), got {b}")
-    return x - b * f.eval(x)
-
-
-def group_space_eval(psi: Callable[[Vector], Fraction], b_vector, x) -> Fraction:
-    """Group-space value (sum(x) - psi(x)) / sum(b); inverts the lift on
-    pseudo-periodic functions."""
-    b_vector = [rat(v) for v in b_vector]
-    x = [rat(v) for v in x]
-    total_b = sum(b_vector)
-    if total_b == 0:
-        raise DomainError("b_vector must have nonzero sum")
-    return (sum(x) - psi(x)) / total_b
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +84,9 @@ class MergedFn:
 
     def to_dict(self) -> dict:
         (f, b), *outers = reversed(self.nodes)
-        obj = {"kind": "leaf", "b": rat_str(b), "fn": f.to_dict()}
+        obj = {"kind": "leaf", "b": str(b), "fn": f.to_dict()}
         for f, b in outers:
-            obj = {"kind": "merge", "b1": rat_str(b), "outer": f.to_dict(),
+            obj = {"kind": "merge", "b1": str(b), "outer": f.to_dict(),
                    "inner": obj}
         return obj
 
@@ -170,25 +144,9 @@ def _b(text, parsed: dict) -> Fraction:
     return b
 
 
-def leaf(f: PeriodicPWL, b) -> MergedFn:
-    return MergedFn(((f, rat(b)),))
-
-
-def seq_merge(f: PeriodicPWL, b1, g: MergedFn) -> MergedFn:
-    """Merge the 1-D function f (parameter b1) over g."""
-    return MergedFn(((f, rat(b1)),) + g.nodes)
-
-
 # ---------------------------------------------------------------------------
-# evaluation: closed formula and definitional path
+# evaluation
 # ---------------------------------------------------------------------------
-
-def _coerce_vector(F: MergedFn, x, read=rat) -> list:
-    x = [read(v) for v in x]
-    if len(x) != F.arity:
-        raise DomainError(f"expected a vector of length {F.arity}, got {len(x)}")
-    return x
-
 
 def eval_merged(F: MergedFn, x) -> Fraction:
     """Closed formula on integers, from the last node out.  With g the value
@@ -198,7 +156,9 @@ def eval_merged(F: MergedFn, x) -> Fraction:
     kept as S/D and H/D over one unreduced int D, and f_i(s - h) is
     lat.scaled_at(S - H, D) / (scale*D) on f_i's lattice.  Each coordinate
     is read as an int pair (n, d) by `pwl._pair`, so text makes no Fraction."""
-    x = _coerce_vector(F, x, _pair)
+    x = [_pair(v) for v in x]
+    if len(x) != F.arity:
+        raise DomainError(f"expected a vector of length {F.arity}, got {len(x)}")
     S, H, D = 0, 0, 1
     for (_, b), lat, (xn, xd) in zip(reversed(F.nodes), reversed(F._lattices), reversed(x)):
         S, H, D = S * xd + xn * D, H * xd, D * xd
@@ -207,21 +167,6 @@ def eval_merged(F: MergedFn, x) -> Fraction:
         S, H, D = S * m, H * m + b.numerator * v, D * m
     M = F._mass
     return Fraction(H * M.denominator, D * M.numerator)
-
-
-def psi_eval(F: MergedFn, x) -> Fraction:
-    """The nested-lift (pseudo-periodic) representation of F: from the last
-    node out, psi is the lift of f_i at x_i plus psi of the nodes after f_i."""
-    psi = Fraction(0)
-    for (f, b), xi in zip(reversed(F.nodes), reversed(_coerce_vector(F, x))):
-        psi = lift_eval(f, b, xi + psi)
-    return psi
-
-
-def eval_definitional(F: MergedFn, x) -> Fraction:
-    """Definitional path: group-space value of the nested lifts.  Must agree
-    exactly with eval_merged."""
-    return group_space_eval(lambda v: psi_eval(F, v), F.b_vector, x)
 
 
 # ---------------------------------------------------------------------------
@@ -266,32 +211,9 @@ def check_lift_nondecreasing(f: PeriodicPWL, b) -> Certificate:
         if s > bound:
             return Certificate(
                 "fail", checked_count=i + 1,
-                witness={"kind": "slope-bound", "piece_start": rat_str(g.breakpoints[i]),
-                         "slope": rat_str(s), "bound": rat_str(bound)})
+                witness={"kind": "slope-bound", "piece_start": str(g.breakpoints[i]),
+                         "slope": str(s), "bound": str(bound)})
     return Certificate("pass", checked_count=len(g.P))
-
-
-def region_gradients(n: int, k: int, b) -> list:
-    """For each distinct slope of the reflected k-slope function, one maximal
-    piece J of that slope and the exact gradient of the n-dimensional merge
-    on the open region J x (0,b)^{n-1}: (slope/n, 1/(bn), ..., 1/(bn))."""
-    b = _require_b_upper(b)
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
-    f = pi_k_reflected(k, b)
-    tail = [1 / (b * n)] * (n - 1)
-    box = tuple(Interval(Fraction(0), b) for _ in range(n - 1))
-    out = []
-    seen = set()
-    P = [*f.breakpoints, Fraction(1)]
-    for i in range(len(P) - 1):
-        s = f.piece_slope(i)
-        if s in seen:
-            continue
-        seen.add(s)
-        region = (Interval(P[i], P[i + 1]),) + box
-        out.append((region, tuple([s / n] + tail)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -311,45 +233,6 @@ def _as_evaluator(F) -> tuple:
     return func, arity
 
 
-def check_genuinely_nd(F, trials: int, seed: int) -> Certificate:
-    """Sampled check that the zero set is exactly the integer lattice: zero
-    at integer vectors, strictly positive at random non-integer rational
-    vectors.  A pass is evidence, not proof ('consistent with genuinely
-    n-dimensional')."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    func, arity = _as_evaluator(F)
-    rng = random.Random(seed)
-    checked = 0
-    zero_pts = [[Fraction(0)] * arity]
-    for _ in range(max(20, arity * 4)):
-        zero_pts.append([Fraction(rng.randint(-3, 3)) for _ in range(arity)])
-    for pt in zero_pts:
-        checked += 1
-        value = func(pt)
-        if value != 0:
-            return Certificate("fail", checked_count=checked,
-                               witness={"kind": "nonzero-at-integer",
-                                        "point": [rat_str(v) for v in pt],
-                                        "value": rat_str(value)})
-    done = 0
-    while done < trials:
-        pt = [_random_fraction(rng) for _ in range(arity)]
-        if all(v == 0 for v in pt):
-            continue
-        done += 1
-        checked += 1
-        value = func(pt)
-        if value <= 0:
-            return Certificate("fail", checked_count=checked,
-                               witness={"kind": "nonpositive-off-lattice",
-                                        "point": [rat_str(v) for v in pt],
-                                        "value": rat_str(value)})
-    return Certificate("pass", checked_count=checked,
-                       detail="consistent with genuinely n-dimensional "
-                              "(sampled; not a proof)")
-
-
 def sample_subadditivity_nd(F, trials: int, seed: int) -> Certificate:
     """Falsification harness: look for F(x)+F(y) < F(x+y) at random rational
     pairs.  A pass means no violation was found, nothing more."""
@@ -365,8 +248,8 @@ def sample_subadditivity_nd(F, trials: int, seed: int) -> Certificate:
         if delta < 0:
             return Certificate("fail", checked_count=t + 1,
                                witness={"kind": "subadditivity-nd",
-                                        "x": [rat_str(v) for v in x],
-                                        "y": [rat_str(v) for v in y],
-                                        "delta": rat_str(delta)})
+                                        "x": [str(v) for v in x],
+                                        "y": [str(v) for v in y],
+                                        "delta": str(delta)})
     return Certificate("pass", checked_count=trials,
                        detail="no violation found (sampled; not a proof)")

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError, NotMinimal
-from .pwl import PeriodicPWL, pieces_in, rat, rat_str
+from .pwl import PeriodicPWL, pieces_in, rat
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,11 @@ class Certificate:
 
 
 def _pair_witness(x, y, d) -> dict:
-    return {"kind": "pair", "x": rat_str(x), "y": rat_str(y), "delta": rat_str(d)}
+    return {"kind": "pair", "x": str(x), "y": str(y), "delta": str(d)}
 
 
 def _point_witness(x, **extra) -> dict:
-    w = {"kind": "point", "x": rat_str(x)}
+    w = {"kind": "point", "x": str(x)}
     w.update(extra)
     return w
 
@@ -265,7 +265,7 @@ def _symmetry(lat: _Lattice, b: Fraction) -> Certificate:
         s = value(x) + value(B - x)
         if s != lat.scale:
             return Certificate("fail", checked_count=len(pts), witness=_point_witness(
-                Fraction(x, q), sum=rat_str(Fraction(s, lat.scale))))
+                Fraction(x, q), sum=str(Fraction(s, lat.scale))))
     return Certificate("pass", checked_count=len(pts))
 
 
@@ -277,7 +277,7 @@ def check_nonnegative(f: PeriodicPWL) -> Certificate:
     for p, w in zip(f.P, f.W):
         if w < 0:
             return Certificate("fail", checked_count=n, witness=_point_witness(
-                Fraction(p, f.q), value=rat_str(Fraction(w, f.D))))
+                Fraction(p, f.q), value=str(Fraction(w, f.D))))
     return Certificate("pass", checked_count=n)
 
 
@@ -302,7 +302,7 @@ def _minimal(f: PeriodicPWL, lat: _Lattice, b: Fraction) -> tuple:
     the fixed order f(0), nonnegativity, subadditivity, symmetry: the first
     failure is reported, and `checked` sums the checks up to it."""
     if f.W[0] != 0:
-        w = _point_witness(Fraction(0), value=rat_str(Fraction(f.W[0], f.D)))
+        w = _point_witness(Fraction(0), value=str(Fraction(f.W[0], f.D)))
         return Certificate("fail", witness=w, checked_count=1, detail="f(0) != 0"), []
     checks, zeros = [("nonnegativity", check_nonnegative(f))], []
     if checks[0][1].passed:
@@ -344,15 +344,15 @@ def check_zero_set(f: PeriodicPWL) -> Certificate:
     P, W, D, n = f.P, f.W, f.D, len(f.P)
     if W[0] != 0:
         return Certificate("fail", checked_count=1,
-                           witness=_point_witness(Fraction(0), value=rat_str(Fraction(W[0], D))))
+                           witness=_point_witness(Fraction(0), value=str(Fraction(W[0], D))))
     if W[1 % n] <= 0:
         hi = P[1] if n > 1 else f.q
         return Certificate("fail", checked_count=n, witness=_point_witness(
-            Fraction(hi, 2 * f.q), value=rat_str(Fraction(W[1 % n], 2 * D))))
+            Fraction(hi, 2 * f.q), value=str(Fraction(W[1 % n], 2 * D))))
     for p, w in zip(P[1:], W[1:]):
         if w <= 0:
             return Certificate("fail", checked_count=n, witness=_point_witness(
-                Fraction(p, f.q), value=rat_str(Fraction(w, D))))
+                Fraction(p, f.q), value=str(Fraction(w, D))))
     return Certificate("pass", checked_count=n)
 
 
@@ -386,11 +386,11 @@ def check_slope_census(f: PeriodicPWL, k: int, b) -> Certificate:
     p, r = b.numerator, b.denominator
 
     def slopes(steps):
-        return sorted(rat_str(Fraction(a * q, scale)) for a in steps)
+        return sorted(str(Fraction(a * q, scale)) for a in steps)
 
     def census(nums):
         # a step numerator n over p (r - p) q is the slope n / (p (r - p) scale)
-        return sorted(rat_str(Fraction(n, p * (r - p) * scale)) for n in nums)
+        return sorted(str(Fraction(n, p * (r - p) * scale)) for n in nums)
 
     nums = [-r * p * scale, *((2 ** (i - 2) * r - p) * r * scale for i in range(2, k + 1))]
     den = p * (r - p) * q

@@ -9,15 +9,15 @@ import time
 from fractions import Fraction as F
 from math import lcm
 
-from groupcut import (PeriodicPWL, brute_force_subadditive, check_genuinely_nd,
+from groupcut import (PeriodicPWL, brute_force_subadditive,
                       check_lift_nondecreasing, check_minimal,
-                      check_slope_census, check_subadditive, eval_definitional,
-                      eval_merged, gmi, group_space_eval, new_slope, phi_m,
-                      pi_k, pi_k_reflected, pi_n_k, psi_eval, rat,
-                      region_gradients, replay_pi_k_facet_proof,
-                      restricted_facet_test, truncation_bound)
+                      check_slope_census, check_subadditive, eval_merged, gmi,
+                      new_slope, phi_m, pi_k, pi_k_reflected, pi_n_k, rat,
+                      replay_pi_k_facet_proof, restricted_facet_test,
+                      truncation_bound)
 from groupcut.cli import main as cli_main
-from groupcut.pwl import common_refinement
+from oracles import (check_genuinely_nd, common_refinement, eval_definitional,
+                     group_space_eval, psi_eval, region_gradients)
 
 KS = range(2, 11)
 BS = (F(1, 3), F(2, 5), F(1, 2))

@@ -74,6 +74,28 @@ def test_construct_pi_inf_names_its_level_flag(capsys):
     assert (code, stdout, err) == (2, "", "error: K must be >= 2, got 1\n")
 
 
+
+def test_construct_prints_nothing_when_out_cannot_be_written(tmp_path, capsys):
+    # it printed the summary of a file it never wrote, then exited 2; what
+    # a successful construct prints before its last line stays as it was
+    pi_3 = ["breakpoints: 6", "slopes (3): [-3/2, 3, 15/2]"]
+    arity = ["arity 2, b-vector [2/3, 2/3]"]
+    out, missing = tmp_path / "f.json", tmp_path / "missing" / "f.json"
+    for args, lines in ((["gmi", "--b", "1/3"], ["breakpoints: 2", "slopes (2): [-3/2, 3]"]),
+                        (["pi-k", "--k", "3", "--b", "1/3"], pi_3),
+                        (["pi-inf", "--K", "3", "--b", "1/3"],
+                         ["truncation level 3, uniform error bound 5/16", *pi_3]),
+                        (["phi-m", "--m", "2", "--b", "2/3"], arity),
+                        (["pi-n-k", "--n", "2", "--k", "3", "--b", "2/3"], arity)):
+        code, stdout, _ = run(capsys, "construct", *args, "--out", str(out))
+        assert (code, stdout.splitlines()) == (0, [*lines, f"wrote {out}"]), args
+        code, stdout, _ = run(capsys, "construct", *args)
+        *head, blob = stdout.splitlines()
+        assert (code, head) == (0, lines) and json.loads(blob) == json.loads(out.read_text())
+        code, stdout, err = run(capsys, "construct", *args, "--out", str(missing))
+        assert (code, stdout) == (2, "") and _one_error_line(err), args
+        assert err.startswith(f"error: cannot write {missing}: "), err
+
 def _cli_with_stdout(stdout):
     """Run the CLI in a child process with the given standard output."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -838,7 +860,7 @@ def test_hostile_json_inside_merged_tree(tmp_path, capsys):
         code, stdout, err = run(capsys, "eval", str(path), "--x", x)
         assert code == 2 and stdout == "" and _one_error_line(err)
         assert "f2 is not minimal at b2 = 1/2" in err
-    # a merge node's b1 is range-checked as in seq_merge (-1/2 + 1/2 = 0)
+    # a merge node's b1 is range-checked as in MergedFn (-1/2 + 1/2 = 0)
     for b1 in ("-1/2", "0", "1"):
         path.write_text(json.dumps({"kind": "merge", "b1": b1,
                                     "outer": gmi(F(1, 2)).to_dict(), "inner": leaf}))

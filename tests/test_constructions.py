@@ -5,11 +5,11 @@ from itertools import islice
 
 import pytest
 
-from groupcut import (DomainError, PeriodicPWL, constructions, gmi,
-                      interval_system, new_slope, pi_infinity_value, pi_k,
-                      pi_k_reflected, stabilization_index, truncation_bound)
-from groupcut.pwl import common_refinement
+from groupcut import (DomainError, FormatError, PeriodicPWL, constructions,
+                      gmi, interval_system, new_slope, pi_infinity_value, pi_k,
+                      pi_k_reflected, truncation_bound)
 from conftest import formula_slope
+from oracles import common_refinement
 
 
 def test_gmi_shape_and_values():
@@ -152,7 +152,7 @@ def test_pi_k_matches_the_level_recursion():
                 x = F(rng.randint(1, 999), 1000)
             if x in (0, b):
                 continue
-            levels.add(stabilization_index(x, b))
+            levels.add(_reference_level(x, b))
             assert pi_infinity_value(x, b) == ref.eval(x), (x, b)
     assert levels >= set(range(3, 9))
 
@@ -202,24 +202,12 @@ def test_pi_k_reflected_matches_reflection():
         pi_k_reflected(4, F(1, 3))
 
 
-def test_stabilization_index():
-    b = F(1, 2)
-    assert stabilization_index(F(3, 4), b) == 3      # right of b
-    assert stabilization_index(F(1, 4), b) == 3      # inside the level-3 band
-    assert stabilization_index(F(1, 100), b) == 5
-    for x in (F(0), b):
-        with pytest.raises(DomainError):
-            stabilization_index(x, b)
-
-
 @pytest.mark.parametrize("b", [F(0), F(3, 4), F(2)])
 def test_limit_functions_check_b_first(b):
     # x = 0 and x = b answered 0 and 1 before b was checked
     for x in (F(0), b, F(1, 5)):
         with pytest.raises(DomainError, match="b must lie in"):
             pi_infinity_value(x, b)
-        with pytest.raises(DomainError, match="b must lie in"):
-            stabilization_index(x, b)
 
 
 def _reference_level(x, b):
@@ -255,7 +243,6 @@ def test_pi_infinity_pointwise_matches_stabilized_level():
                 N = _reference_level(x, b)
                 seen_levels.add(N)
                 seen_cases.add((x % 1 == 2 * eps, x % 1 > b, b / 2 < x % 1 < b))
-                assert stabilization_index(x, b) == N, (x, b)
                 assert (pi_infinity_value(x, b) == level(N, b).eval(x)
                         == level(N + 2, b).eval(x)), (x, b)
     assert seen_levels == set(range(3, 31))
@@ -268,16 +255,15 @@ def test_pi_infinity_value_builds_no_level(monkeypatch):
     for n in range(3, 61):
         eps = b / 8 ** (n - 2)
         points += [(n, x) for x in (2 * eps, 3 * eps, b - 2 * eps, 1 - eps)]
-    expected = [(stabilization_index(x, b), pi_infinity_value(x, b)) for _, x in points]
+    expected = [pi_infinity_value(x, b) for _, x in points]
 
     def no_build(*args):
         raise AssertionError("pi_infinity_value must not build a level")
 
     monkeypatch.setattr(constructions, "pi_k", no_build)
     monkeypatch.setattr(constructions, "interval_system", no_build)
-    got = [(stabilization_index(x, b), pi_infinity_value(x, b)) for _, x in points]
+    got = [pi_infinity_value(x, b) for _, x in points]
     assert got == expected
-    assert [N for N, _ in got] == [3 if x > b else n for n, x in points]
 
 
 def test_consecutive_levels_differ_by_the_closed_form_gap():
@@ -303,3 +289,17 @@ def test_truncation_bound_closed_form():
     # the bound is proved for K >= 2 only
     with pytest.raises(DomainError, match="^K must be >= 2, got 1$"):
         truncation_bound(1, F(1, 2))
+
+
+def test_truncation_bound_reads_b_as_pi_k_does():
+    # b = 1 or True divided by 0, "1/3" raised TypeError, 0.3 gave a float
+    bound = truncation_bound(3, "1/3")
+    assert bound == F(5, 16) and type(bound) is F
+    for b, error in ((1, DomainError), (F(0), DomainError), (F(2, 3), DomainError),
+                     (True, FormatError), (0.3, FormatError)):
+        with pytest.raises(error) as exc:
+            truncation_bound(3, b)
+        assert str(exc.value) == (f"b must lie in (0, 1/2], got {b}" if error is DomainError
+                                  else f"cannot interpret {type(b).__name__} as exact rational")
+    with pytest.raises(DomainError, match="^K must be >= 2, got 1$"):
+        truncation_bound(1, F(2, 3))

@@ -14,15 +14,15 @@ from hypothesis import strategies as st
 from groupcut import (DomainError, Interval, NotMinimal, PeriodicPWL,
                       check_minimal, check_nonnegative, check_subadditive,
                       check_symmetry, equality_structure, gmi, interval_system,
-                      linear_combine, pi_k, pi_k_reflected, rat,
-                      replay_pi_k_facet_proof, restricted_facet_test,
-                      two_slope_shortcut)
+                      pi_k, pi_k_reflected, rat, replay_pi_k_facet_proof,
+                      restricted_facet_test, two_slope_shortcut)
 from groupcut import extremality
 from groupcut.extremality import (_IntegerSolver, _face_spans, _half_faces,
                                   _replay_boxes, _slope_classes, _zero_on_box)
 from groupcut.pwl import pieces_in
 from groupcut.verification import _Lattice, _require_minimal
 from conftest import bump_value, fraction_vertex_pairs, triple_pairs
+from oracles import linear_combine
 
 
 def test_equality_structure_requires_subadditivity():

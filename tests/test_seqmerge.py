@@ -4,13 +4,14 @@ from fractions import Fraction as F
 import pytest
 
 from groupcut import (DomainError, FormatError, MergedFn, NotMinimal,
-                      PeriodicPWL, check_genuinely_nd, check_lift_nondecreasing,
-                      check_minimal, eval_definitional, eval_merged, gmi,
-                      group_space_eval, leaf, lift_eval, phi_m, pi_k,
-                      pi_k_reflected, pi_n_k, psi_eval, region_gradients,
-                      sample_subadditivity_nd, seq_merge, seqmerge)
+                      PeriodicPWL, check_lift_nondecreasing, check_minimal,
+                      eval_merged, gmi, phi_m, pi_k, pi_k_reflected, pi_n_k,
+                      sample_subadditivity_nd, seqmerge)
 from groupcut.cli import MAX_LEVEL
 from groupcut.verification import _Lattice
+import oracles
+from oracles import (check_genuinely_nd, eval_definitional, group_space_eval,
+                     lift_eval, psi_eval, region_gradients)
 
 
 def rand_fracs(rng, n, maxq=60):
@@ -26,16 +27,12 @@ def test_lift_eval_examples():
     # pseudo-periodicity
     for x in (F(1, 7), F(5, 3)):
         assert lift_eval(g, F(1, 2), x + 1) == lift_eval(g, F(1, 2), x) + 1
-    with pytest.raises(DomainError):
-        lift_eval(g, F(1), F(1, 4))
 
 
 def test_group_space_inverts_the_lift():
     g = gmi(F(1, 2))
     psi = lambda v: lift_eval(g, F(1, 2), v[0])
     assert group_space_eval(psi, [F(1, 2)], [F(1, 4)]) == g.eval(F(1, 4))
-    with pytest.raises(DomainError):
-        group_space_eval(psi, [F(0)], [F(1, 4)])
 
 
 def test_lift_round_trip_at_random_points():
@@ -191,7 +188,7 @@ def test_evaluation_paths_are_independent(monkeypatch):
     P = pi_n_k(3, 3, F(1, 2))
     x = [F(1, 5), F(2, 7), F(-3, 4)]
     closed, definitional = eval_merged(P, x), eval_definitional(P, x)
-    monkeypatch.setattr(seqmerge, "psi_eval", lambda Fn, v: psi_eval(Fn, v) + 1)
+    monkeypatch.setattr(oracles, "psi_eval", lambda Fn, v: psi_eval(Fn, v) + 1)
     assert eval_merged(P, x) == closed
     assert eval_definitional(P, x) == definitional - F(1) / sum(P.b_vector)
 
@@ -362,9 +359,9 @@ def test_hostile_merged_nodes_keep_their_messages(fn, message):
 def test_seq_merge_rejects_non_minimal_ingredients():
     g = gmi(F(1, 2))
     with pytest.raises(DomainError):
-        seq_merge(gmi(F(1, 3)), F(1, 2), leaf(g, F(1, 2)))   # wrong parameter
+        MergedFn(((gmi(F(1, 3)), F(1, 2)), (g, F(1, 2))))   # wrong parameter
     with pytest.raises(DomainError):
-        seq_merge(g, F(1, 2), leaf(gmi(F(1, 3)), F(1, 2)))
+        MergedFn(((g, F(1, 2)), (gmi(F(1, 3)), F(1, 2))))
 
 
 def test_eval_dimension_mismatch():
@@ -434,7 +431,7 @@ def test_subadditivity_sampler():
 
 
 def test_merged_json_round_trip():
-    for Fn in (phi_m(3, F(1, 2)), pi_n_k(2, 4, F(2, 3)), leaf(gmi(F(1, 2)), F(1, 2))):
+    for Fn in (phi_m(3, F(1, 2)), pi_n_k(2, 4, F(2, 3)), MergedFn(((gmi(F(1, 2)), F(1, 2)),))):
         blob = Fn.to_dict()
         back = MergedFn.from_dict(blob)
         assert back.to_dict() == blob

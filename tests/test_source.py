@@ -2,7 +2,17 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "groupcut"
+import groupcut
+from test_benchmark_entry_points import WORKLOADS, _gc_lookups
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "groupcut"
+TREES = {path: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+# exports that no CLI verb, src module or benchmark lookup reaches
+KEPT_EXPORTS = {
+    "interval_system": "the paper's six intervals of a level, which the tests read",
+    "equality_structure": "the additive vertices and faces; ROADMAP item 1 decides its fate",
+}
 
 
 def _private_definitions(tree):
@@ -16,18 +26,44 @@ def _private_definitions(tree):
                 yield d
 
 
-def test_every_private_definition_is_used_in_src():
-    trees = {path: ast.parse(path.read_text(), str(path))
-             for path in sorted(SRC.glob("*.py"))}
+def _unused(definitions) -> list:
+    """Each (path, definition) whose name no Name or Attribute in src/ uses
+    outside the definition itself, as 'file:line name'."""
     uses = [(path, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
-            for path, tree in trees.items() for node in ast.walk(tree)
+            for path, tree in TREES.items() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))]
-    unused = [f"{path.name}:{d.lineno} {d.name}"
-              for path, tree in trees.items() for d in _private_definitions(tree)
-              if not any(name == d.name and not (
-                  p == path and d.lineno <= line <= d.end_lineno)
-                  for p, line, name in uses)]
+    return [f"{path.name}:{d.lineno} {d.name}" for path, d in definitions
+            if not any(name == d.name and not (
+                p == path and d.lineno <= line <= d.end_lineno)
+                for p, line, name in uses)]
+
+
+def test_every_private_definition_is_used_in_src():
+    unused = _unused((path, d) for path, tree in TREES.items()
+                     for d in _private_definitions(tree))
     assert not unused, f"private definitions no code in src/ uses: {unused}"
+
+
+def test_every_export_is_used_in_src_or_by_the_benchmark():
+    # the package exports what the CLI, the benchmark and its own modules
+    # call; a checker that only tests call belongs in tests/oracles.py
+    exported = set(groupcut.__all__)
+    definitions = [(path, d) for path, tree in TREES.items() for d in tree.body
+                   if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and d.name in exported]
+    assert {d.name for _, d in definitions} == exported
+    looked_up = {names[1] for names in _gc_lookups(ast.parse(WORKLOADS.read_text()))}
+    unused = {entry.split()[-1] for entry in _unused(definitions)} - looked_up
+    assert unused == set(KEPT_EXPORTS), sorted(unused ^ set(KEPT_EXPORTS))
+
+
+def test_oracles_import_public_names_only():
+    # the test-side checkers stay independent of the package's internals:
+    # groupcut is reached only through `from groupcut import <exported names>`
+    found = [ast.unparse(node) for node in ast.walk(ast.parse((TESTS / "oracles.py").read_text()))
+             if isinstance(node, (ast.Import, ast.ImportFrom)) and "groupcut" in ast.unparse(node)
+             and not (isinstance(node, ast.ImportFrom) and node.module == "groupcut"
+                      and {a.name for a in node.names} <= set(groupcut.__all__))]
+    assert not found, found
 
 
 def _floats(tree):
@@ -45,8 +81,8 @@ def test_floats_appear_only_where_plot_maps_coordinates():
     # exact arithmetic everywhere: plot turns exact values into drawing
     # coordinates at the very end, and nothing else makes a float
     allowed = {("cli.py", "_svg"), ("cli.py", "cmd_plot")}
-    found = {(path.name, name, line) for path in sorted(SRC.glob("*.py"))
-             for name, line in _floats(ast.parse(path.read_text(), str(path)))}
+    found = {(path.name, name, line) for path, tree in TREES.items()
+             for name, line in _floats(tree)}
     assert {(p, name) for p, name, _ in found} == allowed, sorted(found)
 
 
@@ -70,8 +106,8 @@ def _foreign_attribute_writes(tree):
 def test_no_code_sets_an_attribute_on_another_object():
     # an object's state is set by its own methods: a path flag written on a
     # shared object would steer every later reader of that object
-    found = [f"{path.name}:{line} {text}" for path in sorted(SRC.glob("*.py"))
-             for line, text in _foreign_attribute_writes(ast.parse(path.read_text()))]
+    found = [f"{path.name}:{line} {text}" for path, tree in TREES.items()
+             for line, text in _foreign_attribute_writes(tree)]
     assert not found, found
 
 
@@ -92,7 +128,7 @@ def test_choice_flag_rule_is_written_once():
     # which flags a choice reads is named in the verb table and enforced by
     # one rule in _parse; merge's --b2 depends on the inner file's content,
     # so its two lines are the one check a handler keeps
-    tree = ast.parse((SRC / "cli.py").read_text())
+    tree = TREES[SRC / "cli.py"]
     found = sorted((getattr(top, "name", None), literal)
                    for top in tree.body for node in ast.walk(top)
                    if isinstance(node, ast.Constant) and isinstance(node.value, str)

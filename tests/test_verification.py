@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupcut import (DomainError, PeriodicPWL, brute_force_subadditive,
-                      check_genuinely_nd, check_minimal, check_nonnegative,
-                      check_slope_census, check_subadditive, check_symmetry,
-                      check_zero_set, equality_structure, gmi, interval_system,
-                      new_slope, phi_m, pi_k, pi_k_reflected)
+                      check_minimal, check_nonnegative, check_slope_census,
+                      check_subadditive, check_symmetry, check_zero_set,
+                      equality_structure, gmi, interval_system, new_slope,
+                      phi_m, pi_k, pi_k_reflected, sample_subadditivity_nd)
 from groupcut import verification
 from groupcut.extremality import two_slope_shortcut
 from groupcut.verification import _Lattice, _cross_pairs, _minimal, _rank, _scan
@@ -22,7 +22,7 @@ def test_certificate_shape():
     assert c.passed and c.witness is None
     d = c.to_dict()
     assert d["verdict"] == "pass" and d["checked"] == c.checked_count
-    sampled = check_genuinely_nd(phi_m(2, F(1, 2)), trials=5, seed=0)
+    sampled = sample_subadditivity_nd(phi_m(2, F(1, 2)), trials=5, seed=0)
     assert "sampled; not a proof" in sampled.to_dict()["detail"]
 
 
