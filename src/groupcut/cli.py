@@ -11,6 +11,7 @@ import io
 import json
 import os
 import re
+import stat
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -51,8 +52,30 @@ def _load_any(path: str):
 
 
 def _write(path: str, text: str) -> None:
+    """Write `text` to `path` as UTF-8, in place: the one writer of every
+    --out.  A new file is created with mode 0o666 & ~umask; an existing
+    one keeps its inode, mode and links, and a regular file is cut to the
+    new length after the write.  A device or FIFO is written, not cut.
+
+    The file is not opened with O_TRUNC: on ext4, truncating a non-empty
+    file to zero makes its next close start writeback (the auto_da_alloc
+    heuristic): rewriting a 1.5 kB file took about 120 us that way and
+    10 us in place, on a shared 2-core Xeon VM.  No guarantee is lost: the
+    CLI never fsyncs, so it promises no durability either way, and that
+    heuristic only starts writeback without waiting for it (XFS, tmpfs and
+    ext4 under noauto_da_alloc have none).  A write that a crash
+    interrupts may leave a torn file, as before."""
+    data = text.encode()
     try:
-        Path(path).write_text(text, newline="")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:     # os.write may write part of what it is given
+                view = view[os.write(fd, view):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc}") from exc
 

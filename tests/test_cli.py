@@ -96,6 +96,76 @@ def test_construct_prints_nothing_when_out_cannot_be_written(tmp_path, capsys):
         assert (code, stdout) == (2, "") and _one_error_line(err), args
         assert err.startswith(f"error: cannot write {missing}: "), err
 
+
+def _out_argv(tmp_path, verb, out):
+    """The argv with which `verb` writes gmi(1/2), its merge with itself or
+    its CSV plot to `out`."""
+    g = tmp_path / "g.json"
+    if not g.exists():
+        g.write_text(gmi(F(1, 2)).to_json())
+    return {"construct": ["construct", "gmi", "--b", "1/2"],
+            "merge": ["merge", str(g), str(g), "--b1", "1/2", "--b2", "1/2"],
+            "plot": ["plot", str(g)]}[verb] + ["--out", str(out)]
+
+
+def test_construct_rewrites_an_existing_out_in_place(tmp_path, capsys):
+    out = tmp_path / "f.json"
+    assert run(capsys, "construct", "pi-k", "--k", "8", "--b", "1/3", "--out", str(out))[0] == 0
+    out.chmod(0o640)
+    before = out.stat()
+    assert run(capsys, "construct", "gmi", "--b", "1/3", "--out", str(out))[0] == 0
+    after = out.stat()
+    # no stale tail of the longer pi_8 file, and the same file
+    assert out.read_bytes() == gmi(F(1, 3)).to_json().encode()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+
+@pytest.mark.parametrize("verb", ["construct", "merge", "plot"])
+def test_out_over_a_longer_file_holds_what_a_new_file_holds(tmp_path, capsys, verb):
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("stale\n" * 20000)
+    inode = old.stat().st_ino
+    code, stdout, err = run(capsys, *_out_argv(tmp_path, verb, new))
+    assert run(capsys, *_out_argv(tmp_path, verb, old)) == (
+        code, stdout.replace(str(new), str(old)), err)
+    assert code == 0 and old.read_bytes() == new.read_bytes()
+    assert old.stat().st_ino == inode
+
+
+def test_out_writes_through_a_symlink(tmp_path, capsys):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("stale\n" * 1000)
+    link.symlink_to(target)
+    assert run(capsys, "construct", "gmi", "--b", "1/2", "--out", str(link))[0] == 0
+    assert link.is_symlink() and target.read_bytes() == gmi(F(1, 2)).to_json().encode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_out_to_the_null_device(capsys):
+    # a device is written, not cut to length
+    code, stdout, err = run(capsys, "construct", "gmi", "--b", "1/2", "--out", "/dev/null")
+    assert (code, stdout.splitlines()[-1:], err) == (0, ["wrote /dev/null"], "")
+
+
+@pytest.mark.parametrize("verb", ["construct", "merge", "plot"])
+def test_a_directory_out_is_a_usage_error(tmp_path, capsys, verb):
+    out = tmp_path / "d.csv"
+    out.mkdir()
+    code, stdout, err = run(capsys, *_out_argv(tmp_path, verb, out))
+    assert (code, stdout) == (2, "") and _one_error_line(err), err
+    assert err.startswith(f"error: cannot write {out}: "), err
+
+
+def test_a_new_out_gets_mode_0o666_less_the_umask(tmp_path, capsys):
+    out = tmp_path / "f.json"
+    umask = os.umask(0o027)
+    try:
+        assert run(capsys, "construct", "gmi", "--b", "1/2", "--out", str(out))[0] == 0
+    finally:
+        os.umask(umask)
+    assert out.stat().st_mode & 0o7777 == 0o666 & ~0o027
+
+
 def _cli_with_stdout(stdout):
     """Run the CLI in a child process with the given standard output."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -86,6 +86,33 @@ def test_floats_appear_only_where_plot_maps_coordinates():
     assert {(p, name) for p, name, _ in found} == allowed, sorted(found)
 
 
+def _may_write(call) -> bool:
+    """Whether a call can open a file for writing: write_text, write_bytes,
+    os.open, and an open whose mode holds w, a, x or + or is no literal."""
+    func, callee = call.func, ast.unparse(call.func)
+    if callee == "os.open" or callee.endswith((".write_text", ".write_bytes")):
+        return True
+    if callee in ("open", "io.open"):
+        mode = call.args[1:2]           # open(file, mode)
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        mode = call.args[:1]            # Path(...).open(mode)
+    else:
+        return False
+    mode = [k.value for k in call.keywords if k.arg == "mode"] or mode
+    return bool(mode) and not (isinstance(mode[0], ast.Constant)
+                               and set(str(mode[0].value)).isdisjoint("wax+"))
+
+
+def test_every_file_is_written_by_one_writer():
+    # `_write` writes every --out in place and in one way; `_discard_stdout`
+    # opens the null device to put under standard output, and writes no file
+    allowed = {("cli.py", "_write"), ("cli.py", "_discard_stdout")}
+    found = {(path.name, getattr(top, "name", None), node.lineno)
+             for path, tree in TREES.items() for top in tree.body
+             for node in ast.walk(top) if isinstance(node, ast.Call) and _may_write(node)}
+    assert {(p, name) for p, name, _ in found} == allowed, sorted(found)
+
+
 def _foreign_attribute_writes(tree):
     """(line, target) of every assignment or deletion of an attribute, and
     every setattr/delattr call, whose object is not the name `self`."""
